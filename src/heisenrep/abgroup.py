@@ -18,11 +18,21 @@ class GroupError(ValueError):
     pass
 
 
+def strict_ints(values, error, what):
+    """``values`` as a tuple, raising ``error`` on any entry that is not an
+    int (bools, floats and strings are refused, never coerced)."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise error("%s must be integers, got %r" % (what, x))
+    return values
+
+
 class AbGroup:
     __slots__ = ("orders",)
 
     def __init__(self, orders):
-        orders = tuple(int(d) for d in orders)
+        orders = strict_ints(orders, GroupError, "orders")
         if any(d < 1 for d in orders):
             raise GroupError("orders must be positive")
         self.orders = orders
@@ -326,18 +336,6 @@ def primary_component(group, p):
             v //= p
         gens.append([v if j == i else 0 for j in range(m)])
     return subgroup_from_gens(group, gens)
-
-
-def primary_exponents(group, p):
-    """p-adic valuations of the orders (the p-type of the group)."""
-    out = []
-    for d in group.orders:
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        out.append(v)
-    return out
 
 
 def prime_factors(n):

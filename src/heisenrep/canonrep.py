@@ -12,10 +12,9 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 
 from .abgroup import prime_factors
-from .cyclo import CycNum, root_of_unity
+from .cyclo import CycNum, from_powers, root_of_unity
 from .heisenberg import (
     HeisGrp,
-    _counts_to_cyc,
     g_transport,
     induce,
     primary_split,
@@ -25,10 +24,6 @@ from .intertwine import hom_dim, solve_canonical_system
 from .kmat import kron, mat_mul, mat_to_json
 from .reduction import ReductionData, g_to_gc, lift_canonical_system
 from .symplectic import SympAut, SymplecticError, sp_sample
-
-
-class VerifyFailure(AssertionError):
-    pass
 
 
 class CanonicalRep:
@@ -66,11 +61,6 @@ class CanonicalRep:
         GP, _ = g_transport(g, self.system.modules[i2],
                             target=self.system.modules[self.base_index])
         return GP.apply_left(F)
-
-    def act_pair(self, g, h):
-        """rho(g) rho(h) rho(g)^(-1) should equal rho of (gm, a)."""
-        return mat_mul(self.act_g(g), mat_mul(self.act_h(h),
-                                              _dense_inverse(self.act_g(g))))
 
     def act(self, x):
         """Matrix of an element of H, of Sp(M), or of the semidirect
@@ -147,12 +137,6 @@ def flip_anchor(sys_c):
                            sys_c.enh_lags, sys_c.base_index, sys_c.modules,
                            sys_c.T_LB, sys_c.T_BL, sys_c.delta, c,
                            sys_c.conductor)
-
-
-def _dense_inverse(mat):
-    from .kmat import mat_inverse
-
-    return mat_inverse(mat)
 
 
 class TensorRep:
@@ -382,7 +366,7 @@ def verify_svn(H, budget=3 ** 8, pi=None):
             for (e1, c1) in nz:
                 for (e2, c2) in nz:
                     corr[(e1 - e2) % n] += c1 * c2
-        orth = _counts_to_cyc(n, corr) / H.order()
+        orth = from_powers(n, enumerate(corr)) / H.order()
     else:
         ssum = CycNum.zero(1)
         for h in H.elements():

@@ -153,10 +153,9 @@ def cmd_gauss(args):
         with open(args.input) as fh:
             data = json.load(fh)
         group = AbGroup(data["orders"])
-        gram = data["gram"]
+        value = gauss_sum(group, data["gram"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError("malformed gauss input: %r" % (exc,)) from None
-    value = gauss_sum(group, gram)
     fourth = value ** 4
     emit(args, {
         "gauss_sum": value.to_json(),

@@ -76,9 +76,10 @@ def cyclotomic_poly(n):
 
 
 class _Ctx:
-    """Per-conductor tables: reduction of powers of zeta mod Phi_N."""
+    """Per-conductor tables: reduction of powers of zeta mod Phi_N, densely
+    and as the (index, coefficient) pairs of its nonzero entries."""
 
-    __slots__ = ("n", "phi", "poly", "pow_table")
+    __slots__ = ("n", "phi", "poly", "pow_table", "pow_terms")
 
     def __init__(self, n):
         self.n = n
@@ -90,16 +91,11 @@ class _Ctx:
         top = max(n, 2 * phi - 1) + 1
         table = []
         cur = [0] * phi
-        if phi == 0:
-            raise CycloError("bad conductor %d" % n)
         cur[0] = 1
         table.append(tuple(cur))
         for _ in range(1, top):
             nxt = [0] + cur[:-1] if phi > 1 else [0]
             lead = cur[phi - 1]
-            if phi == 1:
-                nxt = [0]
-                lead = cur[0]
             if lead:
                 # x^phi == -(poly[0] + ... + poly[phi-1] x^(phi-1))
                 for j in range(phi):
@@ -107,6 +103,8 @@ class _Ctx:
             cur = nxt
             table.append(tuple(cur))
         self.pow_table = table
+        self.pow_terms = [tuple((j, r) for j, r in enumerate(row) if r)
+                          for row in table]
 
 
 _CTX_CACHE = {}
@@ -115,6 +113,8 @@ _CTX_CACHE = {}
 def _ctx(n):
     ctx = _CTX_CACHE.get(n)
     if ctx is None:
+        if n < 1:
+            raise CycloError("conductor must be positive, got %r" % (n,))
         ctx = _Ctx(n)
         _CTX_CACHE[n] = ctx
     return ctx
@@ -170,6 +170,12 @@ class CycNum:
         return CycNum(n, num, frac.denominator)
 
     @staticmethod
+    def from_fractions(n, fracs):
+        """The element with power-basis coefficients ``fracs`` (rationals)."""
+        den = lcm(*(f.denominator for f in fracs))
+        return CycNum(n, [int(f * den) for f in fracs], den)
+
+    @staticmethod
     def zero(n=1):
         return CycNum.rational(0, n)
 
@@ -196,16 +202,7 @@ class CycNum:
             return self
         if m % self.n != 0:
             raise CycloError("cannot lift conductor %d to %d" % (self.n, m))
-        ctx = _ctx(m)
-        step = m // self.n
-        out = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.pow_table[i * step]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return CycNum(m, out, self.den)
+        return from_powers(m, zip(range(0, m, m // self.n), self.num), self.den)
 
     def _common(self, other):
         if not isinstance(other, CycNum):
@@ -307,11 +304,7 @@ class CycNum:
             raise CycloError("inverse failed; conductor %d" % self.n)
         c = r0[0]
         coeffs = [x / c for x in s0] + [Fraction(0)] * (ctx.phi - len(s0))
-        den = 1
-        for f in coeffs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in coeffs[: ctx.phi]]
-        return CycNum(self.n, num, den)
+        return CycNum.from_fractions(self.n, coeffs)
 
     def __truediv__(self, other):
         if not isinstance(other, CycNum):
@@ -376,15 +369,8 @@ class CycNum:
             return self
         if gcd(k, n) != 1:
             raise CycloError("galois exponent %d not coprime to %d" % (k, n))
-        ctx = _ctx(n)
-        out = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.pow_table[(i * k) % n]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return CycNum(n, out, self.den)
+        return from_powers(n, zip(range(0, k * len(self.num), k), self.num),
+                           self.den)
 
     def conj(self):
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
@@ -415,10 +401,7 @@ class CycNum:
         sol = _solve_rational(cols, target)
         if sol is None:
             return None
-        den = 1
-        for f in sol:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return CycNum(m, [int(f * den) for f in sol], den)
+        return CycNum.from_fractions(m, sol)
 
     def descend_min(self):
         """Representation at the smallest conductor dividing n."""
@@ -445,12 +428,8 @@ class CycNum:
 
     @staticmethod
     def from_json(obj):
-        n = obj["conductor"]
-        fracs = [Fraction(s) for s in obj["coeffs"]]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return CycNum(n, [int(f * den) for f in fracs], den)
+        return CycNum.from_fractions(obj["conductor"],
+                                     [Fraction(s) for s in obj["coeffs"]])
 
 
 def _divisors(n):
@@ -508,10 +487,21 @@ def _solve_rational(cols, target):
 # -- public operations ----------------------------------------------------
 
 
+def from_powers(n, terms, den=1):
+    """sum of c * zeta_n^(e mod n) over the (e, c) pairs of ``terms``, over
+    den; the one place exponent multiplicities become field elements."""
+    ctx = _ctx(n)
+    table = ctx.pow_terms
+    out = [0] * ctx.phi
+    for e, c in terms:
+        if c:
+            for j, r in table[e % n]:
+                out[j] += c * r
+    return CycNum(n, out, den)
+
+
 def root_of_unity(n, k=1):
     """zeta_n^k as a CycNum of conductor n."""
-    if n < 1:
-        raise CycloError("conductor must be positive")
     ctx = _ctx(n)
     return CycNum(n, list(ctx.pow_table[k % n]))
 
@@ -531,18 +521,7 @@ def gauss_sum_quadratic(p):
     """g_p = sum over x mod p of zeta_p^(x^2); satisfies g_p^2 = (-1)^((p-1)/2) p."""
     if not is_prime(p) or p == 2:
         raise CycloError("%r is not an odd prime" % (p,))
-    counts = [0] * p
-    for x in range(p):
-        counts[(x * x) % p] += 1
-    ctx = _ctx(p)
-    out = [0] * ctx.phi
-    for e, c in enumerate(counts):
-        if c:
-            row = ctx.pow_table[e]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return CycNum(p, out)
+    return from_powers(p, ((x * x, 1) for x in range(p)))
 
 
 def sqrt_prime(p):

@@ -17,7 +17,7 @@ from .abgroup import (
     quotient_pair,
     full_subgroup,
 )
-from .cyclo import CycNum, root_of_unity
+from .cyclo import from_powers, root_of_unity
 from .kmat import GenPerm
 from .symplectic import Lagrangian, SympMod, SymplecticError
 
@@ -64,9 +64,6 @@ class HeisGrp:
 
     def order(self):
         return self.base.group.order() * self.n
-
-    def central(self, a):
-        return (self.base.group.zero(), a % self.n)
 
     def __eq__(self, other):
         return isinstance(other, HeisGrp) and self.base == other.base
@@ -319,8 +316,7 @@ class InducedModule:
         return counts
 
     def character(self, h):
-        counts = self.char_exponent_counts(h)
-        return _counts_to_cyc(self.H.n, counts)
+        return from_powers(self.H.n, enumerate(self.char_exponent_counts(h)))
 
     def to_json(self):
         gens = [(list(m), a) for (m, a) in self.group_generators()]
@@ -334,20 +330,6 @@ class InducedModule:
                 for (m, a) in self.group_generators()
             ],
         }
-
-
-def _counts_to_cyc(n, counts):
-    from .cyclo import _ctx
-
-    ctx = _ctx(n)
-    out = [0] * ctx.phi
-    for e, c in enumerate(counts):
-        if c:
-            row = ctx.pow_table[e % n]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return CycNum(n, out)
 
 
 def induce(H, lag, theta=None):

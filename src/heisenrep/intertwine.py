@@ -3,17 +3,16 @@
 The standard (unnormalized) intertwiner averages over the target lagrangian;
 the canonical system is the unique normalization of these satisfying the
 identity, transitivity, genuineness, and symplectic-equivariance axioms on
-enhanced lagrangians.  It is found by anchoring at a basepoint and
-propagating the equivariance constraints until every scalar is pinned.
+enhanced lagrangians.  It is found by anchoring at a basepoint and applying
+one rule: each transvection relation is a monomial in the unknown scalars,
+and a relation with a single unknown of exponent +1 or -1 determines it.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .abgroup import subgroup_intersect
-from .cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
-from .heisenberg import HeisGrp, _counts_to_cyc, g_transport, induce
+from .cyclo import CycNum, from_powers, root_of_unity, sqrt_prime, in_subfield
+from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import (
     GenPerm,
     identity as kmat_identity,
@@ -40,12 +39,10 @@ class SolveError(RuntimeError):
 class Intertwiner:
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, verify=False):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        if verify:
-            self.verify()
 
     def verify(self):
         """Exact intertwining check over a generating set of H."""
@@ -81,7 +78,7 @@ def standard_T(target, source):
             e = (c - M.beta(lp, rj) + chi_s.exponent_on(lp) - chi_t.exponent_on(nn)) % n
             counts[i][j][e] += 1
     matrix = [
-        [_counts_to_cyc(n, counts[i][j]) for j in range(source.dim)]
+        [from_powers(n, enumerate(counts[i][j])) for j in range(source.dim)]
         for i in range(target.dim)
     ]
     if all(x.is_zero() for row in matrix for x in row):
@@ -434,43 +431,45 @@ class CanonicalSystem:
         return out
 
 
-def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
-                           max_rounds=3):
+def standard_pairs(mods, B):
+    """The averaging intertwiners T_LB[i]: mods[B] -> mods[i] and
+    T_BL[i]: mods[i] -> mods[B], with the scalars delta[i] given by
+    T_BL[i] o T_LB[i] = delta[i] * id."""
+    T_LB = [standard_T(V, mods[B]).matrix for V in mods]
+    T_BL = [standard_T(mods[B], V).matrix for V in mods]
+    delta = []
+    for i in range(len(mods)):
+        scal = scalar_of(mat_mul(T_BL[i], T_LB[i]))
+        if scal is None or scal.is_zero():
+            raise SolveError("standard composite at lagrangian %d is not an "
+                             "invertible scalar" % i)
+        delta.append(scal)
+    return T_LB, T_BL, delta
+
+
+def solve_canonical_system(Mc, base_index=0, verify="light", seed=0):
     """Normalize the averaging intertwiners into the canonical system.
 
-    Anchors the basepoint scalar at 1, then walks equivariance relations
-    c_t = sign * mu * delta * c_j * c_b over products of transvections until
-    every lift scalar is pinned.  Raises SolveError when the propagation is
-    inconsistent (convention bug) or underdetermined (should not happen).
+    Anchors the basepoint scalar at 1, then reads every transvection g and
+    lagrangian j as the relation c_t / (c_j * c_b) = sign * mu * delta_b
+    (t = g j, b = g B) and solves it for its one unknown scalar, pass after
+    pass, until every lift scalar is pinned.  Raises SolveError when a
+    relation is not a proportionality (convention bug) or when the relations
+    leave a scalar undetermined (should not happen).
     """
-    if Mc.group.rank:
-        from .abgroup import prime_factors
-
-        if prime_factors(Mc.n) != [Mc.n] or \
-                any(d != Mc.n for d in Mc.group.orders):
-            raise SymplecticError("canonical system needs an elementary module")
+    if not Mc.is_elementary():
+        raise SymplecticError("canonical system needs an elementary module")
     lags = enumerate_lagrangians(Mc)
     H = HeisGrp(Mc)
     mods = [induce(H, L) for L in lags]
     nlag = len(lags)
-    p = Mc.n if Mc.group.rank else 1
-    conductor = p
-    one = CycNum.one(conductor)
+    conductor = Mc.n if Mc.group.rank else 1
     if base_index < 0 or base_index >= nlag:
         raise SolveError("basepoint index out of range")
     B = base_index
-    T_LB = [standard_T(mods[i], mods[B]).matrix for i in range(nlag)]
-    T_BL = [standard_T(mods[B], mods[i]).matrix for i in range(nlag)]
-    delta = []
-    for i in range(nlag):
-        scal = scalar_of(mat_mul(T_BL[i], T_LB[i]))
-        if scal is None or scal.is_zero():
-            raise SolveError("standard composite not an invertible scalar")
-        delta.append(scal)
-
-    c = {B: one}
-    if nlag > 1:
-        _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c, max_rounds)
+    T_LB, T_BL, delta = standard_pairs(mods, B)
+    c = {B: CycNum.one(conductor)}
+    _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c)
     sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, T_BL, delta,
                           c, conductor)
     if verify != "none":
@@ -483,106 +482,53 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     return sys
 
 
-def _lag_perm(g, lags, key_index):
-    return [key_index[g.on_subgroup(L.sub).key()] for L in lags]
+def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
+    """Fill ``c`` from the equivariance relations of the transvections.
 
-
-def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c, max_rounds):
+    For g and j, with t = g j and b = g B, equivariance of the system reads
+    c_t = sign * mu * delta_b * c_j * c_b, where mu is the proportionality
+    of the transported and the standard operator and sign the lift change.
+    As a monomial c_t * c_j^(-1) * c_b^(-1) its exponents are summed per
+    index (t == j cancels, j == b gives -2); a relation with exactly one
+    unknown scalar, of exponent +1 or -1, determines it.
+    """
     nlag = len(lags)
-    key_index = {lags[i].key(): i for i in range(nlag)}
-    pool = transvections(Mc)[1:]
-    pool_info = []
-    rel_cache = {}
-
-    def add_pool(gs):
-        for g in gs:
-            perm = _lag_perm(g, lags, key_index)
-            if perm[B] == B and all(perm[i] == i for i in range(nlag)):
-                continue
-            eps = [act_enhanced(g, EnhLag(lags[i], 1)).eps for i in range(nlag)]
-            pool_info.append((g, perm, eps))
-
-    add_pool(pool)
-
-    def extract(gi, j):
-        """Relation c_t = sign * const * c_j * c_b2 for (g, j)."""
-        key = (gi, j)
-        if key in rel_cache:
-            return rel_cache[key]
-        g, perm, eps = pool_info[gi]
-        t, b2 = perm[j], perm[B]
-        GP, _ = g_transport(g, mods[j], target=mods[t])
-        GPBinv, _ = g_transport(g.inverse(), mods[b2], target=mods[B])
-        m1 = GP.apply_left(GPBinv.apply_right(T_LB[j]))
-        m2 = mat_mul(T_LB[t], T_BL[b2])
-        mu = proportionality(m1, m2)
-        if mu is None:
-            raise SolveError("equivariance constraint is not proportional; "
-                             "convention bug at transvection %r" % (g.mat,))
-        sign = eps[j] * eps[B]
-        const = mu * delta[b2]
-        rel = (t, b2, sign, const)
-        rel_cache[key] = rel
-        return rel
-
-    def learn(idx, value, context):
-        old = c.get(idx)
-        if old is None:
-            c[idx] = value
-            return True
-        if old != value:
-            raise SolveError(
-                "inconsistent equivariance constraint at lagrangian %d (%s): "
-                "%r vs %r" % (idx, context, old, value)
-            )
-        return False
-
-    rounds = 0
-    while len(c) < nlag:
-        progress = True
-        while progress:
-            progress = False
-            for gi in range(len(pool_info)):
-                _, perm, _ = pool_info[gi]
-                b2 = perm[B]
-                for j in range(nlag):
-                    if j == B:
-                        continue
-                    t = perm[j]
-                    known = (t in c) + (j in c) + (b2 in c)
-                    if t == j and b2 not in c:
-                        t_, b2_, sign, const = extract(gi, j)
-                        val = CycNum.rational(sign) / const
-                        if learn(b2, val, "fixed-lagrangian cancellation"):
-                            progress = True
-                        continue
-                    if known < 2:
-                        continue
-                    if t not in c and j in c and b2 in c:
-                        t_, b2_, sign, const = extract(gi, j)
-                        val = CycNum.rational(sign) * const * c[j] * c[b2]
-                        if learn(t, val, "forward transport"):
-                            progress = True
-                    elif j not in c and t in c and b2 in c and j != b2:
-                        t_, b2_, sign, const = extract(gi, j)
-                        val = c[t] / (CycNum.rational(sign) * const * c[b2])
-                        if learn(j, val, "backward transport"):
-                            progress = True
-                    elif b2 not in c and t in c and j in c and j != b2:
-                        t_, b2_, sign, const = extract(gi, j)
-                        val = c[t] / (CycNum.rational(sign) * const * c[j])
-                        if learn(b2, val, "base transport"):
-                            progress = True
-        if len(c) == nlag:
-            break
-        rounds += 1
-        if rounds >= max_rounds:
-            raise SolveError(
-                "axioms do not pin the system: %d of %d scalars undetermined"
-                % (nlag - len(c), nlag)
-            )
-        base_gs = [info[0] for info in pool_info[: 2 * nlag]]
-        extra = [a.compose(b) for a, b in itertools.product(base_gs, repeat=2)]
-        seen = {info[0].key() for info in pool_info}
-        add_pool([g for g in extra
-                  if g.key() not in seen and not g.is_identity()])
+    key_index = {L.key(): i for i, L in enumerate(lags)}
+    pool = []
+    for g in transvections(Mc)[1:]:
+        perm = [key_index[g.on_subgroup(L.sub).key()] for L in lags]
+        if perm != list(range(nlag)):
+            eps = [act_enhanced(g, EnhLag(L, 1)).eps for L in lags]
+            pool.append((g, perm, eps))
+    progress = True
+    while progress:
+        progress = False
+        for g, perm, eps in pool:
+            b = perm[B]
+            for j in range(nlag):
+                t = perm[j]
+                expo = {t: 1}
+                expo[j] = expo.get(j, 0) - 1
+                expo[b] = expo.get(b, 0) - 1
+                unknown = [i for i, e in expo.items() if e and i not in c]
+                if len(unknown) != 1 or abs(expo[unknown[0]]) != 1:
+                    continue
+                u = unknown[0]
+                GP, _ = g_transport(g, mods[j], target=mods[t])
+                GPBinv, _ = g_transport(g.inverse(), mods[b], target=mods[B])
+                mu = proportionality(GP.apply_left(GPBinv.apply_right(T_LB[j])),
+                                     mat_mul(T_LB[t], T_BL[b]))
+                if mu is None:
+                    raise SolveError("equivariance constraint is not proportional; "
+                                     "convention bug at transvection %r" % (g.mat,))
+                val = eps[j] * eps[B] * mu * delta[b]
+                for i, e in expo.items():
+                    if i != u and e:
+                        val = val * c[i] ** -e
+                c[u] = val ** expo[u]
+                progress = True
+    if len(c) < nlag:
+        missing = [i for i in range(nlag) if i not in c]
+        raise SolveError(
+            "axioms do not pin the system: %d of %d scalars undetermined, "
+            "first at lagrangian %d" % (len(missing), nlag, missing[0]))

@@ -16,24 +16,6 @@ def identity(m):
     return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
 
-def mat_mul_int(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    out = []
-    for row in a:
-        new = [0] * cols
-        for k in range(inner):
-            x = row[k]
-            if x:
-                brow = b[k]
-                for j in range(cols):
-                    new[j] += x * brow[j]
-        out.append(new)
-    return out
-
-
 def hnf(rows, with_transform=False):
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 

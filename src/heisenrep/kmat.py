@@ -45,19 +45,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            t = x * y
-            acc = t if acc is None else acc + t
-        out.append(acc if acc is not None else CycNum.zero(1))
-    return out
-
-
 def scalar_mul(c, a):
     return [[c * x for x in row] for row in a]
 
@@ -72,14 +59,6 @@ def mat_eq(a, b):
             if x != y:
                 return False
     return True
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
 
 
 def trace(a):
@@ -156,24 +135,6 @@ def mat_inverse(a):
     return [row[dim:] for row in aug]
 
 
-def lift_matrix(a, n):
-    return [[x.lift(n) if x.n != n else x for x in row] for row in a]
-
-
-def descend_matrix(a, n):
-    """Descend every entry to conductor n; raises if any entry is outside."""
-    out = []
-    for row in a:
-        new = []
-        for x in row:
-            d = x.descend(n)
-            if d is None:
-                raise ValueError("matrix entry %r does not lie in Q(zeta_%d)" % (x, n))
-            new.append(d)
-        out.append(new)
-    return out
-
-
 def mat_to_json(a):
     return [[x.to_json() for x in row] for row in a]
 
@@ -232,13 +193,6 @@ class GenPerm:
         for row in dense:
             out.append([row[self.perm[j]] * self.scalars[j] for j in range(self.dim)])
         return out
-
-    def trace(self):
-        acc = CycNum.zero(1)
-        for j in range(self.dim):
-            if self.perm[j] == j:
-                acc = acc + self.scalars[j]
-        return acc
 
     def __eq__(self, other):
         return (

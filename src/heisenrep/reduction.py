@@ -12,8 +12,8 @@ from __future__ import annotations
 from .abgroup import prime_factors, subgroup_from_gens, zero_subgroup
 from .cyclo import CycNum, root_of_unity
 from .heisenberg import HeisGrp, induce
-from .intertwine import CanonicalSystem, SolveError, standard_T
-from .kmat import mat_mul, proportionality, scalar_of
+from .intertwine import CanonicalSystem, SolveError, standard_pairs
+from .kmat import mat_mul, proportionality
 from .symplectic import (
     Lagrangian,
     SympAut,
@@ -178,23 +178,13 @@ def lift_canonical_system(red, sys_c):
     S-invariants to tau o F_c o tau^(-1); concretely a scalar multiple of
     the standard intertwiner, with the scalar matched through tau.
     """
-    H = red.H
-    n = red.M.n
-    count = sys_c.count
     lifted_lags = [red.lag_lift(L) for L in sys_c.lags]
-    mods = [induce(H, L) for L in lifted_lags]
+    mods = [induce(red.H, L) for L in lifted_lags]
     B = sys_c.base_index
-    T_LB = [standard_T(mods[i], mods[B]).matrix for i in range(count)]
-    T_BL = [standard_T(mods[B], mods[i]).matrix for i in range(count)]
-    delta = []
-    for i in range(count):
-        scal = scalar_of(mat_mul(T_BL[i], T_LB[i]))
-        if scal is None or scal.is_zero():
-            raise SolveError("lifted standard composite not scalar")
-        delta.append(scal)
+    T_LB, T_BL, delta = standard_pairs(mods, B)
     tau_B = red.tau_matrix(sys_c.modules[B], mods[B])
     c = {}
-    for i in range(count):
+    for i in range(sys_c.count):
         tau_i = red.tau_matrix(sys_c.modules[i], mods[i])
         target = mat_mul(tau_i, sys_c.anchored(i, 1))
         image = mat_mul(T_LB[i], tau_B)
@@ -207,4 +197,4 @@ def lift_canonical_system(red, sys_c):
         c[i] = scal
     return CanonicalSystem(red.M, sys_c.enh_module, lifted_lags,
                            sys_c.enh_lags, B, mods, T_LB, T_BL, delta, c,
-                           conductor=n)
+                           conductor=red.M.n)

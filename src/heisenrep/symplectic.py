@@ -18,10 +18,11 @@ from .abgroup import (
     AbGroup,
     prime_factors,
     quotient_pair,
+    strict_ints,
     subgroup_from_gens,
     zero_subgroup,
 )
-from .cyclo import CycNum, legendre, root_of_unity
+from .cyclo import from_powers, legendre, root_of_unity
 
 
 class SymplecticError(ValueError):
@@ -44,7 +45,8 @@ class SympMod:
     def __init__(self, group, gram, validate=True):
         self.group = group
         self.n = group.exponent()
-        self.gram = tuple(tuple(int(x) % self.n for x in row) for row in gram)
+        rows = (strict_ints(row, SymplecticError, "gram entries") for row in gram)
+        self.gram = tuple(tuple(x % self.n for x in row) for row in rows)
         if validate:
             self.validate()
 
@@ -75,6 +77,12 @@ class SympMod:
         if rad.order() != 1:
             raise SymplecticError("pairing is degenerate; radical has order %d"
                                   % rad.order())
+
+    def is_elementary(self):
+        """Whether M is (Z/p)^m for one prime p; the zero module counts."""
+        return not self.group.rank or (
+            prime_factors(self.n) == [self.n]
+            and all(d == self.n for d in self.group.orders))
 
     def pair(self, a, b):
         n = self.n
@@ -422,8 +430,7 @@ def sp_enumerate(M, budget=DEFAULT_SP_ENUM_BUDGET):
             except SymplecticError:
                 continue
         return sorted(out, key=lambda g: g.key())
-    ps = prime_factors(M.n)
-    if ps == [M.n] and all(d == M.n for d in M.group.orders):
+    if M.is_elementary():
         return _sp_closure_elementary(M)
     raise BudgetError("Sp enumeration for mixed modules of rank > 2 is unsupported")
 
@@ -557,13 +564,8 @@ class EnhLag:
     def __init__(self, lag, eps):
         if eps not in (1, -1):
             raise SymplecticError("lift datum must be +1 or -1")
-        M = lag.module
-        if M.group.rank:
-            ps = prime_factors(M.n)
-            if len(ps) != 1 or M.n != ps[0] or \
-                    any(d != M.n for d in M.group.orders):
-                raise SymplecticError(
-                    "enhanced data lives on elementary modules only")
+        if not lag.module.is_elementary():
+            raise SymplecticError("enhanced data lives on elementary modules only")
         self.lag = lag
         self.eps = eps
 
@@ -673,7 +675,10 @@ def gauss_sum(group, gram):
         raise SymplecticError("group must have odd order")
     e = group.exponent()
     m = group.rank
-    gram = [[int(x) % e for x in row] for row in gram]
+    gram = [[x % e for x in strict_ints(row, SymplecticError, "gram entries")]
+            for row in gram]
+    if len(gram) != m or any(len(row) != m for row in gram):
+        raise SymplecticError("gram matrix has wrong shape")
     for i in range(m):
         for j in range(m):
             if gram[i][j] != gram[j][i]:
@@ -695,14 +700,4 @@ def gauss_sum(group, gram):
                     if y:
                         acc += x * y * row[j]
         counts[acc % e] += 1
-    from .cyclo import _ctx  # reuse the reduction table
-
-    ctx = _ctx(e)
-    out = [0] * ctx.phi
-    for exp, c in enumerate(counts):
-        if c:
-            row = ctx.pow_table[exp]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return CycNum(e, out)
+    return from_powers(e, enumerate(counts))

@@ -19,7 +19,7 @@ from .canonrep import (
     uniqueness_probe,
     verify_svn,
 )
-from .cyclo import CycNum, root_of_unity, sqrt_prime
+from .cyclo import CycNum, euler_phi, root_of_unity, sqrt_prime
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import identity as kmat_identity
 from .kmat import mat_eq, mat_mul, scalar_mul
@@ -39,7 +39,7 @@ def _sampled(items, count, rng):
     items = list(items)
     if count is None or count >= len(items):
         return items
-    return [items[rng.randrange(len(items))] for _ in range(count)]
+    return rng.sample(items, count)
 
 
 def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
@@ -172,10 +172,7 @@ def _cyclo_suite(seed, level):
     trials = 60 if level == "full" else 20
 
     def rand_cyc(n):
-        from .cyclo import _ctx
-
-        phi = _ctx(n).phi
-        num = [rng.randrange(-9, 10) for _ in range(phi)]
+        num = [rng.randrange(-9, 10) for _ in range(euler_phi(n))]
         return CycNum(n, num, rng.randrange(1, 7))
 
     ok = True
@@ -291,11 +288,7 @@ def _symplectic_suite(M, seed, level):
         report.add("lagrangians have order sqrt(|M|)",
                    all(L.order() == root for L in lags),
                    "%d lagrangians" % len(lags))
-        from heisenrep.abgroup import prime_factors
-
-        elementary = (M.group.rank and prime_factors(n) == [n]
-                      and all(d == n for d in M.group.orders))
-        if elementary:
+        if M.group.rank and M.is_elementary():
             d = M.group.rank // 2
             expect = 1
             for i in range(1, d + 1):

@@ -82,6 +82,14 @@ def test_corrupted_module_rejected(tmp_path):
     missing = tmp_path / "missing.json"
     code, _out, err = run_cli(["info", str(missing)])
     assert code == 2
+    for data in ({"orders": ["a", 3], "gram": [[0, 1], [2, 0]]},
+                 {"orders": [3.5, 3], "gram": [[0, 1], [2, 0]]},
+                 {"orders": [3, 3], "gram": [[0, "1"], [2, 0]]}):
+        bad.write_text(json.dumps(data))
+        for command in ("info", "gauss"):
+            code, _out, err = run_cli([command, str(bad)])
+            assert code == 2, (command, data)
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_system_export_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ from heisenrep.cyclo import (
     CycloError,
     cyclotomic_poly,
     euler_phi,
+    from_powers,
     gauss_sum_quadratic,
     in_subfield,
     legendre,
@@ -143,6 +144,31 @@ def test_descend_lift_roundtrip():
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         root_of_unity(3) / CycNum.zero(3)
+
+
+def test_nonpositive_conductor_rejected():
+    for n in (0, -3):
+        with pytest.raises(CycloError):
+            CycNum.from_json({"conductor": n, "coeffs": ["1/1"]})
+        with pytest.raises(CycloError):
+            root_of_unity(n)
+        with pytest.raises(CycloError):
+            CycNum.rational(1, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_from_powers_matches_naive_sum(data):
+    n = data.draw(st.integers(1, 40))
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-n, 3 * n), st.integers(-6, 6)), max_size=8))
+    den = data.draw(st.integers(1, 7))
+    naive = CycNum.zero(n)
+    for e, c in terms:
+        naive = naive + c * root_of_unity(n, e)
+    value = from_powers(n, terms, den)
+    assert value.n == n
+    assert value == naive / den
 
 
 @settings(max_examples=60, deadline=None)

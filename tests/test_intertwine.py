@@ -180,8 +180,9 @@ def test_solver_underdetermined_error_path(monkeypatch):
 
     M = standard_module([(3, 1)])
     monkeypatch.setattr(iw, "transvections", lambda Mc: [identity_aut(Mc)])
-    with pytest.raises(SolveError, match="axioms do not pin"):
-        iw.solve_canonical_system(M, verify="none", max_rounds=1)
+    with pytest.raises(SolveError, match="axioms do not pin") as exc:
+        iw.solve_canonical_system(M, verify="none")
+    assert "lagrangian 1" in str(exc.value)
 
 
 def test_solver_rejects_non_elementary():

@@ -47,3 +47,14 @@ def test_solver_internal_verification_catches_defects():
     M = standard_module([(5, 1)])
     sys_c = solve_canonical_system(M, verify="light", seed=2)
     assert sys_c.count == 6
+
+
+def test_sampled_draws_distinct_items():
+    import random
+
+    from heisenrep.verify import _sampled
+
+    picked = _sampled(range(10), 5, random.Random(0))
+    assert len(picked) == 5 and len(set(picked)) == 5
+    assert set(picked) <= set(range(10))
+    assert _sampled(range(3), 5, random.Random(0)) == [0, 1, 2]
