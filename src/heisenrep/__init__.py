@@ -42,7 +42,6 @@ from .reduction import (
     canonical_isotropic,
     g_to_gc,
     lift_canonical_system,
-    reduce_module,
 )
 from .symplectic import (
     EnhLag,
@@ -50,7 +49,6 @@ from .symplectic import (
     SympAut,
     SympMod,
     act_enhanced,
-    beta as half_form,
     enhanced_points,
     enumerate_lagrangians,
     gauss_sum,

@@ -73,13 +73,6 @@ class AbGroup:
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
 
-    def element_order(self, a):
-        o = 1
-        for x, d in zip(a, self.orders):
-            if x:
-                o = lcm(o, d // gcd(d, x))
-        return o
-
     def __eq__(self, other):
         return isinstance(other, AbGroup) and self.orders == other.orders
 

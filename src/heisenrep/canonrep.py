@@ -29,17 +29,13 @@ from .symplectic import SympAut, SymplecticError, sp_sample
 class CanonicalRep:
     """Canonical representation of a primary Heisenberg group."""
 
-    def __init__(self, M, base_index=0, base_eps=1, system_verify="light",
-                 seed=0):
+    def __init__(self, M, base_index=0, system_verify="light", seed=0):
         self.M = M
         self.n = M.n if M.group.rank else 1
         self.red = ReductionData(M)
-        sys_c = solve_canonical_system(self.red.Mc, base_index=base_index,
-                                       verify=system_verify, seed=seed)
-        if base_eps == -1:
-            sys_c = flip_anchor(sys_c)
-        self.system_c = sys_c
-        self.system = lift_canonical_system(self.red, sys_c)
+        self.system_c = solve_canonical_system(
+            self.red.Mc, base_index=base_index, verify=system_verify, seed=seed)
+        self.system = lift_canonical_system(self.red, self.system_c)
         self.base_index = self.system.base_index
         self.realization = self.system.modules[self.base_index]
         self.H = self.realization.H
@@ -47,9 +43,6 @@ class CanonicalRep:
 
     def act_h(self, h):
         return self.realization.rho(h)
-
-    def act_h_genperm(self, h):
-        return self.realization.rho_genperm(h)
 
     def act_g(self, g):
         """Matrix of g from the collection action: transport after the
@@ -77,9 +70,9 @@ class CanonicalRep:
             out.append(((m, a), self.character((m, a))))
         return out
 
-    def export(self, g_sample_seed=0, g_sample_count=4):
+    def export(self, g_sample_count=4):
         H_gens = self.realization.group_generators()
-        gs = sp_sample(self.M, g_sample_seed, g_sample_count) if \
+        gs = sp_sample(self.M, 0, g_sample_count) if \
             self.M.group.rank else []
         chars = self.character_table()
         return {
@@ -212,7 +205,7 @@ class TensorRep:
         return [((m, a), self.character((m, a)))
                 for (m, a) in class_representatives(self.H)]
 
-    def export(self, g_sample_seed=0, g_sample_count=2):
+    def export(self):
         chars = self.character_table()
         return {
             "dim": self.dim,
@@ -228,7 +221,7 @@ class TensorRep:
         }
 
 
-def build_pi(M, base_index=0, base_eps=1, system_verify="light", seed=0):
+def build_pi(M, base_index=0, system_verify="light", seed=0):
     """The canonical representation of the Heisenberg group of M.
 
     Prime-power exponent runs the reduction pipeline directly; composite
@@ -238,7 +231,7 @@ def build_pi(M, base_index=0, base_eps=1, system_verify="light", seed=0):
         raise SymplecticError("even exponent is unsupported")
     primes = prime_factors(M.n) if M.group.rank else []
     if len(primes) <= 1:
-        return CanonicalRep(M, base_index=base_index, base_eps=base_eps,
+        return CanonicalRep(M, base_index=base_index,
                             system_verify=system_verify, seed=seed)
     return TensorRep(M, base_index=base_index, system_verify=system_verify,
                      seed=seed)
@@ -384,7 +377,7 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     return report
 
 
-def uniqueness_probe(M, basepoints=None, seed=0):
+def uniqueness_probe(M, basepoints=None):
     """Rebuilding the system from different basepoints yields identical
     tables, and the representation has scalar endomorphisms only."""
     import json

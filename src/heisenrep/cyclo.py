@@ -260,51 +260,19 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x = P / N(x), where P is the product of the conjugates
+        sigma_k(x) over the units k != 1 mod N, so that the norm
+        N(x) = x * P is rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
-        ctx = _ctx(self.n)
-        # extended Euclid in Q[x] against Phi_N
-        a = [Fraction(c, self.den) for c in self.num]
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in ctx.poly]
-        s0, s1 = [Fraction(1)], []
-        r0, r1 = a, b
-
-        def pdeg(p):
-            return len(p) - 1
-
-        def psub_scaled(p, q, coef, shift):
-            # p - coef * x^shift * q
-            out = list(p) + [Fraction(0)] * max(0, shift + len(q) - len(p))
-            for i, c in enumerate(q):
-                out[i + shift] -= coef * c
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        while r1:
-            # divide r0 by r1
-            quo = [Fraction(0)] * max(1, pdeg(r0) - pdeg(r1) + 1)
-            rem = list(r0)
-            while rem and pdeg(rem) >= pdeg(r1):
-                coef = rem[-1] / r1[-1]
-                shift = pdeg(rem) - pdeg(r1)
-                quo[shift] = coef
-                rem = psub_scaled(rem, r1, coef, shift)
-            # s update: s_new = s0 - quo * s1
-            s_new = list(s0)
-            for i, qc in enumerate(quo):
-                if qc:
-                    s_new = psub_scaled(s_new, s1, qc, i)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
-        # r0 = gcd (a nonzero constant since Phi_N is irreducible)
-        if pdeg(r0) != 0:
-            raise CycloError("inverse failed; conductor %d" % self.n)
-        c = r0[0]
-        coeffs = [x / c for x in s0] + [Fraction(0)] * (ctx.phi - len(s0))
-        return CycNum.from_fractions(self.n, coeffs)
+        n = self.n
+        P = CycNum.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                P = P * self.galois(k)
+        norm = (self * P).as_rational()
+        return CycNum(n, [x * norm.denominator for x in P.num],
+                      P.den * norm.numerator)
 
     def __truediv__(self, other):
         if not isinstance(other, CycNum):
@@ -376,6 +344,14 @@ class CycNum:
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
         return self.galois(self.n - 1) if self.n > 2 else self
 
+    def _fixed_below(self, m):
+        """Whether self is fixed by every zeta_N -> zeta_N^k with
+        k = 1 (mod m), the automorphisms fixing Q(zeta_m) for m | N; so
+        whether self lies in Q(zeta_m)."""
+        n = self.n
+        return all(self.galois(k) == self
+                   for k in range(1 + m, n, m) if gcd(k, n) == 1)
+
     def descend(self, m):
         """Representation at conductor m if self lies in Q(zeta_m), else None.
 
@@ -388,10 +364,8 @@ class CycNum:
         n = x.n
         if n == m:
             return x
-        for k in range(2, n):
-            if gcd(k, n) == 1 and k % m == 1:
-                if x.galois(k) != x:
-                    return None
+        if not x._fixed_below(m):
+            return None
         # solve for coordinates over the power basis of Q(zeta_m)
         ctx_n = _ctx(n)
         phi_m = _ctx(m).phi
@@ -405,17 +379,13 @@ class CycNum:
 
     def descend_min(self):
         """Representation at the smallest conductor dividing n."""
-        best = self
-        for m in sorted(_divisors(self.n)):
-            if m < best.n:
-                cand = self.descend(m)
-                if cand is not None:
-                    best = cand
-                    break
-        return best
+        return self.descend(self.min_conductor())
 
     def min_conductor(self):
-        return self.descend_min().n
+        """The smallest m | n with self in Q(zeta_m)."""
+        n = self.n
+        return next(m for m in range(1, n + 1)
+                    if n % m == 0 and self._fixed_below(m))
 
     # -- serialization ------------------------------------------------
 
@@ -430,18 +400,6 @@ class CycNum:
     def from_json(obj):
         return CycNum.from_fractions(obj["conductor"],
                                      [Fraction(s) for s in obj["coeffs"]])
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _solve_rational(cols, target):
@@ -506,20 +464,9 @@ def root_of_unity(n, k=1):
     return CycNum(n, list(ctx.pow_table[k % n]))
 
 
-def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def gauss_sum_quadratic(p):
     """g_p = sum over x mod p of zeta_p^(x^2); satisfies g_p^2 = (-1)^((p-1)/2) p."""
-    if not is_prime(p) or p == 2:
+    if p == 2 or euler_phi(p) != p - 1:
         raise CycloError("%r is not an odd prime" % (p,))
     return from_powers(p, ((x * x, 1) for x in range(p)))
 

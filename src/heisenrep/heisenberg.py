@@ -225,9 +225,6 @@ class CharacterOfL:
         l, a = h
         return (a + self.exponent_on(l)) % self.H.n
 
-    def value(self, h):
-        return root_of_unity(self.H.n, self.value_exponent(h))
-
     def is_sigma_invariant(self):
         group = self.H.base.group
         for l in self.lag.sub.elements():

@@ -14,11 +14,11 @@ from .abgroup import subgroup_intersect
 from .cyclo import CycNum, from_powers, root_of_unity, sqrt_prime, in_subfield
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import (
-    GenPerm,
     identity as kmat_identity,
     mat_eq,
     mat_mul,
     mat_to_json,
+    neg,
     proportionality,
     scalar_mul,
     scalar_of,
@@ -214,11 +214,6 @@ class DirectSum:
             off += p.dim
         return perm, exp
 
-    def rho(self, h):
-        perm, exp = self.rho_parts(h)
-        n = self.H.n
-        return GenPerm(perm, [root_of_unity(n, e) for e in exp]).to_dense(n)
-
 
 # -- kernels ---------------------------------------------------------------
 
@@ -333,16 +328,13 @@ class CanonicalSystem:
     def enhanced(self):
         return [(i, e) for i in range(self.count) for e in (1, -1)]
 
-    def module_of(self, i):
-        return self.modules[i]
-
     def anchored(self, i, e=1):
         """F_{(i,e), basepoint} as a dense matrix."""
         m = scalar_mul(self.c[i], self.T_LB[i])
-        return scalar_mul(CycNum.rational(e), m) if e == -1 else m
+        return neg(m) if e == -1 else m
 
     def operator(self, n0, l0):
-        """F_{n0, l0}: module_of(j) -> module_of(i) for n0=(i,e), l0=(j,f)."""
+        """F_{n0, l0}: modules[j] -> modules[i] for n0=(i,e), l0=(j,f)."""
         i, e = n0
         j, f = l0
         base = self._pair_cache.get((i, j))
@@ -355,9 +347,7 @@ class CanonicalSystem:
             coef = self.c[i] / (self.c[j] * self.delta[j])
             base = scalar_mul(coef, prod)
             self._pair_cache[(i, j)] = base
-        if e * f == 1:
-            return base
-        return scalar_mul(CycNum.rational(-1), base)
+        return base if e * f == 1 else neg(base)
 
     def enhanced_index(self, point):
         key = point.lag.key()
@@ -404,12 +394,10 @@ class CanonicalSystem:
             "pairs": table,
         }
 
-    def export(self, include_pairs=None):
+    def export(self):
         import hashlib
         import json
 
-        if include_pairs is None:
-            include_pairs = 2 * self.count <= 16
         mod_json = json.dumps(self.module.to_json(), sort_keys=True)
         out = {
             "module": self.module.to_json(),
@@ -426,7 +414,7 @@ class CanonicalSystem:
                 for e in (1, -1)
             },
         }
-        if include_pairs:
+        if 2 * self.count <= 16:
             out["pairs"] = self.pair_table_json()["pairs"]
         return out
 
@@ -498,12 +486,11 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
     for g in transvections(Mc)[1:]:
         perm = [key_index[g.on_subgroup(L.sub).key()] for L in lags]
         if perm != list(range(nlag)):
-            eps = [act_enhanced(g, EnhLag(L, 1)).eps for L in lags]
-            pool.append((g, perm, eps))
+            pool.append((g, perm))
     progress = True
     while progress:
         progress = False
-        for g, perm, eps in pool:
+        for g, perm in pool:
             b = perm[B]
             for j in range(nlag):
                 t = perm[j]
@@ -521,7 +508,9 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
                 if mu is None:
                     raise SolveError("equivariance constraint is not proportional; "
                                      "convention bug at transvection %r" % (g.mat,))
-                val = eps[j] * eps[B] * mu * delta[b]
+                sign = (act_enhanced(g, EnhLag(lags[j], 1)).eps
+                        * act_enhanced(g, EnhLag(lags[B], 1)).eps)
+                val = sign * mu * delta[b]
                 for i, e in expo.items():
                     if i != u and e:
                         val = val * c[i] ** -e

@@ -49,6 +49,10 @@ def scalar_mul(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def neg(a):
+    return [[-x for x in row] for row in a]
+
+
 def mat_eq(a, b):
     if len(a) != len(b):
         return False

@@ -146,10 +146,6 @@ class ReductionData:
         return [[cols[j][i] for j in range(Vc.dim)] for i in range(V.dim)]
 
 
-def reduce_module(M):
-    return ReductionData(M)
-
-
 def reduced_heisenberg(M):
     """(H_c, alpha) for the canonical reduction of M."""
     red = ReductionData(M)

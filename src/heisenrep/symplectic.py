@@ -22,7 +22,7 @@ from .abgroup import (
     subgroup_from_gens,
     zero_subgroup,
 )
-from .cyclo import from_powers, legendre, root_of_unity
+from .cyclo import from_powers, legendre
 
 
 class SymplecticError(ValueError):
@@ -42,13 +42,12 @@ class SympMod:
 
     __slots__ = ("group", "n", "gram")
 
-    def __init__(self, group, gram, validate=True):
+    def __init__(self, group, gram):
         self.group = group
         self.n = group.exponent()
         rows = (strict_ints(row, SymplecticError, "gram entries") for row in gram)
         self.gram = tuple(tuple(x % self.n for x in row) for row in rows)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         m = self.group.rank
@@ -98,9 +97,6 @@ class SympMod:
     def beta(self, a, b):
         """Unique alternating biadditive half of the pairing: 2*beta = <,>."""
         return (((self.n + 1) // 2) * self.pair(a, b)) % self.n
-
-    def omega(self, a, b):
-        return root_of_unity(self.n, self.pair(a, b))
 
     def radical(self):
         m = self.group.rank
@@ -152,11 +148,6 @@ def standard_module(blocks):
         gram[i][i + 1] = n // q
         gram[i + 1][i] = (-(n // q)) % n
     return SympMod(AbGroup(orders), gram)
-
-
-def beta(M, m1, m2):
-    """Additive exponent of the half-form on a symplectic module."""
-    return M.beta(m1, m2)
 
 
 def orth_complement(M, S):
@@ -410,8 +401,9 @@ def transvections(M):
 
 
 def sp_enumerate(M, budget=DEFAULT_SP_ENUM_BUDGET):
-    """The full symplectic group, by brute force (rank 2) or by closing the
-    transvections (elementary modules)."""
+    """The full symplectic group of a module of rank 0 or 2, by brute force
+    over the 2x2 matrices; raises BudgetError in any other rank or over the
+    budget on |M|."""
     size = M.group.order()
     if size > budget:
         raise BudgetError(
@@ -420,82 +412,18 @@ def sp_enumerate(M, budget=DEFAULT_SP_ENUM_BUDGET):
     m = M.group.rank
     if m == 0:
         return [identity_aut(M)]
-    if m == 2:
-        out = []
-        n = M.n
-        for entries in itertools.product(range(n), repeat=4):
-            mat = [entries[:2], entries[2:]]
-            try:
-                out.append(SympAut(M, mat))
-            except SymplecticError:
-                continue
-        return sorted(out, key=lambda g: g.key())
-    if M.is_elementary():
-        return _sp_closure_elementary(M)
-    raise BudgetError("Sp enumeration for mixed modules of rank > 2 is unsupported")
+    if m != 2:
+        raise BudgetError("Sp enumeration is supported in rank 2 only")
+    out = []
+    for entries in itertools.product(range(M.n), repeat=4):
+        try:
+            out.append(SympAut(M, [entries[:2], entries[2:]]))
+        except SymplecticError:
+            continue
+    return sorted(out, key=lambda g: g.key())
 
 
-def _sp_closure_elementary(M):
-    """Closure of transvections over F_p, checked against the group order
-    p^(d^2) * prod (p^(2i) - 1)."""
-    p = M.n
-    m = M.group.rank
-    d = m // 2
-    target = p ** (d * d)
-    for i in range(1, d + 1):
-        target *= p ** (2 * i) - 1
-    basis = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
-    directions = list(basis)
-    for i in range(m):
-        for j in range(i + 1, m):
-            directions.append(tuple((basis[i][k] + basis[j][k]) % p
-                                    for k in range(m)))
-    gen_mats = []
-    seen_gens = set()
-    for v in directions:
-        for lam in range(1, p):
-            t = transvection(M, v, lam)
-            if t.mat not in seen_gens:
-                seen_gens.add(t.mat)
-                gen_mats.append(t.mat)
-    all_directions = [v for v in M.group.elements() if any(v)]
-
-    def close(gens):
-        group = {tuple(tuple(1 if k == i else 0 for k in range(m))
-                       for i in range(m))}
-        group.update(gens)
-        frontier = list(group)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in gens:
-                    c = tuple(
-                        tuple(sum(a[i][k] * b[k][j] for k in range(m)) % p
-                              for j in range(m))
-                        for i in range(m)
-                    )
-                    if c not in group:
-                        group.add(c)
-                        new.append(c)
-            frontier = new
-        return group
-
-    group = close(gen_mats)
-    if len(group) != target:
-        # fall back to the full transvection family
-        extra = []
-        for v in all_directions:
-            t = transvection(M, v, 1)
-            if t.mat not in group:
-                extra.append(t.mat)
-        group = close(gen_mats + extra)
-        if len(group) != target:
-            raise BudgetError("transvection closure did not reach Sp; "
-                              "got %d of %d" % (len(group), target))
-    return [SympAut(M, mat, validate=False) for mat in sorted(group)]
-
-
-def sp_sample(M, seed, count, word_length=8):
+def sp_sample(M, seed, count):
     """Deterministic pseudorandom products of transvections."""
     rng = random.Random(seed)
     elements = list(M.group.elements())
@@ -504,7 +432,7 @@ def sp_sample(M, seed, count, word_length=8):
     for _ in range(count):
         g = identity_aut(M)
         if nonzero:
-            for _ in range(word_length):
+            for _ in range(8):
                 v = nonzero[rng.randrange(len(nonzero))]
                 lam = rng.randrange(1, M.n) if M.n > 1 else 0
                 g = g.compose(transvection(M, v, lam))

@@ -22,7 +22,7 @@ from .canonrep import (
 from .cyclo import CycNum, euler_phi, root_of_unity, sqrt_prime
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import identity as kmat_identity
-from .kmat import mat_eq, mat_mul, scalar_mul
+from .kmat import mat_eq, mat_mul, neg, scalar_mul
 from .reduction import ReductionData, g_to_gc
 from .symplectic import (
     BudgetError,
@@ -63,8 +63,7 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
         if not mat_eq(op, kmat_identity(dim_of[i], sys.conductor)):
             ident_ok = False
         opm = sys.operator((i, e), (i, -e))
-        if not mat_eq(opm, scalar_mul(CycNum.rational(-1),
-                                      kmat_identity(dim_of[i], sys.conductor))):
+        if not mat_eq(opm, neg(kmat_identity(dim_of[i], sys.conductor))):
             ident_ok = False
     report.add("identity on every enhanced point", ident_ok,
                "%d points" % len(points))
@@ -91,14 +90,12 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
     genu_ok = True
     pairs = list(itertools.product(points, repeat=2))
     gen_pairs = pairs if level == "full" else _sampled(pairs, 40, rng)
-    minus_one = CycNum.rational(-1)
     for (n0, l0) in gen_pairs:
         base = sys.operator(n0, l0)
-        if not mat_eq(sys.operator((n0[0], -n0[1]), l0),
-                      scalar_mul(minus_one, base)):
+        flipped = neg(base)
+        if not mat_eq(sys.operator((n0[0], -n0[1]), l0), flipped):
             genu_ok = False
-        if not mat_eq(sys.operator(n0, (l0[0], -l0[1])),
-                      scalar_mul(minus_one, base)):
+        if not mat_eq(sys.operator(n0, (l0[0], -l0[1])), flipped):
             genu_ok = False
         if not mat_eq(sys.operator((n0[0], -n0[1]), (l0[0], -l0[1])), base):
             genu_ok = False
@@ -392,31 +389,25 @@ def run_verify(M, level="quick", seed=0, budget=3 ** 8):
     ]
     sys_level = "full" if level == "full" else "light"
     pi = build_pi(M, system_verify="none")
-    if isinstance(pi, CanonicalRep):
-        reports.append(check_system_axioms(pi.system_c, level=sys_level,
+    parts = [pi] if isinstance(pi, CanonicalRep) else [p[-1] for p in pi.parts]
+    for rep in parts:
+        reports.append(check_system_axioms(rep.system_c, level=sys_level,
                                            seed=seed + 4))
-        lifted_title = "lifted canonical system on %r" % (M,)
-        eq_pairs = None
-        if pi.red.S.order() > 1:
-            gs = sp_sample(M, seed + 5, 6 if level != "full" else 12)
-            eq_pairs = [(g, g_to_gc(pi.red, g)) for g in gs]
+        if rep.red.S.order() > 1:
+            gs = sp_sample(rep.M, seed + 5, 6 if level != "full" else 12)
             reports.append(check_system_axioms(
-                pi.system, level="light", seed=seed + 5,
-                equivariance_pairs=eq_pairs, report_title=lifted_title))
-    else:
-        for (_p, _hp, _e, _c, rep) in pi.parts:
-            reports.append(check_system_axioms(rep.system_c, level=sys_level,
-                                               seed=seed + 4))
+                rep.system, level="light", seed=seed + 5,
+                equivariance_pairs=[(g, g_to_gc(rep.red, g)) for g in gs],
+                report_title="lifted canonical system on %r" % (rep.M,)))
     svn_cap = 729 if level == "full" else 125
     if M.group.order() <= min(budget, svn_cap):
         reports.append(verify_svn(HeisGrp(M), budget=budget, pi=pi))
-    reports.append(uniqueness_probe_report(M, level, seed + 6))
+    for rep in parts:
+        reports.append(uniqueness_probe_report(rep.M, level, seed + 6))
     return reports
 
 
 def uniqueness_probe_report(M, level, seed):
-    from .reduction import ReductionData
-
     red = ReductionData(M)
     count = len(enumerate_lagrangians(red.Mc))
     if level == "full" or count <= 6:
@@ -424,4 +415,4 @@ def uniqueness_probe_report(M, level, seed):
     else:
         rng = random.Random(seed)
         points = [(rng.randrange(count), rng.choice([1, -1])) for _ in range(3)]
-    return uniqueness_probe(M, basepoints=points, seed=seed)
+    return uniqueness_probe(M, basepoints=points)

@@ -248,6 +248,22 @@ def test_tensor_action_multiplicative():
                       pi.act_h(H.product(h1, h2)))
 
 
+def test_tensor_g_action_honest_and_conjugates_h():
+    M = standard_module([(3, 1), (5, 1)])
+    pi = build_pi(M, system_verify="none")
+    assert isinstance(pi, TensorRep)
+    H = pi.H
+    rng = random.Random(8)
+    g1, g2 = sp_sample(M, 9, 2)
+    assert mat_eq(mat_mul(pi.act_g(g1), pi.act_g(g2)),
+                  pi.act_g(g1.compose(g2)))
+    A = pi.act_g(g1)
+    for _ in range(2):
+        h = (tuple(rng.randrange(d) for d in M.group.orders), rng.randrange(M.n))
+        assert mat_eq(mat_mul(A, pi.act_h(h)),
+                      mat_mul(pi.act_h(H.g_act(g1, h)), A))
+
+
 def test_tensor_character_multiplicative_sampled():
     from heisenrep.heisenberg import primary_split, primary_project
 

@@ -176,6 +176,14 @@ def test_pi_composite_exponent(tmp_path):
     assert all(part["export"]["dim"] in (3, 5) for part in data["primary"])
 
 
+def test_verify_composite_exponent(tmp_path):
+    mod = tmp_path / "m15.json"
+    mod.write_text(json.dumps({"orders": [15, 15], "gram": [[0, 1], [14, 0]]}))
+    code, out, _ = run_cli(["verify", str(mod)])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heisenrep.cli", "standard", "3^1:1"],

@@ -171,6 +171,40 @@ def test_from_powers_matches_naive_sum(data):
     assert value == naive / den
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inverse_matches_sympy_invert(data):
+    import sympy
+
+    n = data.draw(st.integers(1, 40))
+    phi = euler_phi(n)
+    num = data.draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi)
+                    .filter(any))
+    den = data.draw(st.integers(1, 7))
+    x = sympy.symbols("x")
+    poly = sum(sympy.Rational(c, den) * x ** i for i, c in enumerate(num))
+    oracle = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(n, x), x), x)
+    coeffs = oracle.all_coeffs()[::-1]
+    coeffs += [0] * (phi - len(coeffs))
+    expect = CycNum.from_fractions(
+        n, [Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs)])
+    assert CycNum(n, num, den).inverse() == expect
+
+
+def test_min_conductor_examples():
+    assert root_of_unity(12, 4).min_conductor() == 3
+    assert sqrt_prime(3).min_conductor() == 12
+    assert CycNum.rational(Fraction(-7, 5), 15).min_conductor() == 1
+    for x in (root_of_unity(12, 4), sqrt_prime(3), sqrt_prime(5),
+              CycNum.rational(Fraction(-7, 5), 15), root_of_unity(9, 3) + 2):
+        assert x.lift(x.n * 5).min_conductor() == x.min_conductor()
+
+
+def test_hash_agrees_across_conductors():
+    assert hash(root_of_unity(3)) == hash(root_of_unity(12, 4))
+    assert hash(CycNum.rational(2, 15)) == hash(CycNum.rational(2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_field_axioms(data):

@@ -186,6 +186,11 @@ def test_sp_enumerate_budget():
         sp_enumerate(M27)
 
 
+def test_sp_enumerate_rank4_unsupported():
+    with pytest.raises(BudgetError):
+        sp_enumerate(standard_module([(3, 2)]))
+
+
 def test_transvections_are_symplectic():
     for blocks in ([(3, 1)], [(9, 1)], [(9, 1), (3, 1)]):
         M = standard_module(blocks)
