@@ -377,15 +377,16 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     return report
 
 
-def uniqueness_probe(M, basepoints=None):
+def uniqueness_probe(M, basepoints=None, pi=None):
     """Rebuilding the system from different basepoints yields identical
-    tables, and the representation has scalar endomorphisms only."""
+    tables, and the representation has scalar endomorphisms only.  ``pi``
+    is the canonical representation of M when the caller already holds it."""
     import json
 
     from .symplectic import enumerate_lagrangians
 
     report = Report("uniqueness probe on %r" % (M,))
-    red = ReductionData(M)
+    red = ReductionData(M) if pi is None else pi.red
     count = len(enumerate_lagrangians(red.Mc))
     if basepoints is None:
         basepoints = [(i, e) for i in range(count) for e in (1, -1)]
@@ -400,7 +401,8 @@ def uniqueness_probe(M, basepoints=None):
     report.add("pair tables identical across %d basepoints" % len(basepoints),
                all(t == tables[0] for t in tables),
                "%d bytes" % len(tables[0]))
-    pi = build_pi(M)
+    if pi is None:
+        pi = build_pi(M)
     if isinstance(pi, CanonicalRep):
         report.add("endomorphisms of the realization are scalars",
                    hom_dim(pi.realization, pi.realization) == 1)

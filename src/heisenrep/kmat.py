@@ -3,11 +3,33 @@
 Group-element actions on induced modules are monomial (one nonzero entry
 per column), so they get a compact GenPerm form with O(dim^2) products
 against dense matrices; intertwiners stay dense.
+
+``mat_mul`` works on packed integers (Kronecker substitution).  N is the
+lcm of the conductors of the nonzero entries of both factors; each row of
+``a`` and each column of ``b`` is put over one common denominator, and each
+entry becomes an integer polynomial in zeta_N, unreduced: the coefficient
+of zeta_n^t sits at exponent t * N / n.  The polynomial is packed into one
+Python int with signed digits of w bits, P = sum of c_e * 2^(w e).  With L
+the length of the longest polynomial (phi(N) when every entry has
+conductor N), each of the 2L - 1 digits of sum over k of P(a_ik) P(b_kj)
+is at most inner * L * max|a coefficient| * max|b coefficient| in absolute
+value, so w = bit_length of that bound + 2 leaves every digit clear of its
+neighbours whatever the heights.  Each output entry is unpacked once and
+reduced once, through ``cyclo.from_powers``.
+
+An output entry with no k where both a_ik and b_kj are nonzero is
+``CycNum.zero(1)``; any other entry has conductor n = lcm of
+lcm(a_ik.n, b_kj.n) over those k, even when the sum cancels.  Every
+exponent in such an entry's product is a multiple of N / n, so it is read
+off at conductor n directly.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycNum
+from math import lcm
+from operator import mul
+
+from .cyclo import CycNum, from_powers
 
 
 def zeros(rows, cols, n=1):
@@ -22,27 +44,75 @@ def identity(dim, n=1):
 
 
 def mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
+    """The product a @ b by Kronecker substitution; see the module notes."""
+    rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0
+    if a and len(a[0]) != inner:
+        raise ValueError("cannot multiply a %dx%d matrix by a %dx%d matrix"
+                         % (rows, len(a[0]), inner, cols))
+    nz_a = [(i, k, x) for i, row in enumerate(a) for k, x in enumerate(row)
+            if any(x.num)]
+    nz_b = [(k, j, y) for k, row in enumerate(b) for j, y in enumerate(row)
+            if any(y.num)]
+    N = lcm(*(x.n for (_, _, x) in nz_a), *(y.n for (_, _, y) in nz_b))
+    den_a = [1] * rows
+    for (i, _, x) in nz_a:
+        den_a[i] = lcm(den_a[i], x.den)
+    den_b = [1] * cols
+    for (_, j, y) in nz_b:
+        den_b[j] = lcm(den_b[j], y.den)
+    # (exponent of zeta_N, integer coefficient) terms over each row's or
+    # column's common denominator
+    terms_a = [_terms(x, N, den_a[i]) for (i, _, x) in nz_a]
+    terms_b = [_terms(y, N, den_b[j]) for (_, j, y) in nz_b]
+    length = 1 + max((t[-1][0] for t in terms_a + terms_b), default=0)
+    height_a = max((abs(c) for t in terms_a for (_, c) in t), default=0)
+    height_b = max((abs(c) for t in terms_b for (_, c) in t), default=0)
+    w = (inner * length * height_a * height_b).bit_length() + 2
+    packed_a = [[0] * inner for _ in range(rows)]
+    masks_a = {}
+    for (i, k, x), t in zip(nz_a, terms_a):
+        packed_a[i][k] = sum(c << (w * e) for (e, c) in t)
+        masks_a.setdefault(x.n, [0] * rows)[i] |= 1 << k
+    packed_b = [[0] * inner for _ in range(cols)]
+    masks_b = {}
+    for (k, j, y), t in zip(nz_b, terms_b):
+        packed_b[j][k] = sum(c << (w * e) for (e, c) in t)
+        masks_b.setdefault(y.n, [0] * cols)[j] |= 1 << k
+    # conductor pairs with the rows and columns in which they meet
+    pairs = [(lcm(c, d), ma, mb) for c, ma in masks_a.items()
+             for d, mb in masks_b.items()]
+    # adding half to every digit makes them all nonnegative, so each digit
+    # is read with a shift and a mask, with no borrow from its neighbour
+    digits = 2 * length - 1
+    half = 1 << (w - 1)
+    low = (1 << w) - 1
+    offset = sum(half << (w * e) for e in range(digits))
+    shifts = range(0, w * digits, w)
+    zero = CycNum.zero(1)
     out = []
     for i in range(rows):
-        arow = a[i]
+        prow = packed_a[i]
         new = []
         for j in range(cols):
-            acc = None
-            for k in range(inner):
-                x = arow[k]
-                if x.is_zero():
-                    continue
-                y = b[k][j]
-                if y.is_zero():
-                    continue
-                t = x * y
-                acc = t if acc is None else acc + t
-            new.append(acc if acc is not None else CycNum.zero(1))
+            hits = [n for (n, ma, mb) in pairs if ma[i] & mb[j]]
+            if not hits:
+                new.append(zero)
+                continue
+            n = lcm(*hits)
+            acc = sum(map(mul, prow, packed_b[j])) + offset
+            conv = [((acc >> s) & low) - half for s in shifts]
+            new.append(from_powers(n, enumerate(conv[::N // n]),
+                                   den_a[i] * den_b[j]))
         out.append(new)
     return out
+
+
+def _terms(x, N, den):
+    """x * den as (exponent of zeta_N, integer) pairs, unreduced: the
+    coefficient of zeta_n^t sits at exponent t * N / n."""
+    step, scale = N // x.n, den // x.den
+    return [(step * t, c * scale) for t, c in enumerate(x.num) if c]
 
 
 def scalar_mul(c, a):

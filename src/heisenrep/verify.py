@@ -23,7 +23,7 @@ from .cyclo import CycNum, euler_phi, root_of_unity, sqrt_prime
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import identity as kmat_identity
 from .kmat import mat_eq, mat_mul, neg, scalar_mul
-from .reduction import ReductionData, g_to_gc
+from .reduction import g_to_gc
 from .symplectic import (
     BudgetError,
     enumerate_lagrangians,
@@ -403,16 +403,15 @@ def run_verify(M, level="quick", seed=0, budget=3 ** 8):
     if M.group.order() <= min(budget, svn_cap):
         reports.append(verify_svn(HeisGrp(M), budget=budget, pi=pi))
     for rep in parts:
-        reports.append(uniqueness_probe_report(rep.M, level, seed + 6))
+        reports.append(uniqueness_probe_report(rep, level, seed + 6))
     return reports
 
 
-def uniqueness_probe_report(M, level, seed):
-    red = ReductionData(M)
-    count = len(enumerate_lagrangians(red.Mc))
+def uniqueness_probe_report(rep, level, seed):
+    count = len(enumerate_lagrangians(rep.red.Mc))
     if level == "full" or count <= 6:
         points = None
     else:
         rng = random.Random(seed)
         points = [(rng.randrange(count), rng.choice([1, -1])) for _ in range(3)]
-    return uniqueness_probe(M, basepoints=points)
+    return uniqueness_probe(rep.M, basepoints=points, pi=rep)

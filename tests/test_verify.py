@@ -1,5 +1,6 @@
 import json
 
+from heisenrep import canonrep, verify
 from heisenrep.intertwine import solve_canonical_system
 from heisenrep.symplectic import standard_module
 from heisenrep.verify import (
@@ -23,6 +24,23 @@ def test_run_verify_quick_z9():
     assert all(r.ok() for r in reports), "\n".join(r.text() for r in reports)
     # the lifted system over the nontrivial canonical subgroup is checked too
     assert any("lifted" in r.title for r in reports)
+
+
+def test_run_verify_builds_composite_once(monkeypatch):
+    calls = []
+    build_pi = canonrep.build_pi
+
+    def counted(M, *args, **kwargs):
+        calls.append(M)
+        return build_pi(M, *args, **kwargs)
+
+    monkeypatch.setattr(canonrep, "build_pi", counted)
+    monkeypatch.setattr(verify, "build_pi", counted)
+    M = standard_module([(3, 1), (5, 1)])
+    reports = run_verify(M, level="quick", seed=7)
+    assert all(r.ok() for r in reports), "\n".join(r.text() for r in reports)
+    assert calls == [M]
+    assert sum("uniqueness" in r.title for r in reports) == 2
 
 
 def test_report_json_shape():
