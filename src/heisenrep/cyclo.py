@@ -133,7 +133,7 @@ def _normalize(num, den):
     if g > 1:
         den //= g
         num = [x // g for x in num]
-    if all(x == 0 for x in num):
+    if not any(num):
         den = 1
     return tuple(num), den
 
@@ -186,10 +186,10 @@ class CycNum:
     # -- structure ----------------------------------------------------
 
     def is_zero(self):
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(x == 0 for x in self.num[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
@@ -445,17 +445,46 @@ def _solve_rational(cols, target):
 # -- public operations ----------------------------------------------------
 
 
-def from_powers(n, terms, den=1):
-    """sum of c * zeta_n^(e mod n) over the (e, c) pairs of ``terms``, over
-    den; the one place exponent multiplicities become field elements."""
-    ctx = _ctx(n)
+def _power_sum(ctx, terms):
+    """Power-basis coefficients of sum of c * zeta^(e mod N) over the (e, c)
+    pairs of ``terms``, at the conductor N of ``ctx``; the one place
+    exponent multiplicities become field elements."""
+    n = ctx.n
     table = ctx.pow_terms
     out = [0] * ctx.phi
     for e, c in terms:
         if c:
             for j, r in table[e % n]:
                 out[j] += c * r
-    return CycNum(n, out, den)
+    return out
+
+
+def from_powers(n, terms, den=1):
+    """sum of c * zeta_n^(e mod n) over the (e, c) pairs of ``terms``, over
+    den."""
+    return CycNum(n, _power_sum(_ctx(n), terms), den)
+
+
+def mul_root(x, n, e):
+    """x * zeta_n^e, at conductor N = lcm(n, x.n), as one walk over the
+    coefficients of x: the coefficient of zeta_(x.n)^t moves to exponent
+    t * N / x.n + e * N / n of zeta_N, with no polynomial product.
+
+    x itself is the result when it needs neither a lift nor a rotation,
+    and when it is a zero of conductor N.
+
+    Lifting and multiplying by a root of unity map Z[zeta_N] onto itself,
+    so they keep the content of x (the gcd of its coefficients, in a
+    Z-basis of Z[zeta_N]); a normalized x therefore gives a normalized
+    result, built without a second gcd pass.
+    """
+    N = lcm(n, x.n)
+    shift = (N // n) * e
+    if N == x.n and not (shift % N and any(x.num)):
+        return x
+    step = N // x.n
+    terms = zip(range(shift, shift + step * len(x.num), step), x.num)
+    return CycNum(N, _power_sum(_ctx(N), terms), x.den, _normalized=True)
 
 
 def root_of_unity(n, k=1):

@@ -17,7 +17,7 @@ from .abgroup import (
     quotient_pair,
     full_subgroup,
 )
-from .cyclo import from_powers, root_of_unity
+from .cyclo import from_powers
 from .kmat import GenPerm
 from .symplectic import Lagrangian, SympMod, SymplecticError
 
@@ -287,8 +287,7 @@ class InducedModule:
 
     def rho_genperm(self, h):
         perm, expo = self.rho_parts(h)
-        n = self.H.n
-        return GenPerm(perm, [root_of_unity(n, e) for e in expo])
+        return GenPerm(perm, expo, self.H.n)
 
     def rho(self, h):
         """Dense action matrix of h."""
@@ -352,13 +351,12 @@ def g_transport(g, module, target=None):
         if target.lag.sub != g.on_subgroup(module.lag.sub):
             raise SymplecticError("supplied target module has the wrong lagrangian")
     perm = [0] * module.dim
-    scal = [None] * module.dim
+    expo = [0] * module.dim
     for i, ri in enumerate(target.reps):
         x = g_inv.apply(ri)
         rj = module.rep_of(x)
         j = module.index[rj]
         lp = group.sub(x, rj)
-        e = (-M.beta(lp, rj) + module.chi.exponent_on(lp)) % n
         perm[j] = i
-        scal[j] = root_of_unity(n, e)
-    return GenPerm(perm, scal), target
+        expo[j] = -M.beta(lp, rj) + module.chi.exponent_on(lp)
+    return GenPerm(perm, expo, n), target

@@ -77,10 +77,10 @@ def standard_T(target, source):
             lp = M.group.sub(y, rj)
             e = (c - M.beta(lp, rj) + chi_s.exponent_on(lp) - chi_t.exponent_on(nn)) % n
             counts[i][j][e] += 1
-    matrix = [
-        [from_powers(n, enumerate(counts[i][j])) for j in range(source.dim)]
-        for i in range(target.dim)
-    ]
+    # most entries are zero on larger modules; they share one object
+    zero = CycNum.zero(n)
+    matrix = [[from_powers(n, enumerate(c)) if any(c) else zero for c in row]
+              for row in counts]
     if all(x.is_zero() for row in matrix for x in row):
         raise SolveError("standard intertwiner vanished; this is a bug")
     return Intertwiner(source, target, matrix)

@@ -1,8 +1,19 @@
 """Dense matrices over cyclotomic scalars, plus generalized permutations.
 
 Group-element actions on induced modules are monomial (one nonzero entry
-per column), so they get a compact GenPerm form with O(dim^2) products
-against dense matrices; intertwiners stay dense.
+per column, a root of unity), so they get a compact GenPerm form: a
+permutation and, per column, an exponent of zeta_n.  ``compose`` adds
+exponents and ``inverse`` negates them.  Applying a GenPerm to a dense
+matrix multiplies each entry x by its root zeta_n^e with
+``cyclo.mul_root``: one walk over the coefficients of x at shifted
+exponents of zeta_N, N = lcm(n, x.n), with no polynomial product.
+Intertwiners stay dense.
+
+``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
+own two factors, zero or not.  An entry with a zero factor is the shared
+zero of that conductor, not a product; each nonzero factor is lifted once
+per conductor it meets, so only products of two nonzero entries are
+multiplied.
 
 ``mat_mul`` works on packed integers (Kronecker substitution).  N is the
 lcm of the conductors of the nonzero entries of both factors; each row of
@@ -29,7 +40,7 @@ from __future__ import annotations
 from math import lcm
 from operator import mul
 
-from .cyclo import CycNum, from_powers
+from .cyclo import CycNum, from_powers, mul_root, root_of_unity
 
 
 def zeros(rows, cols, n=1):
@@ -143,17 +154,36 @@ def trace(a):
 
 
 def kron(a, b):
-    ra, rb = len(a), len(b)
-    ca, cb = len(a[0]), len(b[0])
+    """The Kronecker product; see the module notes for its zeros."""
+    conds_a = {x.n for row in a for x in row if any(x.num)}
+    conds_b = {y.n for row in b for y in row if any(y.num)}
+    lift_a = [[_lifts(x, conds_b) for x in row] for row in a]
+    lift_b = [[_lifts(y, conds_a) for y in row] for row in b]
+    zeros = {}
     out = []
-    for i in range(ra * rb):
-        i1, i2 = divmod(i, rb)
-        row = []
-        for j in range(ca * cb):
-            j1, j2 = divmod(j, cb)
-            row.append(a[i1][j1] * b[i2][j2])
-        out.append(row)
+    for row_a, lrow_a in zip(a, lift_a):
+        for row_b, lrow_b in zip(b, lift_b):
+            new = []
+            for x, lx in zip(row_a, lrow_a):
+                for y, ly in zip(row_b, lrow_b):
+                    N = lcm(x.n, y.n)
+                    if lx is None or ly is None:
+                        z = zeros.get(N)
+                        if z is None:
+                            z = zeros[N] = CycNum.zero(N)
+                        new.append(z)
+                    else:
+                        new.append(lx[N] * ly[N])
+            out.append(new)
     return out
+
+
+def _lifts(x, conds):
+    """x lifted to lcm(x.n, d) for each conductor d in ``conds``, keyed by
+    that lcm; None when x is zero."""
+    if not any(x.num):
+        return None
+    return {N: x.lift(N) for N in {lcm(x.n, d) for d in conds}}
 
 
 def scalar_of(a):
@@ -218,59 +248,60 @@ def mat_from_json(obj):
 
 
 class GenPerm:
-    """Monomial operator: e_j -> scalars[j] * e_[perm[j]]."""
+    """Monomial operator: e_j -> zeta_n^expo[j] * e_[perm[j]]."""
 
-    __slots__ = ("perm", "scalars")
+    __slots__ = ("perm", "expo", "n")
 
-    def __init__(self, perm, scalars):
+    def __init__(self, perm, expo, n):
         self.perm = tuple(perm)
-        self.scalars = tuple(scalars)
+        self.expo = tuple(e % n for e in expo)
+        self.n = n
 
     @property
     def dim(self):
         return len(self.perm)
 
     def to_dense(self, n=1):
+        """The dense matrix, with zeros of conductor n."""
         m = zeros(self.dim, self.dim, n)
-        for j, (i, s) in enumerate(zip(self.perm, self.scalars)):
-            m[i][j] = s
+        for j, (i, e) in enumerate(zip(self.perm, self.expo)):
+            m[i][j] = root_of_unity(self.n, e)
         return m
 
     def compose(self, other):
         """self after other (matrix product self @ other)."""
-        perm = tuple(self.perm[other.perm[j]] for j in range(other.dim))
-        scalars = tuple(
-            other.scalars[j] * self.scalars[other.perm[j]] for j in range(other.dim)
-        )
-        return GenPerm(perm, scalars)
+        n = lcm(self.n, other.n)
+        s, t = n // self.n, n // other.n
+        perm = [self.perm[i] for i in other.perm]
+        expo = [t * e + s * self.expo[i] for i, e in zip(other.perm, other.expo)]
+        return GenPerm(perm, expo, n)
 
     def inverse(self):
-        dim = self.dim
-        perm = [0] * dim
-        scalars = [None] * dim
-        for j in range(dim):
-            perm[self.perm[j]] = j
-            scalars[self.perm[j]] = self.scalars[j].inverse()
-        return GenPerm(perm, scalars)
+        perm = [0] * self.dim
+        expo = [0] * self.dim
+        for j, (i, e) in enumerate(zip(self.perm, self.expo)):
+            perm[i] = j
+            expo[i] = -e
+        return GenPerm(perm, expo, self.n)
 
     def apply_left(self, dense):
         """self @ dense for a dense matrix."""
         rows = [None] * len(dense)
-        for k in range(len(dense)):
-            s = self.scalars[k]
-            rows[self.perm[k]] = [s * x for x in dense[k]]
+        n = self.n
+        for i, e, row in zip(self.perm, self.expo, dense):
+            rows[i] = [mul_root(x, n, e) for x in row]
         return rows
 
     def apply_right(self, dense):
         """dense @ self."""
-        out = []
-        for row in dense:
-            out.append([row[self.perm[j]] * self.scalars[j] for j in range(self.dim)])
-        return out
+        n = self.n
+        return [[mul_root(row[i], n, e) for i, e in zip(self.perm, self.expo)]
+                for row in dense]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GenPerm)
-            and self.perm == other.perm
-            and self.scalars == other.scalars
-        )
+        if not isinstance(other, GenPerm) or self.perm != other.perm:
+            return False
+        n = lcm(self.n, other.n)
+        s, t = n // self.n, n // other.n
+        return all((s * e - t * f) % n == 0
+                   for e, f in zip(self.expo, other.expo))

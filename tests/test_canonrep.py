@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -297,3 +298,26 @@ def test_export_shape(pi3):
         "system_entry_min_conductors", "character_min_conductors"}
     assert all(c in (1, 3) for c in
                data["field_diagnostics"]["character_min_conductors"])
+
+
+# SHA-256 over the exact entries (conductor, coefficients, denominator) of
+# act_g on sp_sample(M, 11, 5) followed by act_h on five elements drawn
+# with random.Random(11); a change of any output bit changes the digest.
+ACTION_DIGESTS = [
+    ([(3, 2)], "0a6cde4834d5a0ef6dd040afa595cd2296de31024c1cab65b36a1ca0f895959b"),
+    ([(27, 1)], "dde4db01e279c4f461d67a938f44ded5b83f638c172d996eed47c08d5cc1e985"),
+    ([(3, 1), (5, 1)],
+     "b16cef00d08444fb68da226d4eb026af67c5be0b6c334be99ffbecadc9830163"),
+]
+
+
+@pytest.mark.parametrize("blocks, digest", ACTION_DIGESTS)
+def test_action_outputs_golden(blocks, digest):
+    M = standard_module(blocks)
+    pi = build_pi(M, system_verify="none")
+    rng = random.Random(11)
+    hs = [(tuple(rng.randrange(d) for d in M.group.orders), rng.randrange(M.n))
+          for _ in range(5)]
+    mats = [pi.act_g(g) for g in sp_sample(M, 11, 5)] + [pi.act_h(h) for h in hs]
+    entries = [(x.n, x.num, x.den) for mat in mats for row in mat for x in row]
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest

@@ -4,8 +4,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenrep.cyclo import CycNum, euler_phi, root_of_unity
-from heisenrep.kmat import mat_mul
+from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
+from heisenrep.kmat import GenPerm, identity, kron, mat_eq, mat_mul
 
 CONDUCTORS = [1, 3, 4, 5, 9, 12, 15, 27]
 
@@ -33,6 +33,22 @@ def _mat_mul_reference(a, b):
                 acc = t if acc is None else acc + t
             new.append(acc if acc is not None else CycNum.zero(1))
         out.append(new)
+    return out
+
+
+def _kron_reference(a, b):
+    """One CycNum product per pair of entries, zero or not."""
+    ra, rb = len(a), len(b)
+    ca = len(a[0]) if a else 0
+    cb = len(b[0]) if b else 0
+    out = []
+    for i in range(ra * rb):
+        i1, i2 = divmod(i, rb)
+        row = []
+        for j in range(ca * cb):
+            j1, j2 = divmod(j, cb)
+            row.append(a[i1][j1] * b[i2][j2])
+        out.append(row)
     return out
 
 
@@ -157,3 +173,85 @@ def test_shape_mismatch_names_both_shapes():
         mat_mul(a23, a22)
     with pytest.raises(ValueError, match=r"2x2.*3x2"):
         mat_mul(a22, b32)
+
+
+@st.composite
+def matrices(draw, height, max_dim=4):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    return [[draw(entries(height)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 2 ** 31, 2 ** 300]).flatmap(
+    lambda h: st.tuples(matrices(h), matrices(h))))
+def test_kron_matches_reference(ab):
+    a, b = ab
+    assert exact(kron(a, b)) == exact(_kron_reference(a, b))
+
+
+def test_kron_zero_factor_keeps_its_conductor():
+    z3, z5 = root_of_unity(3), root_of_unity(5)
+    a = [[z3, CycNum.zero(9)], [CycNum.zero(1), CycNum.one(3)]]
+    b = [[CycNum.zero(5), z5], [CycNum.zero(4), CycNum.zero(1)]]
+    out = kron(a, b)
+    assert exact(out) == exact(_kron_reference(a, b))
+    assert [[x.n for x in row] for row in out] == [
+        [15, 15, 45, 45], [12, 3, 36, 9], [5, 5, 15, 15], [4, 1, 12, 3]]
+    assert all(x.is_zero() for row in out for x in row if x.n != 15)
+
+
+def test_kron_empty_factors():
+    b = [[CycNum.one(3)] * 2 for _ in range(3)]
+    assert kron([], b) == []
+    assert kron(b, []) == []
+    assert kron([[], []], b) == [[]] * 6
+    assert kron(b, [[]]) == [[]] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_root_matches_product(data):
+    x = data.draw(entries(data.draw(st.sampled_from([1, 7, 2 ** 70, 2 ** 300]))))
+    n = data.draw(st.sampled_from([1, 3, 5, 7, 9, 15, 27]))
+    e = data.draw(st.integers(-2 * n, 2 * n))
+    assert exact([[mul_root(x, n, e)]]) == exact([[x * root_of_unity(n, e)]])
+
+
+@st.composite
+def genperms(draw, dim):
+    n = draw(st.sampled_from([1, 3, 5, 9, 15, 27]))
+    perm = draw(st.permutations(range(dim)))
+    expo = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=dim, max_size=dim))
+    return GenPerm(perm, expo, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_genperm_apply_matches_products(data):
+    dim = data.draw(st.integers(0, 4))
+    height = data.draw(st.sampled_from([1, 2 ** 31, 2 ** 300]))
+    g = data.draw(genperms(dim))
+    dense = [[data.draw(entries(height)) for _ in range(dim)] for _ in range(dim)]
+    roots = [root_of_unity(g.n, e) for e in g.expo]
+    left = [None] * dim
+    for k, (i, s) in enumerate(zip(g.perm, roots)):
+        left[i] = [s * x for x in dense[k]]
+    right = [[row[i] * s for i, s in zip(g.perm, roots)] for row in dense]
+    assert exact(g.apply_left(dense)) == exact(left)
+    assert exact(g.apply_right(dense)) == exact(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(genperms(d), genperms(d))))
+def test_genperm_compose_and_inverse_match_dense(gh):
+    g, h = gh
+    dim = g.dim
+    assert mat_eq(g.compose(h).to_dense(), mat_mul(g.to_dense(), h.to_dense()))
+    assert mat_eq(mat_mul(g.to_dense(), g.inverse().to_dense()), identity(dim))
+    assert g.compose(g.inverse()) == GenPerm(range(dim), [0] * dim, 1)
+
+
+def test_genperm_equality_across_conductors():
+    assert GenPerm([1, 0], [2, 0], 3) == GenPerm([1, 0], [6, 9], 9)
+    assert GenPerm([1, 0], [2, 0], 3) != GenPerm([1, 0], [2, 1], 9)
+    assert GenPerm([1, 0], [0, 0], 3) != GenPerm([0, 1], [0, 0], 3)
