@@ -30,7 +30,6 @@ from .heisenberg import HeisGrp, InducedModule, chi_L, g_transport, induce
 from .intertwine import (
     CanonicalSystem,
     Intertwiner,
-    composition_scalar,
     hom_dim,
     kernel_of,
     operator_from_kernel,

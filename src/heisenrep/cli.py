@@ -12,9 +12,9 @@ import json
 import sys
 
 from .abgroup import AbGroup, GroupError, prime_factors
-from .canonrep import build_pi
+from .canonrep import CanonicalRep, build_pi
 from .cyclo import CycloError
-from .intertwine import SolveError, solve_canonical_system
+from .intertwine import SolveError
 from .reduction import ReductionData, ReductionError
 from .symplectic import (
     BudgetError,
@@ -130,13 +130,9 @@ def cmd_reduce(args):
 
 def cmd_system(args):
     M = load_module(args.input)
-    red = ReductionData(M)
-    sys_c = solve_canonical_system(red.Mc, base_index=args.base,
-                                   verify="light", seed=args.seed)
-    from .reduction import lift_canonical_system
-
-    lifted = lift_canonical_system(red, sys_c)
-    emit(args, lifted.export())
+    rep = CanonicalRep(M, base_index=args.base, system_verify="light",
+                       seed=args.seed)
+    emit(args, rep.system.export())
     return 0
 
 

@@ -21,7 +21,6 @@ from .kmat import (
     neg,
     proportionality,
     scalar_mul,
-    scalar_of,
 )
 from .symplectic import (
     EnhLag,
@@ -84,21 +83,6 @@ def standard_T(target, source):
     if all(x.is_zero() for row in matrix for x in row):
         raise SolveError("standard intertwiner vanished; this is a bug")
     return Intertwiner(source, target, matrix)
-
-
-def composition_scalar(lag_a, lag_b, H=None):
-    """The scalar d with T_{A,B} o T_{B,A} = d * id."""
-    if H is None:
-        H = HeisGrp(lag_a.module)
-    Va = induce(H, lag_a)
-    Vb = induce(H, lag_b)
-    T_ba = standard_T(Vb, Va)
-    T_ab = standard_T(Va, Vb)
-    prod = mat_mul(T_ab.matrix, T_ba.matrix)
-    scal = scalar_of(prod)
-    if scal is None:
-        raise SolveError("composite of standard intertwiners is not scalar")
-    return scal
 
 
 class _RatioUnionFind:
@@ -340,12 +324,10 @@ class CanonicalSystem:
         base = self._pair_cache.get((i, j))
         if base is None:
             if i == j:
-                prod = scalar_mul(self.delta[j], kmat_identity(
-                    self.modules[j].dim, self.conductor))
+                base = kmat_identity(self.modules[j].dim, self.conductor)
             else:
-                prod = mat_mul(self.T_LB[i], self.T_BL[j])
-            coef = self.c[i] / (self.c[j] * self.delta[j])
-            base = scalar_mul(coef, prod)
+                coef = self.c[i] / (self.c[j] * self.delta[j])
+                base = scalar_mul(coef, mat_mul(self.T_LB[i], self.T_BL[j]))
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else neg(base)
 
@@ -422,16 +404,19 @@ class CanonicalSystem:
 def standard_pairs(mods, B):
     """The averaging intertwiners T_LB[i]: mods[B] -> mods[i] and
     T_BL[i]: mods[i] -> mods[B], with the scalars delta[i] given by
-    T_BL[i] o T_LB[i] = delta[i] * id."""
+    T_BL[i] o T_LB[i] = delta[i] * id.
+
+    delta[i] is the subgroup index [L_i : L_i cap L_B], so no composite is
+    formed; the transitivity check of ``check_system_axioms`` multiplies
+    the operators densely and catches a wrong delta.
+    """
     T_LB = [standard_T(V, mods[B]).matrix for V in mods]
     T_BL = [standard_T(mods[B], V).matrix for V in mods]
+    L_B = mods[B].lag.sub
     delta = []
-    for i in range(len(mods)):
-        scal = scalar_of(mat_mul(T_BL[i], T_LB[i]))
-        if scal is None or scal.is_zero():
-            raise SolveError("standard composite at lagrangian %d is not an "
-                             "invertible scalar" % i)
-        delta.append(scal)
+    for V in mods:
+        index = V.lag.order() // subgroup_intersect(V.lag.sub, L_B).order()
+        delta.append(CycNum.rational(index, mods[B].H.n))
     return T_LB, T_BL, delta
 
 

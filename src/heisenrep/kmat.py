@@ -127,7 +127,11 @@ def _terms(x, N, den):
 
 
 def scalar_mul(c, a):
-    return [[c * x for x in row] for row in a]
+    """c * a.  The zero entries of each conductor m share one zero of
+    conductor lcm(c.n, m), the value c * x has."""
+    zero = {m: CycNum.zero(lcm(c.n, m))
+            for m in {x.n for row in a for x in row if not any(x.num)}}
+    return [[c * x if any(x.num) else zero[x.n] for x in row] for row in a]
 
 
 def neg(a):
@@ -184,22 +188,6 @@ def _lifts(x, conds):
     if not any(x.num):
         return None
     return {N: x.lift(N) for N in {lcm(x.n, d) for d in conds}}
-
-
-def scalar_of(a):
-    """If a == c * identity, return c, else None."""
-    dim = len(a)
-    if dim == 0:
-        return CycNum.one(1)
-    c = a[0][0]
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                if a[i][j] != c:
-                    return None
-            elif not a[i][j].is_zero():
-                return None
-    return c
 
 
 def proportionality(a, b):

@@ -74,7 +74,7 @@ class ReductionData:
         self.S, self.chain = canonical_isotropic(M)
         self.S_perp = orth_complement(M, self.S)
         self.Mc, self.qm = induced_form(M, self.S)
-        if self.Mc.group.rank and any(d != self.p for d in self.Mc.group.orders):
+        if not self.Mc.is_elementary():
             raise ReductionError("reduced module is not elementary abelian")
         self.Hc = HeisGrp(self.Mc)
         self.H = HeisGrp(M)
@@ -139,9 +139,8 @@ class ReductionData:
                     col.append(zero)
                     continue
                 lp = Vc.H.base.group.sub(q, rj)
-                e = (-Vc.H.base.beta(lp, rj) + Vc.chi.exponent_on(lp)) % max(p, 1)
-                col.append(root_of_unity(n, (e * (n // p)) % n) if p > 1
-                           else CycNum.one(n))
+                e = (-Vc.H.base.beta(lp, rj) + Vc.chi.exponent_on(lp)) % p
+                col.append(root_of_unity(n, (e * (n // p)) % n))
             cols.append(col)
         return [[cols[j][i] for j in range(Vc.dim)] for i in range(V.dim)]
 
@@ -173,7 +172,13 @@ def lift_canonical_system(red, sys_c):
     Each lifted operator is the unique H-intertwiner restricting on
     S-invariants to tau o F_c o tau^(-1); concretely a scalar multiple of
     the standard intertwiner, with the scalar matched through tau.
+
+    When M_c is M, every order is p and the quotient map and tau are
+    identities, so ``sys_c`` itself is the lift.  A trivial S is not enough:
+    orders (3, 3, 1) give S = 0 but an M_c of rank 2, lifted to rank 3.
     """
+    if red.Mc == red.M:
+        return sys_c
     lifted_lags = [red.lag_lift(L) for L in sys_c.lags]
     mods = [induce(red.H, L) for L in lifted_lags]
     B = sys_c.base_index

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import heisenrep
 from heisenrep.cli import main, parse_standard_spec, UsageError
 
 
@@ -185,9 +187,13 @@ def test_verify_composite_exponent(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it, so
+    # the test also runs from a checkout without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(heisenrep.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "heisenrep.cli", "standard", "3^1:1"],
-        capture_output=True,
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"orders": [3, 3], "gram": [[0, 1], [2, 0]]}

@@ -1,18 +1,19 @@
 import json
 
 import pytest
+from dense_oracle import composition_scalar, scalar_of
 
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from heisenrep.heisenberg import HeisGrp, induce
 from heisenrep.intertwine import (
     DirectSum,
     SolveError,
-    composition_scalar,
     hom_dim,
     kernel_of,
     operator_from_kernel,
     solve_canonical_system,
     standard_T,
+    standard_pairs,
 )
 from heisenrep.kmat import identity, mat_eq, mat_mul, scalar_mul
 from heisenrep.symplectic import enumerate_lagrangians, standard_module
@@ -85,6 +86,34 @@ def test_composition_scalar(setup3):
     a = next(L for L in lags5 if L.sub.contains((1, 0)))
     b = next(L for L in lags5 if L.sub.contains((0, 1)))
     assert composition_scalar(a, b, HeisGrp(M5)) == 5
+
+
+@pytest.mark.parametrize("blocks", [[(3, 1)], [(3, 2)], [(27, 1)],
+                                    [(9, 1), (3, 1)]])
+def test_delta_is_dense_composite_at_every_basepoint(blocks):
+    # the modules of the system over M: elementary, or lifted from M_c
+    from heisenrep.reduction import ReductionData, lift_canonical_system
+
+    red = ReductionData(standard_module(blocks))
+    sys_c = solve_canonical_system(red.Mc, verify="none")
+    mods = lift_canonical_system(red, sys_c).modules
+    for B in range(len(mods)):
+        T_LB, T_BL, delta = standard_pairs(mods, B)
+        for i in range(len(mods)):
+            dense = scalar_of(mat_mul(T_BL[i], T_LB[i]))
+            assert dense is not None
+            assert (delta[i].n, delta[i].num, delta[i].den) == \
+                (dense.n, dense.num, dense.den), (B, i)
+
+
+def test_doubled_delta_fails_transitivity():
+    M = standard_module([(3, 1)])
+    sys = solve_canonical_system(M, verify="none")
+    sys.delta[1] = sys.delta[1] * 2
+    report = check_system_axioms(sys, level="light", seed=0)
+    assert not report.ok()
+    failed = [name for (name, passed, _detail) in report.checks if not passed]
+    assert "transitivity over enhanced triples" in failed
 
 
 def test_solver_d0_trivial_module():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
-from heisenrep.kmat import GenPerm, identity, kron, mat_eq, mat_mul
+from heisenrep.kmat import GenPerm, identity, kron, mat_eq, mat_mul, scalar_mul
 
 CONDUCTORS = [1, 3, 4, 5, 9, 12, 15, 27]
 
@@ -198,6 +198,18 @@ def test_kron_zero_factor_keeps_its_conductor():
     assert [[x.n for x in row] for row in out] == [
         [15, 15, 45, 45], [12, 3, 36, 9], [5, 5, 15, 15], [4, 1, 12, 3]]
     assert all(x.is_zero() for row in out for x in row if x.n != 15)
+
+
+def test_scalar_mul_zeros_are_shared_products():
+    c = root_of_unity(9, 2) / 7
+    a = [[CycNum.zero(1), root_of_unity(3), CycNum.zero(27)],
+         [CycNum.zero(5), CycNum.zero(1), CycNum.rational(2, 5)],
+         [CycNum.zero(27), CycNum.zero(4), CycNum.zero(5)]]
+    out = scalar_mul(c, a)
+    assert exact(out) == exact([[c * x for x in row] for row in a])
+    # one zero per conductor of the zero entries
+    assert out[0][0] is out[1][1] and out[0][2] is out[2][0]
+    assert out[1][0] is out[2][2] and out[0][0] is not out[0][2]
 
 
 def test_kron_empty_factors():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -144,6 +145,36 @@ def test_elementary_reduction_is_identity():
     Vc = induce(red.Hc, Lc)
     V = induce(H, red.lag_lift(Lc))
     assert mat_eq(red.tau_matrix(Vc, V), identity(3, 3))
+    sys = solve_canonical_system(red.Mc, verify="none")
+    assert lift_canonical_system(red, sys) is sys
+
+
+# SHA-256 of the export and of the exact entries of act_h on every element
+# of H followed by act_g on sp_sample(M, 3, 3), for the module with orders
+# (3, 3, 1): S is trivial but M_c has rank 2, so the system is still lifted
+ORDER_ONE_SUMMAND = {"orders": [3, 3, 1],
+                     "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]}
+ORDER_ONE_EXPORT = \
+    "2cf83f3ea490542f4c2075f3161dbb9625906b18f50a8c9e10148ec738732161"
+ORDER_ONE_ACTIONS = \
+    "679bcc3153db21f1b50efdfa7e683e8a634890149bb958a059c104bbc479997e"
+
+
+def test_trivial_S_with_smaller_Mc_is_lifted():
+    from heisenrep.canonrep import build_pi
+    from heisenrep.cli import dumps
+
+    M = SympMod.from_json(ORDER_ONE_SUMMAND)
+    red = ReductionData(M)
+    assert red.S.order() == 1 and red.Mc != M
+    pi = build_pi(M, system_verify="none")
+    export = dumps(pi.export()).encode()
+    assert hashlib.sha256(export).hexdigest() == ORDER_ONE_EXPORT
+    mats = [pi.act_h(h) for h in pi.H.elements()]
+    mats += [pi.act_g(g) for g in sp_sample(M, 3, 3)]
+    entries = [(x.n, x.num, x.den) for mat in mats for row in mat for x in row]
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == \
+        ORDER_ONE_ACTIONS
 
 
 def test_alpha_respects_sigma():

@@ -1,4 +1,8 @@
+import itertools
 import json
+import random
+
+import pytest
 
 from heisenrep import canonrep, verify
 from heisenrep.intertwine import solve_canonical_system
@@ -68,11 +72,28 @@ def test_solver_internal_verification_catches_defects():
 
 
 def test_sampled_draws_distinct_items():
-    import random
-
     from heisenrep.verify import _sampled
 
     picked = _sampled(range(10), 5, random.Random(0))
     assert len(picked) == 5 and len(set(picked)) == 5
     assert set(picked) <= set(range(10))
     assert _sampled(range(3), 5, random.Random(0)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sampled_tuples_match_sampling_the_listed_product(k):
+    from heisenrep.verify import _sampled_tuples
+
+    points = [(i, e) for i in range(4) for e in (1, -1)]
+    listed = list(itertools.product(points, repeat=k))
+    total = len(listed)
+    for seed in range(4):
+        for count in (None, 1, 10, 200, total - 1, total, total + 3):
+            ours, ref = random.Random(seed), random.Random(seed)
+            got = _sampled_tuples(points, k, count, ours)
+            if count is None or count >= total:
+                want = listed
+            else:
+                want = ref.sample(listed, count)
+            assert got == want, (seed, count)
+            assert ours.getstate() == ref.getstate(), (seed, count)
