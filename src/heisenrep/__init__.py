@@ -53,7 +53,6 @@ from .symplectic import (
     gauss_sum,
     induced_form,
     orth_complement,
-    sp_elements,
     standard_module,
 )
 

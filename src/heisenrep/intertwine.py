@@ -176,29 +176,6 @@ def hom_dim(V, W):
     return uf.dimension()
 
 
-class DirectSum:
-    """Direct sum of induced modules; enough structure for hom_dim."""
-
-    def __init__(self, parts):
-        self.parts = parts
-        self.H = parts[0].H
-        self.dim = sum(p.dim for p in parts)
-
-    def group_generators(self):
-        return self.parts[0].group_generators()
-
-    def rho_parts(self, h):
-        perm = []
-        exp = []
-        off = 0
-        for p in self.parts:
-            pp, ee = p.rho_parts(h)
-            perm.extend(x + off for x in pp)
-            exp.extend(ee)
-            off += p.dim
-        return perm, exp
-
-
 # -- kernels ---------------------------------------------------------------
 
 
@@ -426,19 +403,21 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0):
     Anchors the basepoint scalar at 1, then reads every transvection g and
     lagrangian j as the relation c_t / (c_j * c_b) = sign * mu * delta_b
     (t = g j, b = g B) and solves it for its one unknown scalar, pass after
-    pass, until every lift scalar is pinned.  Raises SolveError when a
-    relation is not a proportionality (convention bug) or when the relations
-    leave a scalar undetermined (should not happen).
+    pass, until every lift scalar is pinned.  Raises SymplecticError, an
+    input error, for a non-elementary module or a basepoint index outside
+    the lagrangians; SolveError when a relation is not a proportionality
+    (convention bug) or when the relations leave a scalar undetermined
+    (should not happen).
     """
     if not Mc.is_elementary():
         raise SymplecticError("canonical system needs an elementary module")
     lags = enumerate_lagrangians(Mc)
+    if not 0 <= base_index < len(lags):
+        raise SymplecticError("basepoint index %d is out of range for %d "
+                              "lagrangians" % (base_index, len(lags)))
     H = HeisGrp(Mc)
     mods = [induce(H, L) for L in lags]
-    nlag = len(lags)
     conductor = Mc.n if Mc.group.rank else 1
-    if base_index < 0 or base_index >= nlag:
-        raise SolveError("basepoint index out of range")
     B = base_index
     T_LB, T_BL, delta = standard_pairs(mods, B)
     c = {B: CycNum.one(conductor)}

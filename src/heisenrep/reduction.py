@@ -4,16 +4,15 @@ The canonical isotropic subgroup S is built by the halving recursion
 S_1 = p^ceil(r/2) M on the exponent; M_c = S^perp / S is then an F_p
 symplectic space.  Induced modules over lagrangians containing S have their
 S-invariants identified with induced modules of the reduced Heisenberg
-group, which is how the canonical system lifts from M_c to M.
+group, which is why the canonical system lifts from M_c to M with its
+scalars unchanged.
 """
 
 from __future__ import annotations
 
 from .abgroup import prime_factors, subgroup_from_gens, zero_subgroup
-from .cyclo import CycNum, root_of_unity
 from .heisenberg import HeisGrp, induce
-from .intertwine import CanonicalSystem, SolveError, standard_pairs
-from .kmat import mat_mul, proportionality
+from .intertwine import CanonicalSystem, standard_pairs
 from .symplectic import (
     Lagrangian,
     SympAut,
@@ -117,39 +116,6 @@ class ReductionData:
         L = Lagrangian(self.M, sub)
         return L
 
-    def tau_matrix(self, Vc, V):
-        """The isomorphism H_{L_c} -> (H_L)^S as a dim(V) x dim(Vc) matrix.
-
-        tau(f)((m, a)) = zeta_n^a * f((m mod S, 0)), extended by zero off
-        S^perp x mu_n; columns are images of the basis of H_{L_c}.
-        """
-        n = self.M.n
-        p = self.p
-        cols = []
-        zero = CycNum.zero(n)
-        for j in range(Vc.dim):
-            col = []
-            for r in V.reps:
-                if not self.S_perp.contains(r):
-                    col.append(zero)
-                    continue
-                q = self.proj(r)
-                rj = Vc.rep_of(q)
-                if rj != Vc.reps[j]:
-                    col.append(zero)
-                    continue
-                lp = Vc.H.base.group.sub(q, rj)
-                e = (-Vc.H.base.beta(lp, rj) + Vc.chi.exponent_on(lp)) % p
-                col.append(root_of_unity(n, (e * (n // p)) % n))
-            cols.append(col)
-        return [[cols[j][i] for j in range(Vc.dim)] for i in range(V.dim)]
-
-
-def reduced_heisenberg(M):
-    """(H_c, alpha) for the canonical reduction of M."""
-    red = ReductionData(M)
-    return red.Hc, red.alpha
-
 
 def g_to_gc(red, g):
     """The induced symplectic automorphism of M_c; errors if g moves S."""
@@ -169,9 +135,20 @@ def g_to_gc(red, g):
 def lift_canonical_system(red, sys_c):
     """Lift the canonical system from M_c to intertwiners over M.
 
-    Each lifted operator is the unique H-intertwiner restricting on
-    S-invariants to tau o F_c o tau^(-1); concretely a scalar multiple of
-    the standard intertwiner, with the scalar matched through tau.
+    The lagrangians of M_c lift to the lagrangians of M containing S, and
+    tau: H_{L_c} -> (H_L)^S, tau(f)((m, a)) = zeta_n^a * f((m mod S, 0)) on
+    S^perp x mu_n and zero off it, identifies each reduced induced module
+    with the S-invariants of the lifted one.  Each lifted operator is the
+    H-intertwiner c_i * T_{i,B} restricting on S-invariants to
+    tau o F_c o tau^(-1), and its scalar is the scalar c_i solved on M_c:
+    both standard intertwiners average over L_i / (L_i cap L_B), and since
+    L_i and L_B contain S that set maps one-to-one onto
+    L_i^c / (L_i^c cap L_B^c).  The homomorphism ``alpha`` carries the
+    cocycle and the lagrangian characters on S^perp to those of M_c, so
+    tau carries one sum onto the other term by term:
+    T_{i,B} o tau_B = tau_i o T^c_{i,B}.  The scalar relating the lifted
+    to the reduced operator is therefore 1, and the standard intertwiners
+    over M with ``sys_c.c`` are the lift.
 
     When M_c is M, every order is p and the quotient map and tau are
     identities, so ``sys_c`` itself is the lift.  A trivial S is not enough:
@@ -183,19 +160,6 @@ def lift_canonical_system(red, sys_c):
     mods = [induce(red.H, L) for L in lifted_lags]
     B = sys_c.base_index
     T_LB, T_BL, delta = standard_pairs(mods, B)
-    tau_B = red.tau_matrix(sys_c.modules[B], mods[B])
-    c = {}
-    for i in range(sys_c.count):
-        tau_i = red.tau_matrix(sys_c.modules[i], mods[i])
-        target = mat_mul(tau_i, sys_c.anchored(i, 1))
-        image = mat_mul(T_LB[i], tau_B)
-        scal = proportionality(target, image)
-        if scal is None or scal.is_zero():
-            raise SolveError(
-                "lifted operator is not determined on S-invariants "
-                "(lagrangian %d)" % i
-            )
-        c[i] = scal
     return CanonicalSystem(red.M, sys_c.enh_module, lifted_lags,
-                           sys_c.enh_lags, B, mods, T_LB, T_BL, delta, c,
-                           conductor=red.M.n)
+                           sys_c.enh_lags, B, mods, T_LB, T_BL, delta,
+                           sys_c.c, conductor=red.M.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from . import intlin
 from .abgroup import (
@@ -437,47 +437,6 @@ def sp_sample(M, seed, count):
                 lam = rng.randrange(1, M.n) if M.n > 1 else 0
                 g = g.compose(transvection(M, v, lam))
         out.append(g)
-    return out
-
-
-def sp_elements(M, mode="enumerate", seed=0, count=20,
-                budget=DEFAULT_SP_ENUM_BUDGET):
-    if mode == "enumerate":
-        return sp_enumerate(M, budget=budget)
-    if mode == "transvections":
-        return transvections(M)
-    if mode == "sample":
-        return sp_sample(M, seed, count)
-    raise ValueError("unknown mode %r" % (mode,))
-
-
-def sampled_automorphisms(M, seed, count):
-    """Deterministic sample of group automorphisms of M (not nec. symplectic)."""
-    rng = random.Random(seed)
-    m = M.group.rank
-    out = []
-    guard = 0
-    while len(out) < count and guard < 200 * count:
-        guard += 1
-        rows = []
-        ok = True
-        for i in range(m):
-            di = M.group.orders[i]
-            row = []
-            for j in range(m):
-                dj = M.group.orders[j]
-                step = dj // gcd(dj, di)
-                row.append(step * rng.randrange(dj // step))
-            rows.append(tuple(row))
-        img = subgroup_from_gens(M.group, rows)
-        if img.order() != M.group.order():
-            continue
-        aut = object.__new__(SympAut)
-        aut.module = M
-        aut.mat = tuple(tuple(x % M.group.orders[j] for j, x in enumerate(r)) for r in rows)
-        out.append(aut)
-    if len(out) < count:
-        raise RuntimeError("automorphism sampling failed to converge")
     return out
 
 

@@ -13,6 +13,7 @@ import random
 import time
 
 import pytest
+from helpers import sampled_automorphisms
 
 from heisenrep.abgroup import AbGroup, subgroup_from_gens
 from heisenrep.canonrep import build_pi, uniqueness_probe, verify_svn
@@ -32,7 +33,6 @@ from heisenrep.symplectic import (
     SympMod,
     enumerate_lagrangians,
     gauss_sum,
-    sampled_automorphisms,
     sp_enumerate,
     sp_sample,
     standard_module,

@@ -124,6 +124,17 @@ def test_system_base_flag(tmp_path):
     assert json.loads(out)["basepoint"] == "L2:+"
 
 
+@pytest.mark.parametrize("command", ["system", "pi"])
+@pytest.mark.parametrize("base", ["99", "-1"])
+def test_out_of_range_base_is_usage_error(tmp_path, command, base):
+    mod = tmp_path / "m.json"
+    run_cli(["standard", "3^1:2", "--out", str(mod)])
+    code, out, err = run_cli([command, str(mod), "--base", base])
+    assert code == 2 and out == ""
+    assert err.startswith("error: basepoint index %s " % base)
+    assert "40 lagrangians" in err
+
+
 def test_pi_export_and_roundtrip(tmp_path):
     mod = tmp_path / "m.json"
     run_cli(["standard", "3^1:1", "--out", str(mod)])

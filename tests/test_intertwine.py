@@ -2,11 +2,11 @@ import json
 
 import pytest
 from dense_oracle import composition_scalar, scalar_of
+from helpers import DirectSum, check_inverse_symmetry
 
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from heisenrep.heisenberg import HeisGrp, induce
 from heisenrep.intertwine import (
-    DirectSum,
     SolveError,
     hom_dim,
     kernel_of,
@@ -16,8 +16,12 @@ from heisenrep.intertwine import (
     standard_pairs,
 )
 from heisenrep.kmat import identity, mat_eq, mat_mul, scalar_mul
-from heisenrep.symplectic import enumerate_lagrangians, standard_module
-from heisenrep.verify import check_inverse_symmetry, check_system_axioms
+from heisenrep.symplectic import (
+    SymplecticError,
+    enumerate_lagrangians,
+    standard_module,
+)
+from heisenrep.verify import check_system_axioms
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +201,10 @@ def test_solver_basepoint_independence_z3():
 
 def test_solver_bad_basepoint():
     M = standard_module([(3, 1)])
-    with pytest.raises(SolveError):
-        solve_canonical_system(M, base_index=99)
+    for base in (99, 4, -1):
+        with pytest.raises(SymplecticError, match="index %d .* 4 lagrangians"
+                           % base):
+            solve_canonical_system(M, base_index=base)
 
 
 def test_solver_underdetermined_error_path(monkeypatch):

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from dense_oracle import tau_matched_scalars, tau_matrix
+from helpers import sampled_automorphisms
 
 from heisenrep.abgroup import AbGroup, subgroup_from_gens
 from heisenrep.heisenberg import HeisGrp, induce
@@ -13,13 +15,11 @@ from heisenrep.reduction import (
     canonical_isotropic,
     g_to_gc,
     lift_canonical_system,
-    reduced_heisenberg,
 )
 from heisenrep.symplectic import (
     SympAut,
     SympMod,
     enumerate_lagrangians,
-    sampled_automorphisms,
     sp_sample,
     standard_module,
 )
@@ -113,7 +113,7 @@ def test_rejects_non_primary():
 def test_alpha_homomorphism_and_kernel():
     Mmix = standard_module([(9, 1), (3, 1)])
     red = ReductionData(Mmix)
-    Hc, alpha = reduced_heisenberg(Mmix)
+    Hc, alpha = red.Hc, red.alpha
     H = HeisGrp(Mmix)
     n = Mmix.n
     p = red.p
@@ -144,7 +144,7 @@ def test_elementary_reduction_is_identity():
     Lc = enumerate_lagrangians(red.Mc)[0]
     Vc = induce(red.Hc, Lc)
     V = induce(H, red.lag_lift(Lc))
-    assert mat_eq(red.tau_matrix(Vc, V), identity(3, 3))
+    assert mat_eq(tau_matrix(red, Vc, V), identity(3, 3))
     sys = solve_canonical_system(red.Mc, verify="none")
     assert lift_canonical_system(red, sys) is sys
 
@@ -213,7 +213,7 @@ def test_tau_is_equivariant_isomorphism():
     for Lc in lags_c:
         Vc = induce(red.Hc, Lc)
         V = induce(H, red.lag_lift(Lc))
-        tau = red.tau_matrix(Vc, V)
+        tau = tau_matrix(red, Vc, V)
         # injective with image the S-invariants: rank check via columns
         assert Vc.dim == 3 and V.dim == 27
         cols = [[tau[i][j] for i in range(V.dim)] for j in range(Vc.dim)]
@@ -268,20 +268,35 @@ def test_lift_canonical_system_z9():
                   scalar_mul(CycNum.rational(-1), identity(9, lifted.conductor)))
 
 
-def test_lift_restricts_to_reduced_system():
+LIFT_CASES = (
+    [("z27", [(27, 1)], b) for b in range(4)]
+    + [("z9+z3", [(9, 1), (3, 1)], b) for b in range(4)]
+    + [("orders331", ORDER_ONE_SUMMAND, b) for b in range(4)]
+    + [("z9+z3^2", [(9, 1), (3, 2)], b) for b in range(2)]
+)
+
+
+@pytest.mark.parametrize("label,spec,base", LIFT_CASES,
+                         ids=["%s-base%d" % (c[0], c[2]) for c in LIFT_CASES])
+def test_lift_restricts_to_reduced_system(label, spec, base):
     # the defining diagram: lifted operator composed with tau equals tau
-    # composed with the reduced operator
-    Mmix = standard_module([(9, 1), (3, 1)])
-    red = ReductionData(Mmix)
-    sys_c = solve_canonical_system(red.Mc, verify="none")
+    # composed with the reduced operator; every lifted scalar is the one
+    # the dense oracle matches through tau
+    M = (SympMod.from_json(spec) if isinstance(spec, dict)
+         else standard_module(spec))
+    red = ReductionData(M)
+    sys_c = solve_canonical_system(red.Mc, base_index=base, verify="none")
     lifted = lift_canonical_system(red, sys_c)
+    assert lifted is not sys_c and lifted.base_index == base
+    matched = tau_matched_scalars(red, sys_c, lifted)
+    assert all(lifted.c[i] == matched[i] for i in range(sys_c.count))
     rng = random.Random(3)
     pts = lifted.enhanced()
     for _ in range(10):
         n0 = pts[rng.randrange(len(pts))]
         l0 = pts[rng.randrange(len(pts))]
-        tau_l = red.tau_matrix(sys_c.modules[l0[0]], lifted.modules[l0[0]])
-        tau_n = red.tau_matrix(sys_c.modules[n0[0]], lifted.modules[n0[0]])
+        tau_l = tau_matrix(red, sys_c.modules[l0[0]], lifted.modules[l0[0]])
+        tau_n = tau_matrix(red, sys_c.modules[n0[0]], lifted.modules[n0[0]])
         lhs = mat_mul(lifted.operator(n0, l0), tau_l)
         rhs = mat_mul(tau_n, sys_c.operator(n0, l0))
         assert mat_eq(lhs, rhs)

@@ -17,11 +17,11 @@ from heisenrep.symplectic import (
     gauss_sum,
     induced_form,
     orth_complement,
-    sp_elements,
     sp_enumerate,
     sp_sample,
     standard_module,
     transvection,
+    transvections,
 )
 
 
@@ -218,10 +218,10 @@ def test_sp_sample_deterministic_and_valid():
 
 def test_sp_elements_modes():
     M = standard_module([(3, 1)])
-    assert len(sp_elements(M, "enumerate")) == 24
-    ts = sp_elements(M, "transvections")
+    assert len(sp_enumerate(M)) == 24
+    ts = transvections(M)
     assert ts[0].is_identity()
-    assert len(sp_elements(M, "sample", seed=1, count=3)) == 3
+    assert len(sp_sample(M, 1, 3)) == 3
 
 
 def test_aut_inverse_and_compose():

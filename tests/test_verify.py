@@ -3,15 +3,12 @@ import json
 import random
 
 import pytest
+from helpers import check_inverse_symmetry
 
 from heisenrep import canonrep, verify
 from heisenrep.intertwine import solve_canonical_system
-from heisenrep.symplectic import standard_module
-from heisenrep.verify import (
-    check_inverse_symmetry,
-    check_system_axioms,
-    run_verify,
-)
+from heisenrep.symplectic import SympMod, standard_module
+from heisenrep.verify import check_system_axioms, run_verify
 
 
 def test_run_verify_quick_z3():
@@ -28,6 +25,16 @@ def test_run_verify_quick_z9():
     assert all(r.ok() for r in reports), "\n".join(r.text() for r in reports)
     # the lifted system over the nontrivial canonical subgroup is checked too
     assert any("lifted" in r.title for r in reports)
+
+
+def test_run_verify_checks_lift_with_trivial_S():
+    # orders (3, 3, 1): S = 0 but M_c has rank 2, so the system is lifted
+    # and its operators over M are verified
+    M = SympMod.from_json({"orders": [3, 3, 1],
+                           "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]})
+    reports = run_verify(M, level="quick", seed=7)
+    lifted = [r for r in reports if r.title.startswith("lifted")]
+    assert len(lifted) == 1 and lifted[0].ok(), lifted[0].text()
 
 
 def test_run_verify_builds_composite_once(monkeypatch):
