@@ -26,7 +26,7 @@ from .cyclo import (
     root_of_unity,
     sqrt_prime,
 )
-from .heisenberg import HeisGrp, InducedModule, chi_L, g_transport, induce
+from .heisenberg import HeisGrp, InducedModule, g_transport, induce
 from .intertwine import (
     CanonicalSystem,
     Intertwiner,

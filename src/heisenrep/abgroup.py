@@ -53,6 +53,11 @@ class AbGroup:
     def zero(self):
         return (0,) * len(self.orders)
 
+    def basis(self):
+        """The standard generators e_i, with a 1 in place i (not reduced)."""
+        m = len(self.orders)
+        return tuple(tuple(1 if j == i else 0 for j in range(m)) for i in range(m))
+
     def reduce(self, vec):
         if len(vec) != len(self.orders):
             raise GroupError("element has wrong length")
@@ -197,8 +202,7 @@ def zero_subgroup(group):
 
 
 def full_subgroup(group):
-    return subgroup_from_gens(group, [tuple(1 if j == i else 0 for j in range(group.rank))
-                                      for i in range(group.rank)])
+    return subgroup_from_gens(group, group.basis())
 
 
 def subgroup_join(a, b):

@@ -243,8 +243,7 @@ def class_representatives(H):
     M = H.base
     n = H.n
     out = []
-    basis = [tuple(1 if k == i else 0 for k in range(M.group.rank))
-             for i in range(M.group.rank)]
+    basis = M.group.basis()
     for m in M.group.elements():
         g = n
         for b in basis:

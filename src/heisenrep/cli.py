@@ -194,9 +194,7 @@ def main(argv=None):
 
     p = sub.add_parser("standard", help="build a standard polarized module")
     p.add_argument("spec", help="blocks like 3^2:1+3^1:2 (odd prime powers)")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_LAGRANGIAN_BUDGET)
+    add_common(p, needs_input=False)
     p.set_defaults(func=cmd_standard)
 
     p = sub.add_parser("info", help="inspect and validate a module")

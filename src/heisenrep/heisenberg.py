@@ -2,21 +2,19 @@
 
 Group elements are pairs (m, a) with a the exponent of zeta_n, multiplied
 through the half-form: (m1,a1)(m2,a2) = (m1+m2, a1+a2+beta(m1,m2)).  The
-induced module over a lagrangian L carries explicit action matrices over
-the cyclotomic field; the basis is indexed by lexicographically minimal
-coset representatives of M/L, and the action is by right translation.
+induced module over a lagrangian L is induced from the canonical character
+(l, a) -> zeta_n^a of L x mu_n and carries explicit action matrices over
+the cyclotomic field; the basis is indexed by the lexicographically minimal
+coset representatives of M/L (the box below the HNF pivots of L), and the
+action is by right translation.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 
-from .abgroup import (
-    AbGroup,
-    GroupError,
-    quotient_pair,
-    full_subgroup,
-)
+from .abgroup import AbGroup
 from .cyclo import from_powers
 from .kmat import GenPerm
 from .symplectic import Lagrangian, SympMod, SymplecticError
@@ -164,95 +162,28 @@ def primary_project(H, Hp, embed, crt, h):
     return (tuple(coords), (crt * a) % npr if npr else 0)
 
 
-class CharacterOfL:
-    """A character of L-bar = L x mu_n extending the tautological central
-    character: chi((l, a)) = zeta_n^(a + theta(l))."""
-
-    __slots__ = ("H", "lag", "theta", "_basis", "_orders", "_trivial")
-
-    def __init__(self, H, lag, theta=None):
-        self.H = H
-        self.lag = lag
-        sub = lag.sub
-        basis = []
-        orders = []
-        group = H.base.group
-        for i, row in enumerate(sub.rows):
-            red = group.reduce(row)
-            if any(red):
-                basis.append((i, red))
-                piv = sub._pivots[i]
-                orders.append(group.orders[piv] // sub.rows[i][piv])
-        self._basis = basis
-        self._orders = orders
-        n = H.n
-        if theta is None:
-            theta = (0,) * len(basis)
-        theta = tuple(int(t) % n for t in theta)
-        if len(theta) != len(basis):
-            raise GroupError("theta must give one value per subgroup generator")
-        for t, o in zip(theta, orders):
-            if (t * o) % n != 0:
-                raise GroupError("theta is not a homomorphism on L")
-        self.theta = theta
-        self._trivial = not any(theta)
-
-    def exponent_on(self, l):
-        """theta(l) as an exponent of zeta_n; l must lie in L."""
-        if self._trivial:
-            return 0
-        sub = self.lag.sub
-        v = list(l)
-        acc = 0
-        bi = 0
-        for i, row in enumerate(sub.rows):
-            j = sub._pivots[i]
-            if v[j] % row[j] != 0:
-                raise GroupError("element not in the subgroup")
-            q = v[j] // row[j]
-            if q:
-                for k in range(len(v)):
-                    v[k] -= q * row[k]
-            red = self.H.base.group.reduce(row)
-            if any(red):
-                acc += q * self.theta[bi]
-                bi += 1
-        if any(v):
-            raise GroupError("element not in the subgroup")
-        return acc % self.H.n
-
-    def value_exponent(self, h):
-        l, a = h
-        return (a + self.exponent_on(l)) % self.H.n
-
-    def is_sigma_invariant(self):
-        group = self.H.base.group
-        for l in self.lag.sub.elements():
-            if self.exponent_on(group.neg(l)) != self.exponent_on(l):
-                return False
-        return True
-
-
-def chi_L(H, lag, theta=None):
-    return CharacterOfL(H, lag, theta)
-
-
 class InducedModule:
-    """The right-translation module of functions transforming by chi_L under
-    left translation by L-bar."""
+    """The right-translation module of functions f on H with
+    f(lbar h) = chi(lbar) f(h) for lbar in L-bar = L x mu_n, where
+    chi((l, a)) = zeta_n^a is the canonical character.
 
-    __slots__ = ("H", "lag", "chi", "reps", "index", "dim", "_rep_of_cache", "_qm")
+    chi is a character of L-bar because beta = ((n+1)/2) * pairing vanishes
+    on L x L, L being isotropic.  The basis is indexed by the coset
+    representatives of M/L that ``coset_reduce`` returns: the HNF of L holds
+    d_i e_i for every i, so it has a pivot in every column, and the
+    representatives are exactly the box of vectors with i-th coordinate in
+    [0, rows[i][i]), in lexicographic order.
+    """
 
-    def __init__(self, H, lag, theta=None):
+    __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache")
+
+    def __init__(self, H, lag):
         self.H = H
         self.lag = lag
-        self.chi = CharacterOfL(H, lag, theta)
-        qm = quotient_pair(full_subgroup(H.base.group), lag.sub)
-        self._qm = qm
-        reps = sorted(qm.section(q) for q in qm.group.elements())
-        self.reps = tuple(reps)
-        self.index = {r: i for i, r in enumerate(reps)}
-        self.dim = len(reps)
+        self.reps = tuple(itertools.product(
+            *(range(row[i]) for i, row in enumerate(lag.sub.rows))))
+        self.index = {r: i for i, r in enumerate(self.reps)}
+        self.dim = len(self.reps)
         expected = isqrt(H.base.group.order())
         if self.dim != expected:
             raise SymplecticError("induced module dimension %d != sqrt(|M|) = %d"
@@ -280,7 +211,7 @@ class InducedModule:
             ri = self.rep_of(group.sub(rj, m))
             i = self.index[ri]
             lp = group.sub(group.add(ri, m), rj)
-            e = (a + M.beta(ri, m) - M.beta(lp, rj) + self.chi.exponent_on(lp)) % n
+            e = (a + M.beta(ri, m) - M.beta(lp, rj)) % n
             perm[j] = i
             expo[j] = e
         return perm, expo
@@ -296,11 +227,7 @@ class InducedModule:
     def group_generators(self):
         """A generating set of H: module generators of M plus the center."""
         group = self.H.base.group
-        gens = []
-        for i in range(group.rank):
-            gens.append((tuple(1 if j == i else 0 for j in range(group.rank)), 0))
-        gens.append((group.zero(), 1))
-        return gens
+        return [(e, 0) for e in group.basis()] + [(group.zero(), 1)]
 
     def char_exponent_counts(self, h):
         """Trace of rho(h) as a vector of zeta_n exponent multiplicities."""
@@ -315,7 +242,6 @@ class InducedModule:
         return from_powers(self.H.n, enumerate(self.char_exponent_counts(h)))
 
     def to_json(self):
-        gens = [(list(m), a) for (m, a) in self.group_generators()]
         from .kmat import mat_to_json
 
         return {
@@ -328,8 +254,8 @@ class InducedModule:
         }
 
 
-def induce(H, lag, theta=None):
-    return InducedModule(H, lag, theta)
+def induce(H, lag):
+    return InducedModule(H, lag)
 
 
 def g_transport(g, module, target=None):
@@ -358,5 +284,5 @@ def g_transport(g, module, target=None):
         j = module.index[rj]
         lp = group.sub(x, rj)
         perm[j] = i
-        expo[j] = -M.beta(lp, rj) + module.chi.exponent_on(lp)
+        expo[j] = -M.beta(lp, rj)
     return GenPerm(perm, expo, n), target

@@ -55,7 +55,8 @@ class Intertwiner:
 
 def standard_T(target, source):
     """The averaging intertwiner H_L -> H_N for lagrangians L (source) and
-    N (target): (Tf)(h) = sum over N/(N cap L) of chi_N(n)^(-1) f(n h).
+    N (target): (Tf)(h) = sum over N/(N cap L) of f(n h), the canonical
+    character being trivial on N x {0}.
 
     T_{L,L} = id; T is always nonzero and intertwines right translation.
     """
@@ -65,8 +66,6 @@ def standard_T(target, source):
     inter = subgroup_intersect(target.lag.sub, source.lag.sub)
     reps = sorted({inter.coset_reduce(v) for v in target.lag.sub.elements()})
     counts = [[[0] * n for _ in range(source.dim)] for _ in range(target.dim)]
-    chi_t = target.chi
-    chi_s = source.chi
     for i, ri in enumerate(target.reps):
         for nn in reps:
             y = M.group.add(nn, ri)
@@ -74,7 +73,7 @@ def standard_T(target, source):
             rj = source.rep_of(y)
             j = source.index[rj]
             lp = M.group.sub(y, rj)
-            e = (c - M.beta(lp, rj) + chi_s.exponent_on(lp) - chi_t.exponent_on(nn)) % n
+            e = (c - M.beta(lp, rj)) % n
             counts[i][j][e] += 1
     # most entries are zero on larger modules; they share one object
     zero = CycNum.zero(n)
@@ -183,7 +182,8 @@ def kernel_of(F):
     """Kernel function on H with F f (h1) = sum_{h2} k(h1 h2^(-1)) f(h2),
     the measure giving every point volume one.
 
-    Covariance: k(nbar x) = chi_N(nbar) k(x) and k(x lbar) = chi_L(lbar) k(x).
+    Covariance: k(nbar x) = chi(nbar) k(x) and k(x lbar) = chi(lbar) k(x)
+    for the canonical character chi((l, a)) = zeta_n^a of N-bar and L-bar.
     The sign on the right factor differs from a naive transcription; it is
     the one under which the convolution reproduces F exactly and the kernel
     of the identity is the normalized indicator of L-bar.
@@ -205,12 +205,7 @@ def kernel_of(F):
         z = H.product((ri, 0), H.inverse((r0, 0)))
         full = H.product((nn, 0), z)
         c0 = full[1]
-        val = root_of_unity(n, (a - c0) % n) * F.matrix[i][0] * norm
-        # fold in the left character of nn (trivial theta gives 1)
-        et = W.chi.exponent_on(nn)
-        if et:
-            val = val * root_of_unity(n, et)
-        out[h] = val
+        out[h] = root_of_unity(n, (a - c0) % n) * F.matrix[i][0] * norm
     return out
 
 
@@ -224,12 +219,12 @@ def operator_from_kernel(k, source, target):
     for x in H.elements():
         for nb in ngens:
             lhs = k[H.product(nb, x)]
-            rhs = root_of_unity(n, target.chi.value_exponent(nb)) * k[x]
+            rhs = root_of_unity(n, nb[1]) * k[x]
             if lhs != rhs:
                 raise SolveError("kernel is not left covariant")
         for lb in lgens:
             lhs = k[H.product(x, lb)]
-            rhs = root_of_unity(n, source.chi.value_exponent(lb)) * k[x]
+            rhs = root_of_unity(n, lb[1]) * k[x]
             if lhs != rhs:
                 raise SolveError("kernel is not right covariant")
     mat = []
@@ -241,10 +236,9 @@ def operator_from_kernel(k, source, target):
             for l in source.lag.sub.elements():
                 for a in range(n):
                     h2 = H.product((l, a), (source.reps[j], 0))
-                    fval = source.chi.value_exponent((l, a))
                     kv = k[H.product(h1, H.inverse(h2))]
                     if not kv.is_zero():
-                        acc = acc + kv * root_of_unity(n, fval)
+                        acc = acc + kv * root_of_unity(n, a)
             row.append(acc)
         mat.append(row)
     return Intertwiner(source, target, mat)
@@ -321,16 +315,13 @@ class CanonicalSystem:
         moved = act_enhanced(g, EnhLag(self.enh_lags[i], e))
         return self.enhanced_index(moved)
 
-    def field_generators(self):
+    def entries_in_field(self):
+        """Every anchored entry lies in Q(zeta_n, sqrt p), p the exponent of
+        the enhanced module (Q(zeta_n) alone when it is trivial)."""
         p = self.enh_module.n if self.enh_module.group.rank else 1
         gens = [root_of_unity(self.module.n if self.module.group.rank else 1)]
         if p > 1:
             gens.append(sqrt_prime(p))
-        return gens
-
-    def entries_in_field(self, generators=None):
-        """Every anchored entry lies in the subfield cut out by generators."""
-        gens = generators if generators is not None else self.field_generators()
         for i in range(self.count):
             for row in self.anchored(i):
                 for x in row:

@@ -123,12 +123,9 @@ def g_to_gc(red, g):
         raise ReductionError("automorphism does not fix the canonical subgroup")
     if g.on_subgroup(red.S_perp) != red.S_perp:
         raise ReductionError("automorphism does not fix S^perp")
-    k = red.Mc.group.rank
     rows = []
-    for i in range(k):
-        basis = tuple(1 if j == i else 0 for j in range(k))
-        img = g.apply(red.section(basis))
-        rows.append(red.proj(img))
+    for e in red.Mc.group.basis():
+        rows.append(red.proj(g.apply(red.section(e))))
     return SympAut(red.Mc, rows)
 
 

@@ -155,12 +155,8 @@ def orth_complement(M, S):
     m = M.group.rank
     gens = S.gens()
     if not gens or m == 0:
-        return subgroup_from_gens(
-            M.group,
-            [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)],
-        )
-    cols = [[M.pair(tuple(1 if k == i else 0 for k in range(m)), g) for g in gens]
-            for i in range(m)]
+        return subgroup_from_gens(M.group, M.group.basis())
+    cols = [[M.pair(e, g) for g in gens] for e in M.group.basis()]
     ker = intlin.stacked_kernel_mod(cols, M.n)
     return subgroup_from_gens(M.group, [M.group.reduce(r) for r in ker])
 
@@ -257,7 +253,7 @@ def induced_form(M, S):
     nq = Q.exponent()
     scale_den = M.n // nq if nq else M.n
     k = Q.rank
-    gens = [qm.section(tuple(1 if j == i else 0 for j in range(k))) for i in range(k)]
+    gens = [qm.section(e) for e in Q.basis()]
     gram = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -299,7 +295,7 @@ class SympAut:
         img = subgroup_from_gens(M.group, [self.mat[i] for i in range(m)])
         if img.order() != M.group.order():
             raise SymplecticError("matrix is not invertible")
-        basis = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
+        basis = M.group.basis()
         for i in range(m):
             for j in range(m):
                 if M.pair(self.mat[i], self.mat[j]) != M.pair(basis[i], basis[j]):
@@ -332,8 +328,7 @@ class SympAut:
             stacked.append([d if j == i else 0 for j in range(m)])
         reduced, full, trans = intlin.hnf(stacked, with_transform=True)
         rows = []
-        for i in range(m):
-            target = [1 if j == i else 0 for j in range(m)]
+        for target in M.group.basis():
             c = intlin.solve_lattice(reduced, target)
             if c is None:
                 raise SymplecticError("matrix is not invertible")
@@ -346,10 +341,7 @@ class SympAut:
         return SympAut(self.module, rows, validate=False)
 
     def is_identity(self):
-        m = self.module.group.rank
-        return all(
-            self.mat[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
-        )
+        return self.mat == self.module.group.basis()
 
     def on_subgroup(self, sub):
         return subgroup_from_gens(self.module.group, [self.apply(g) for g in sub.gens()])
@@ -368,15 +360,13 @@ class SympAut:
 
 
 def identity_aut(M):
-    m = M.group.rank
-    return SympAut(M, [[1 if j == i else 0 for j in range(m)] for i in range(m)],
-                   validate=False)
+    return SympAut(M, M.group.basis(), validate=False)
 
 
 def transvection(M, v, lam):
     """m -> m + lam <m, v> v; symplectic for every v and lam."""
     m = M.group.rank
-    basis = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
+    basis = M.group.basis()
     rows = []
     for i in range(m):
         c = (lam * M.pair(basis[i], v)) % M.n

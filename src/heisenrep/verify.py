@@ -26,6 +26,7 @@ from .kmat import mat_eq, mat_mul, neg, scalar_mul
 from .reduction import g_to_gc
 from .symplectic import (
     BudgetError,
+    SymplecticError,
     enumerate_lagrangians,
     gauss_sum,
     sp_enumerate,
@@ -258,11 +259,9 @@ def _symplectic_suite(M, seed, level):
             if all((2 * v) % n == M.gram[i][j] % n
                    for ((i, j), v) in zip(pairs, combo)):
                 count += 1
-                beta_seen = all(
-                    v == M.beta(tuple(1 if k == i else 0 for k in range(M.group.rank)),
-                                tuple(1 if k == j else 0 for k in range(M.group.rank)))
-                    for ((i, j), v) in zip(pairs, combo)
-                )
+                basis = M.group.basis()
+                beta_seen = all(v == M.beta(basis[i], basis[j])
+                                for ((i, j), v) in zip(pairs, combo))
         report.add("half-form is the unique alternating square root",
                    count == 1 and (beta_seen or not pairs),
                    "%d candidates matched" % count)
@@ -311,7 +310,7 @@ def _symplectic_suite(M, seed, level):
                 gram[j][i] = v
         try:
             val = gauss_sum(G, gram)
-        except Exception:
+        except SymplecticError:
             continue
         made += 1
         if val ** 4 != G.order() ** 2:

@@ -65,7 +65,7 @@ def tau_matrix(red, Vc, V):
                 col.append(zero)
                 continue
             lp = Vc.H.base.group.sub(q, rj)
-            e = (-Vc.H.base.beta(lp, rj) + Vc.chi.exponent_on(lp)) % p
+            e = (-Vc.H.base.beta(lp, rj)) % p
             col.append(root_of_unity(n, (e * (n // p)) % n))
         cols.append(col)
     return [[cols[j][i] for j in range(Vc.dim)] for i in range(V.dim)]

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from heisenrep.abgroup import AbGroup, GroupError
+from heisenrep.abgroup import AbGroup
 from heisenrep.cyclo import root_of_unity
 from heisenrep.heisenberg import (
     HeisGrp,
-    chi_L,
     g_transport,
     heis_primary,
     induce,
@@ -125,25 +124,40 @@ def test_primary_prime_power_is_whole():
     assert Hq.base.group.order() == 1
 
 
-def test_chi_L_examples(H3, lags3):
-    L = next(L for L in lags3 if L.sub.contains((1, 0)))
-    chi0 = chi_L(H3, L)
-    for l in L.sub.elements():
-        for a in range(3):
-            assert chi0.value_exponent((l, a)) == a
-    assert chi0.is_sigma_invariant()
-    chi1 = chi_L(H3, L, theta=(1,))
-    assert not chi1.is_sigma_invariant()
-    for l1 in L.sub.elements():
-        for l2 in L.sub.elements():
-            for a1 in range(3):
-                for a2 in range(3):
-                    lhs = chi1.value_exponent(H3.product((l1, a1), (l2, a2)))
-                    rhs = (chi1.value_exponent((l1, a1))
-                           + chi1.value_exponent((l2, a2))) % 3
-                    assert lhs == rhs
-    with pytest.raises(GroupError):
-        chi_L(H3, L, theta=(1, 1))
+# the modules over which every lagrangian is checked: beta vanishes on it,
+# and the induced module's coset representatives are the HNF pivot box
+LAGRANGIAN_MODULES = {
+    "Z3^2": lambda: standard_module([(3, 1)]),
+    "Z3^4": lambda: standard_module([(3, 2)]),
+    "Z27^2": lambda: standard_module([(27, 1)]),
+    "Z9^2+Z3^2": lambda: standard_module([(9, 1), (3, 1)]),
+    "Z5^2+Z3^2": lambda: standard_module([(5, 1), (3, 1)]),
+    "orders-3-3-1": lambda: SympMod(AbGroup([3, 3, 1]),
+                                    [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
+    "orders-9-9-3-3": lambda: SympMod(AbGroup([9, 9, 3, 3]),
+                                      [[0, 1, 0, 3], [8, 0, 3, 0],
+                                       [0, 6, 0, 3], [6, 0, 6, 0]]),
+}
+
+
+@pytest.fixture(scope="module", params=list(LAGRANGIAN_MODULES))
+def module_lags(request):
+    M = LAGRANGIAN_MODULES[request.param]()
+    return M, enumerate_lagrangians(M)
+
+
+def test_half_form_vanishes_on_lagrangians(module_lags):
+    # (l, a) -> zeta_n^a is a character of L x mu_n exactly when beta
+    # vanishes on L x L; beta is biadditive, so generators suffice
+    M, lags = module_lags
+    assert lags
+    for L in lags:
+        gens = L.sub.gens()
+        assert all(M.beta(a, b) == 0 for a in gens for b in gens)
+    if M.group.order() == 9:  # (Z/3)^2 and orders (3, 3, 1): every pair
+        for L in lags:
+            els = list(L.sub.elements())
+            assert all(M.beta(a, b) == 0 for a in els for b in els)
 
 
 def test_induced_module_basics(H3, lags3):
@@ -155,11 +169,15 @@ def test_induced_module_basics(H3, lags3):
                       scalar_mul(root_of_unity(3, a), identity(3, 3)))
 
 
-def test_induced_dim_sqrt():
-    M34 = standard_module([(3, 2)])
-    H = HeisGrp(M34)
-    L = enumerate_lagrangians(M34)[0]
-    assert induce(H, L).dim == 9
+def test_induced_dim_sqrt(module_lags):
+    M, lags = module_lags
+    H = HeisGrp(M)
+    for L in lags:
+        V = induce(H, L)
+        assert V.dim ** 2 == M.group.order()
+        assert V.reps == tuple(sorted({L.sub.coset_reduce(m)
+                                       for m in M.group.elements()}))
+        assert all(V.index[r] == i for i, r in enumerate(V.reps))
 
 
 def test_rho_is_homomorphism_exhaustive(H3, lags3):
