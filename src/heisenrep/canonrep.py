@@ -23,18 +23,25 @@ from .heisenberg import (
 from .intertwine import hom_dim, solve_canonical_system
 from .kmat import kron, mat_mul, mat_to_json
 from .reduction import ReductionData, g_to_gc, lift_canonical_system
-from .symplectic import SympAut, SymplecticError, sp_sample
+from .symplectic import (
+    DEFAULT_LAGRANGIAN_BUDGET,
+    SympAut,
+    SymplecticError,
+    sp_sample,
+)
 
 
 class CanonicalRep:
     """Canonical representation of a primary Heisenberg group."""
 
-    def __init__(self, M, base_index=0, system_verify="light", seed=0):
+    def __init__(self, M, base_index=0, system_verify="light", seed=0,
+                 budget=DEFAULT_LAGRANGIAN_BUDGET):
         self.M = M
         self.n = M.n if M.group.rank else 1
         self.red = ReductionData(M)
         self.system_c = solve_canonical_system(
-            self.red.Mc, base_index=base_index, verify=system_verify, seed=seed)
+            self.red.Mc, base_index=base_index, verify=system_verify, seed=seed,
+            budget=budget)
         self.system = lift_canonical_system(self.red, self.system_c)
         self.base_index = self.system.base_index
         self.realization = self.system.modules[self.base_index]
@@ -94,17 +101,21 @@ class CanonicalRep:
                 for ((m, a), v) in chars
             ],
             "field_diagnostics": {
-                "system_entry_min_conductors": sorted({
-                    x.min_conductor()
-                    for i in range(self.system.count)
-                    for row in self.system.anchored(i)
-                    for x in row if not x.is_zero()
-                }),
-                "character_min_conductors": sorted({
-                    v.min_conductor() for (_h, v) in chars if not v.is_zero()
-                }),
+                "system_entry_min_conductors": _min_conductors(
+                    x for i in range(self.system.count)
+                    for row in self.system.anchored(i) for x in row),
+                "character_min_conductors": _min_conductors(
+                    v for (_h, v) in chars),
             },
         }
+
+
+def _min_conductors(values):
+    """The sorted distinct min_conductor() of the nonzero values, computed
+    once per distinct coefficient vector: keyed by (n, num, den) rather than
+    by CycNum, whose hash descends every value through Galois tests."""
+    distinct = {(x.n, x.num, x.den): x for x in values if not x.is_zero()}
+    return sorted({x.min_conductor() for x in distinct.values()})
 
 
 def _act_dispatch(pi, x):
@@ -137,14 +148,16 @@ class TensorRep:
     of the primary canonical representations, with the center matched
     through the CRT idempotents."""
 
-    def __init__(self, M, base_index=0, system_verify="light", seed=0):
+    def __init__(self, M, base_index=0, system_verify="light", seed=0,
+                 budget=DEFAULT_LAGRANGIAN_BUDGET):
         self.M = M
         self.n = M.n
         self.H = HeisGrp(M)
         self.parts = []
         for (p, Hp, embed, crt) in primary_split(self.H):
             rep = CanonicalRep(Hp.base, base_index=base_index,
-                               system_verify=system_verify, seed=seed)
+                               system_verify=system_verify, seed=seed,
+                               budget=budget)
             self.parts.append((p, Hp, embed, crt, rep))
         self.dim = prod(r.dim for (_p, _hp, _e, _c, r) in self.parts)
 
@@ -221,20 +234,23 @@ class TensorRep:
         }
 
 
-def build_pi(M, base_index=0, system_verify="light", seed=0):
+def build_pi(M, base_index=0, system_verify="light", seed=0,
+             budget=DEFAULT_LAGRANGIAN_BUDGET):
     """The canonical representation of the Heisenberg group of M.
 
     Prime-power exponent runs the reduction pipeline directly; composite
-    exponent tensors the primary representations.
+    exponent tensors the primary representations.  ``budget`` bounds the
+    lagrangian enumeration of each solved system (BudgetError above it).
     """
     if M.group.rank and M.n % 2 == 0:
         raise SymplecticError("even exponent is unsupported")
     primes = prime_factors(M.n) if M.group.rank else []
     if len(primes) <= 1:
         return CanonicalRep(M, base_index=base_index,
-                            system_verify=system_verify, seed=seed)
+                            system_verify=system_verify, seed=seed,
+                            budget=budget)
     return TensorRep(M, base_index=base_index, system_verify=system_verify,
-                     seed=seed)
+                     seed=seed, budget=budget)
 
 
 def class_representatives(H):

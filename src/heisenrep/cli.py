@@ -131,7 +131,7 @@ def cmd_reduce(args):
 def cmd_system(args):
     M = load_module(args.input)
     rep = CanonicalRep(M, base_index=args.base, system_verify="light",
-                       seed=args.seed)
+                       seed=args.seed, budget=args.budget)
     emit(args, rep.system.export())
     return 0
 
@@ -139,7 +139,7 @@ def cmd_system(args):
 def cmd_pi(args):
     M = load_module(args.input)
     pi = build_pi(M, base_index=args.base, system_verify="light",
-                  seed=args.seed)
+                  seed=args.seed, budget=args.budget)
     emit(args, pi.export())
     return 0
 

@@ -390,10 +390,17 @@ class CycNum:
     # -- serialization ------------------------------------------------
 
     def to_json(self):
-        coeffs = []
-        for c in self.num:
-            f = Fraction(c, self.den)
-            coeffs.append("%d/%d" % (f.numerator, f.denominator))
+        """Coefficients as reduced fractions "p/q" with q > 0; den is
+        positive, as ``_normalize`` makes it and the _normalized
+        constructors keep it."""
+        den = self.den
+        if den == 1:
+            coeffs = ["%d/1" % c for c in self.num]
+        else:
+            coeffs = []
+            for c in self.num:
+                g = gcd(c, den)
+                coeffs.append("%d/%d" % (c // g, den // g))
         return {"conductor": self.n, "coeffs": coeffs}
 
     @staticmethod

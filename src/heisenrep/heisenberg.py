@@ -230,12 +230,22 @@ class InducedModule:
         return [(e, 0) for e in group.basis()] + [(group.zero(), 1)]
 
     def char_exponent_counts(self, h):
-        """Trace of rho(h) as a vector of zeta_n exponent multiplicities."""
-        counts = [0] * self.H.n
-        perm, expo = self.rho_parts(h)
-        for j in range(self.dim):
-            if perm[j] == j:
-                counts[expo[j]] += 1
+        """Trace of rho(h) as a vector of zeta_n exponent multiplicities.
+
+        h = (m, a) sends the coset r + L to r - m + L, so column j is a fixed
+        point exactly when rep_of(r_j - m) == r_j, that is when m lies in L:
+        for m outside L the trace is zero, and for m in L every coset is
+        fixed with l' = m in ``rho_parts``, contributing
+        zeta_n^(a + beta(r_j, m) - beta(m, r_j)).
+        """
+        n = self.H.n
+        counts = [0] * n
+        m, a = h
+        if not self.lag.sub.contains(m):
+            return counts
+        beta = self.H.base.beta
+        for rj in self.reps:
+            counts[(a + beta(rj, m) - beta(m, rj)) % n] += 1
         return counts
 
     def character(self, h):

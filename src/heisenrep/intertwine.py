@@ -6,6 +6,8 @@ identity, transitivity, genuineness, and symplectic-equivariance axioms on
 enhanced lagrangians.  It is found by anchoring at a basepoint and applying
 one rule: each transvection relation is a monomial in the unknown scalars,
 and a relation with a single unknown of exponent +1 or -1 determines it.
+The image of a lagrangian under a transvection is computed only when a
+relation needs it, and the solve stops once every scalar is pinned.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .kmat import (
     scalar_mul,
 )
 from .symplectic import (
+    DEFAULT_LAGRANGIAN_BUDGET,
     EnhLag,
     SymplecticError,
     act_enhanced,
@@ -388,7 +391,8 @@ def standard_pairs(mods, B):
     return T_LB, T_BL, delta
 
 
-def solve_canonical_system(Mc, base_index=0, verify="light", seed=0):
+def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
+                           budget=DEFAULT_LAGRANGIAN_BUDGET):
     """Normalize the averaging intertwiners into the canonical system.
 
     Anchors the basepoint scalar at 1, then reads every transvection g and
@@ -396,13 +400,14 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0):
     (t = g j, b = g B) and solves it for its one unknown scalar, pass after
     pass, until every lift scalar is pinned.  Raises SymplecticError, an
     input error, for a non-elementary module or a basepoint index outside
-    the lagrangians; SolveError when a relation is not a proportionality
+    the lagrangians; BudgetError when |Mc| exceeds ``budget``, the
+    lagrangian enumeration budget; SolveError when a relation is not a proportionality
     (convention bug) or when the relations leave a scalar undetermined
     (should not happen).
     """
     if not Mc.is_elementary():
         raise SymplecticError("canonical system needs an elementary module")
-    lags = enumerate_lagrangians(Mc)
+    lags = enumerate_lagrangians(Mc, budget=budget)
     if not 0 <= base_index < len(lags):
         raise SymplecticError("basepoint index %d is out of range for %d "
                               "lagrangians" % (base_index, len(lags)))
@@ -434,21 +439,35 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
     As a monomial c_t * c_j^(-1) * c_b^(-1) its exponents are summed per
     index (t == j cancels, j == b gives -2); a relation with exactly one
     unknown scalar, of exponent +1 or -1, determines it.
+
+    The relations are scanned pass after pass, transvection by transvection
+    and lagrangian by lagrangian; each image g L_j is computed the first
+    time a relation needs it, and the scan stops as soon as every scalar is
+    known.  A transvection fixing every lagrangian has t = j and b = B, so
+    its relations hold no unknown and scanning it changes nothing.
     """
     nlag = len(lags)
     key_index = {L.key(): i for i, L in enumerate(lags)}
-    pool = []
-    for g in transvections(Mc)[1:]:
-        perm = [key_index[g.on_subgroup(L.sub).key()] for L in lags]
-        if perm != list(range(nlag)):
-            pool.append((g, perm))
-    progress = True
+    images = {}
+
+    def image(k, g, j):
+        t = images.get((k, j))
+        if t is None:
+            t = key_index.get(g.on_subgroup(lags[j].sub).key())
+            if t is None:
+                raise SolveError("transvection %r maps lagrangian %d outside "
+                                 "the enumeration" % (g.mat, j))
+            images[(k, j)] = t
+        return t
+
+    gs = transvections(Mc)[1:]
+    progress = len(c) < nlag
     while progress:
         progress = False
-        for g, perm in pool:
-            b = perm[B]
+        for k, g in enumerate(gs):
+            b = image(k, g, B)
             for j in range(nlag):
-                t = perm[j]
+                t = image(k, g, j)
                 expo = {t: 1}
                 expo[j] = expo.get(j, 0) - 1
                 expo[b] = expo.get(b, 0) - 1
@@ -470,6 +489,8 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
                     if i != u and e:
                         val = val * c[i] ** -e
                 c[u] = val ** expo[u]
+                if len(c) == nlag:
+                    return
                 progress = True
     if len(c) < nlag:
         missing = [i for i in range(nlag) if i not in c]

@@ -341,7 +341,9 @@ class SympAut:
         return SympAut(self.module, rows, validate=False)
 
     def is_identity(self):
-        return self.mat == self.module.group.basis()
+        # mat holds reduced rows, so an order-1 summand's unit is 0 there
+        group = self.module.group
+        return self.mat == tuple(group.reduce(e) for e in group.basis())
 
     def on_subgroup(self, sub):
         return subgroup_from_gens(self.module.group, [self.apply(g) for g in sub.gens()])

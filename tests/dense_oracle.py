@@ -2,7 +2,8 @@
 
 The library takes each delta as the subgroup index [L : L cap B]; the
 oracle forms the composite of the two standard intertwiners and reads its
-scalar off the matrix.  The library lifts the canonical system from M_c by
+scalar off the matrix.  The library reads a character off L-membership;
+the oracle sums the fixed columns of the monomial action.  The library lifts the canonical system from M_c by
 reusing its scalars; the oracle matches each lifted operator through tau.
 """
 
@@ -26,6 +27,17 @@ def scalar_of(a):
             elif not a[i][j].is_zero():
                 return None
     return c
+
+
+def trace_counts(V, h):
+    """Trace of rho(h) on the induced module V as zeta_n exponent
+    multiplicities: the sum over the columns that ``rho_parts`` fixes."""
+    counts = [0] * V.H.n
+    perm, expo = V.rho_parts(h)
+    for j, i in enumerate(perm):
+        if i == j:
+            counts[expo[j]] += 1
+    return counts
 
 
 def composition_scalar(lag_a, lag_b, H=None):

@@ -135,6 +135,43 @@ def test_out_of_range_base_is_usage_error(tmp_path, command, base):
     assert "40 lagrangians" in err
 
 
+@pytest.mark.parametrize("command", ["system", "pi"])
+def test_budget_reaches_the_solver(tmp_path, command):
+    mod = tmp_path / "m.json"
+    run_cli(["standard", "3^1:1", "--out", str(mod)])
+    code, out, err = run_cli([command, str(mod), "--budget", "8"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: lagrangian enumeration budget exceeded")
+    assert "Traceback" not in err
+
+
+# SHA-256 of the stdout of ``heisenrep pi`` and ``heisenrep system``, which
+# run the light self-check that the benchmark's construct path skips
+CLI_DIGESTS = [
+    ("pi", "3^1:1",
+     "735514bca9cd4010fdd8b579a6a7f5d3bf23cc966d60d4e81122bce2ea79a3e6"),
+    ("system", "3^1:1",
+     "33d054dc7d901aa45371baa5d6ed5dd9d1158bc699450c7f964701b57c3b31d6"),
+    ("pi", "3^2:1+3^1:1",
+     "f917021be225aec5cfb20c6eaa062df201f83b0028c81391a338382bcae7dec7"),
+    ("system", "3^2:1+3^1:1",
+     "c32bf0683d93373eb8db88473027616bbf1650694830adb08c5536e78eaf64fb"),
+    ("pi", "5^1:1+3^1:1",
+     "a8e820cef824d9c1122001fec0037a85f64d0b6acd242b7a0d03b905bc4b5009"),
+]
+
+
+@pytest.mark.parametrize("command,spec,digest", CLI_DIGESTS)
+def test_cli_construct_output_pinned(tmp_path, command, spec, digest):
+    import hashlib
+
+    mod = tmp_path / "m.json"
+    run_cli(["standard", spec, "--out", str(mod)])
+    code, out, err = run_cli([command, str(mod)])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_pi_export_and_roundtrip(tmp_path):
     mod = tmp_path / "m.json"
     run_cli(["standard", "3^1:1", "--out", str(mod)])

@@ -13,6 +13,7 @@ from heisenrep.cyclo import (
     gauss_sum_quadratic,
     in_subfield,
     legendre,
+    mul_root,
     root_of_unity,
     sqrt_prime,
 )
@@ -257,6 +258,32 @@ def test_serialization_roundtrip():
         a = CycNum(n, [rng.randrange(-9, 10) for _ in range(euler_phi(n))],
                    rng.randrange(1, 8))
         assert CycNum.from_json(a.to_json()) == a
+
+
+def fraction_json(x):
+    """The serialization by way of Fraction, the reference for to_json."""
+    fracs = [Fraction(c, x.den) for c in x.num]
+    return {"conductor": x.n,
+            "coeffs": ["%d/%d" % (f.numerator, f.denominator) for f in fracs]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_json_matches_fraction_formatter(data):
+    n = data.draw(st.sampled_from([1, 3, 5, 9, 15, 27]))
+    phi = euler_phi(n)
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2 ** 64, 2 ** 64))
+    num = data.draw(st.one_of(st.just([0] * phi),
+                              st.lists(coeff, min_size=phi, max_size=phi)))
+    den = data.draw(st.one_of(st.integers(1, 30),
+                              st.integers(1, 2 ** 61 - 1),
+                              st.just(2 ** 61 - 1)))
+    x = CycNum(n, num, data.draw(st.sampled_from([den, -den])))
+    # the constructors that pass a normalized denominator through
+    for y in (x, -x, mul_root(x, 3, data.draw(st.integers(0, 2)))):
+        assert y.den > 0
+        assert y.to_json() == fraction_json(y)
+        assert CycNum.from_json(y.to_json()) == y
 
 
 def test_in_subfield():

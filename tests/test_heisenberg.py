@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from dense_oracle import trace_counts
 
 from heisenrep.abgroup import AbGroup
 from heisenrep.cyclo import root_of_unity
@@ -209,6 +210,32 @@ def test_character_support(H3, lags3):
             assert ch == 3 * root_of_unity(3, h[1])
         else:
             assert ch.is_zero()
+
+
+@pytest.mark.parametrize("name", ["Z3^2", "orders-3-3-1"])
+def test_char_counts_match_trace_every_lagrangian(name):
+    # the L-membership trace against the fixed columns of rho_parts, for
+    # every h and every lagrangian's module
+    M = LAGRANGIAN_MODULES[name]()
+    H = HeisGrp(M)
+    for L in enumerate_lagrangians(M):
+        V = induce(H, L)
+        for h in H.elements():
+            assert V.char_exponent_counts(h) == trace_counts(V, h), (L, h)
+
+
+@pytest.mark.parametrize("name", ["Z27^2", "Z9^2+Z3^2"])
+def test_char_counts_match_trace_on_realization(name):
+    from heisenrep.canonrep import build_pi
+
+    V = build_pi(LAGRANGIAN_MODULES[name](), system_verify="none").realization
+    support = 0
+    for m in V.H.base.group.elements():
+        for a in (0, 1):
+            counts = V.char_exponent_counts((m, a))
+            assert counts == trace_counts(V, (m, a)), (m, a)
+            support += any(counts)
+    assert support == 2 * V.dim
 
 
 def test_g_transport_intertwines(H3, lags3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,52 @@ def test_solver_underdetermined_error_path(monkeypatch):
     with pytest.raises(SolveError, match="axioms do not pin") as exc:
         iw.solve_canonical_system(M, verify="none")
     assert "lagrangian 1" in str(exc.value)
+
+
+def test_solver_image_outside_enumeration_names_witness(monkeypatch):
+    # a lagrangian missing from the enumeration: the first relation that
+    # needs its image reports the transvection and the lagrangian
+    import heisenrep.intertwine as iw
+
+    M = standard_module([(3, 1)])
+    full = enumerate_lagrangians(M)
+    monkeypatch.setattr(iw, "enumerate_lagrangians",
+                        lambda Mc, budget: full[:-1])
+    with pytest.raises(SolveError, match=r"transvection \(\(.*\)\) maps "
+                       r"lagrangian \d+ outside the enumeration"):
+        iw.solve_canonical_system(M, verify="none")
+
+
+def scalar_digest(sys):
+    blob = json.dumps([[i, x.n, list(x.num), x.den]
+                       for i, x in sorted(sys.c.items())],
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# SHA-256 of the solved scalars (i, conductor, numerators, denominator),
+# recorded before the lagrangian images were computed on demand
+SCALAR_DIGESTS = [
+    ([(3, 2)], 0,
+     "3ecff53916cbcc3b134a9738350d65122a2562103dc5f6cc5015a17e8cb256b0"),
+    ([(3, 2)], 7,
+     "b2420c512c7be284e5ed9d48c2bebfe958693bece58c7cba3a806e0f8a4b7a13"),
+    ([(3, 2)], 13,
+     "35ec4255a788d98df045cfd4a5c0b18bc91e5210bf712f2d3e7bdc684f327b2f"),
+    ([(3, 2)], 39,
+     "05b17e743d48ae0d76938342bf8dae8f547810ab9f809db33554b2c2421e833c"),
+    ([(7, 1)], 0,
+     "98b2229a0bafcd5d0160aeb0153421483072018f208f724d33fced0582a992a7"),
+    ([(7, 1)], 3,
+     "3073d77c216da9a5d77bf2c72be655e98d9fca54cbf6954d19a28c04babfa61f"),
+]
+
+
+@pytest.mark.parametrize("blocks,base,digest", SCALAR_DIGESTS)
+def test_solved_scalars_pinned(blocks, base, digest):
+    sys = solve_canonical_system(standard_module(blocks), base_index=base,
+                                 verify="none")
+    assert scalar_digest(sys) == digest
 
 
 def test_solver_rejects_non_elementary():

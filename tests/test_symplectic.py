@@ -15,6 +15,7 @@ from heisenrep.symplectic import (
     enhanced_points,
     enumerate_lagrangians,
     gauss_sum,
+    identity_aut,
     induced_form,
     orth_complement,
     sp_enumerate,
@@ -214,6 +215,18 @@ def test_sp_sample_deterministic_and_valid():
     assert [g.mat for g in gs1] == [g.mat for g in gs2]
     for g in gs1:
         g.validate()
+
+
+def test_is_identity_with_order_one_summand():
+    # the order-1 summand's unit reduces to 0 in the stored rows
+    M = SympMod(AbGroup([3, 3, 1]), [[0, 1, 0], [2, 0, 0], [0, 0, 0]])
+    assert identity_aut(M).is_identity()
+    ts = transvections(M)
+    assert ts[0].is_identity()
+    moving = transvection(M, (1, 0, 0), 1)
+    assert moving.apply((0, 1, 0)) != (0, 1, 0)
+    assert not moving.is_identity()
+    assert not any(t.is_identity() for t in ts[1:])
 
 
 def test_sp_elements_modes():
