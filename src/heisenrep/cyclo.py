@@ -295,11 +295,20 @@ class CycNum:
         return result
 
     def __eq__(self, other):
+        """Exact equality.  At one conductor the representations are
+        compared directly: every constructor normalizes (content reduced,
+        den > 0, zero over 1), the _normalized paths keep that, and the
+        power basis mod Phi_N is a basis.  A zero equals only a zero;
+        other values are compared at the lcm of their conductors."""
         if not isinstance(other, CycNum):
             if isinstance(other, (int, Fraction)):
                 other = CycNum.rational(other)
             else:
                 return NotImplemented
+        if self.n == other.n:
+            return self.num == other.num and self.den == other.den
+        if not any(self.num) or not any(other.num):
+            return not any(self.num) and not any(other.num)
         a, b = self._common(other)
         return a.num == b.num and a.den == b.den
 

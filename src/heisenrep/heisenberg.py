@@ -175,7 +175,8 @@ class InducedModule:
     [0, rows[i][i]), in lexicographic order.
     """
 
-    __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache")
+    __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache",
+                 "_generator_parts")
 
     def __init__(self, H, lag):
         self.H = H
@@ -189,6 +190,7 @@ class InducedModule:
             raise SymplecticError("induced module dimension %d != sqrt(|M|) = %d"
                                   % (self.dim, expected))
         self._rep_of_cache = {}
+        self._generator_parts = None
 
     def rep_of(self, m):
         """The canonical coset representative of m + L."""
@@ -228,6 +230,13 @@ class InducedModule:
         """A generating set of H: module generators of M plus the center."""
         group = self.H.base.group
         return [(e, 0) for e in group.basis()] + [(group.zero(), 1)]
+
+    def generator_parts(self):
+        """``rho_parts`` of each of ``group_generators``, computed once."""
+        if self._generator_parts is None:
+            self._generator_parts = [self.rho_parts(h)
+                                     for h in self.group_generators()]
+        return self._generator_parts
 
     def char_exponent_counts(self, h):
         """Trace of rho(h) as a vector of zeta_n exponent multiplicities.

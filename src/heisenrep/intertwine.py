@@ -34,6 +34,15 @@ from .symplectic import (
 )
 
 
+# The export writes the full pair table only when its (2 * count)^2
+# matrices of dim^2 entries hold at most this many entries, the size for
+# 8 lagrangians of dimension 27.  The table grows as count^2 * dim^2 while
+# the anchored maps, which determine every pair, grow as count * dim^2; on
+# (Z/25)^2+(Z/5)^2 (6 lagrangians, dim 125) the table has 2.25 M entries
+# and its export reached 3.9 GiB.
+PAIR_TABLE_ENTRIES = 16 ** 2 * 27 ** 2
+
+
 class SolveError(RuntimeError):
     pass
 
@@ -159,9 +168,8 @@ def hom_dim(V, W):
     dv, dw = V.dim, W.dim
     n = V.H.n
     uf = _RatioUnionFind(dv * dw, n)
-    for h in V.group_generators():
-        permV, expV = V.rho_parts(h)
-        permW, expW = W.rho_parts(h)
+    for (permV, expV), (permW, expW) in zip(V.generator_parts(),
+                                            W.generator_parts()):
         for b in range(dv):
             eb = expV[b]
             pb = permV[b]
@@ -319,16 +327,30 @@ class CanonicalSystem:
         return self.enhanced_index(moved)
 
     def entries_in_field(self):
-        """Every anchored entry lies in Q(zeta_n, sqrt p), p the exponent of
-        the enhanced module (Q(zeta_n) alone when it is trivial)."""
+        """Every anchored entry lies in K = Q(zeta_n, sqrt p), p the
+        exponent of the enhanced module (Q(zeta_n) alone when it is
+        trivial).
+
+        The anchored entries are +-c_i * t over the entries t of T_LB[i].
+        Each c_i is nonzero (the solver pins it as a product and quotient
+        of nonzero values), and ``standard_T`` gives T_LB[i] a nonzero
+        entry t0 of conductor n, so t0 lies in Q(zeta_n), inside K.  Then
+        every c_i * t lies in K if and only if c_i (= c_i t0 / t0) and
+        every t (= c_i t / c_i) lie in K.  So the test is one Galois test
+        per c_i, and one per entry t only when its conductor does not
+        divide n.
+        """
+        n = self.module.n if self.module.group.rank else 1
         p = self.enh_module.n if self.enh_module.group.rank else 1
-        gens = [root_of_unity(self.module.n if self.module.group.rank else 1)]
+        gens = [root_of_unity(n)]
         if p > 1:
             gens.append(sqrt_prime(p))
         for i in range(self.count):
-            for row in self.anchored(i):
-                for x in row:
-                    if not in_subfield(x, gens):
+            if not in_subfield(self.c[i], gens):
+                return False
+            for row in self.T_LB[i]:
+                for t in row:
+                    if n % t.n and not in_subfield(t, gens):
                         return False
         return True
 
@@ -367,7 +389,8 @@ class CanonicalSystem:
                 for e in (1, -1)
             },
         }
-        if 2 * self.count <= 16:
+        size = 2 * self.count * self.modules[0].dim
+        if 2 * self.count <= 16 and size * size <= PAIR_TABLE_ENTRIES:
             out["pairs"] = self.pair_table_json()["pairs"]
         return out
 

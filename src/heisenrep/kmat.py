@@ -135,7 +135,8 @@ def scalar_mul(c, a):
 
 
 def neg(a):
-    return [[-x for x in row] for row in a]
+    """-a.  A zero entry is its own negative and is kept as it is."""
+    return [[-x if any(x.num) else x for x in row] for row in a]
 
 
 def mat_eq(a, b):

@@ -5,9 +5,14 @@ oracle forms the composite of the two standard intertwiners and reads its
 scalar off the matrix.  The library reads a character off L-membership;
 the oracle sums the fixed columns of the monomial action.  The library lifts the canonical system from M_c by
 reusing its scalars; the oracle matches each lifted operator through tau.
+The library compares two values of one conductor by their coefficients
+and tests field membership on the anchored scalars; the oracle lifts every
+comparison to the lcm of the conductors and tests every anchored entry.
 """
 
-from heisenrep.cyclo import CycNum, root_of_unity
+from math import lcm
+
+from heisenrep.cyclo import CycNum, in_subfield, root_of_unity, sqrt_prime
 from heisenrep.heisenberg import HeisGrp, induce
 from heisenrep.intertwine import SolveError, standard_T
 from heisenrep.kmat import mat_mul, proportionality
@@ -99,3 +104,24 @@ def tau_matched_scalars(red, sys_c, lifted):
                              "S-invariants (lagrangian %d)" % i)
         c.append(scal)
     return c
+
+
+def lift_eq(x, y):
+    """x == y compared at the lcm of the conductors; y may be an int or a
+    Fraction."""
+    if not isinstance(y, CycNum):
+        y = CycNum.rational(y)
+    N = lcm(x.n, y.n)
+    a, b = x.lift(N), y.lift(N)
+    return a.num == b.num and a.den == b.den
+
+
+def anchored_entries_in_field(sys):
+    """Every entry of every anchored map F_{(i,+), basepoint} lies in
+    Q(zeta_n, sqrt p), one Galois membership test per entry."""
+    p = sys.enh_module.n if sys.enh_module.group.rank else 1
+    gens = [root_of_unity(sys.module.n if sys.module.group.rank else 1)]
+    if p > 1:
+        gens.append(sqrt_prime(p))
+    return all(in_subfield(x, gens) for i in range(sys.count)
+               for row in sys.anchored(i) for x in row)

@@ -19,6 +19,9 @@ class DirectSum:
     def group_generators(self):
         return self.parts[0].group_generators()
 
+    def generator_parts(self):
+        return [self.rho_parts(h) for h in self.group_generators()]
+
     def rho_parts(self, h):
         perm = []
         exp = []

@@ -172,6 +172,40 @@ def test_cli_construct_output_pinned(tmp_path, command, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of ``heisenrep verify --seed 7``: the elementary,
+# the lifted and the tensor path, recorded at 349dee9
+VERIFY_DIGESTS = [
+    ("3^1:1",
+     "c54522add599d788c0bb0f43deeeaff84454a494ec90f4d2f62af0b334ddbf44"),
+    ("3^2:1+3^1:1",
+     "741b8ca99d03b6aae147bb0be104c2f2dbd783e86f01a1a210f37a1996087abd"),
+    ("5^1:1+3^1:1",
+     "2f126d7846c4d1f1ba4c1c72a128c9488563bbfdc8456cae20eca30abfaafb88"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", VERIFY_DIGESTS)
+def test_cli_verify_output_pinned(tmp_path, spec, digest):
+    import hashlib
+
+    mod = tmp_path / "m.json"
+    run_cli(["standard", spec, "--out", str(mod)])
+    code, out, _err = run_cli(["verify", str(mod), "--seed", "7"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_system_export_omits_a_large_pair_table(tmp_path):
+    # (Z/25)^2+(Z/5)^2: 6 lagrangians of dimension 125, so the pair table
+    # would hold 2.25 M entries; the anchored maps determine it
+    mod = tmp_path / "m.json"
+    run_cli(["standard", "5^2:1+5^1:1", "--out", str(mod)])
+    code, out, err = run_cli(["system", str(mod)])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert "pairs" not in data and len(data["anchored"]) == 12
+
+
 def test_pi_export_and_roundtrip(tmp_path):
     mod = tmp_path / "m.json"
     run_cli(["standard", "3^1:1", "--out", str(mod)])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_oracle import lift_eq
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import (
@@ -284,6 +285,61 @@ def test_to_json_matches_fraction_formatter(data):
         assert y.den > 0
         assert y.to_json() == fraction_json(y)
         assert CycNum.from_json(y.to_json()) == y
+
+
+EQ_CONDUCTORS = [1, 3, 4, 5, 9, 12, 15, 27]
+
+
+@st.composite
+def eq_operands(draw):
+    """Values for comparison: small random elements and zeros at the
+    conductors above, and values derived from them that equal them at
+    other conductors or differ from them by a sign or a root of unity."""
+    n = draw(st.sampled_from(EQ_CONDUCTORS))
+    phi = euler_phi(n)
+    if draw(st.booleans()):
+        x = CycNum.zero(n)
+    else:
+        num = draw(st.lists(st.integers(-1, 1), min_size=phi, max_size=phi))
+        x = CycNum(n, num, draw(st.sampled_from([1, 2, -2])))
+    kind = draw(st.sampled_from(["same", "lift", "neg", "root", "rational"]))
+    if kind == "lift":
+        y = x.lift(x.n * draw(st.sampled_from([1, 2, 3, 5])))
+    elif kind == "neg":
+        y = -x
+    elif kind == "root":
+        m = draw(st.sampled_from([1, 2, 3, 4, 5, 9]))
+        y = mul_root(x, m, draw(st.integers(-m, m)))
+    elif kind == "rational":
+        y = draw(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]))
+    else:
+        y = x
+    return x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(eq_operands(), eq_operands())
+def test_eq_matches_comparison_at_the_lcm(first, second):
+    values = [*first, *second]
+    for x in values:
+        for y in values:
+            # a CycNum on the left; two int/Fraction operands are skipped
+            a, b = (x, y) if isinstance(x, CycNum) else (y, x)
+            if not isinstance(a, CycNum):
+                continue
+            want = lift_eq(a, b)
+            assert (a == b) is want and (b == a) is want
+            assert (a != b) is (not want) and (b != a) is (not want)
+
+
+def test_eq_across_conductors_examples():
+    z3 = root_of_unity(3)
+    assert z3 == root_of_unity(12, 4) and z3.lift(27) == z3
+    assert CycNum.zero(5) == CycNum.zero(27) == 0
+    assert CycNum.zero(4) != root_of_unity(4) and root_of_unity(4) != 0
+    assert mul_root(-z3, 2, 1) == z3 and -z3 != z3
+    assert CycNum.rational(Fraction(1, 2), 15) == Fraction(1, 2)
+    assert 2 == CycNum.rational(2, 9) and 2 != CycNum.rational(2, 9) + z3
 
 
 def test_in_subfield():

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from dense_oracle import composition_scalar, scalar_of
+from dense_oracle import anchored_entries_in_field, composition_scalar, scalar_of
 from helpers import DirectSum, check_inverse_symmetry
 
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
@@ -189,6 +189,37 @@ def test_solver_entries_in_K_and_in_Qp():
             for entry in row:
                 value = CycNum.from_json(entry)
                 assert in_subfield(value, [z3, s3])
+
+
+IN_FIELD_SYSTEMS = {
+    "solved-3^2": [(3, 1)],
+    "solved-5^2": [(5, 1)],
+    "solved-7^2": [(7, 1)],
+    "solved-3^4": [(3, 2)],
+    "lifted-27^2": [(27, 1)],
+    "lifted-9^2+3^2": [(9, 1), (3, 1)],
+    "lifted-orders-3-3-1": None,
+}
+
+
+@pytest.mark.parametrize("name", list(IN_FIELD_SYSTEMS))
+def test_entries_in_field_matches_the_entry_sweep(name):
+    from heisenrep.canonrep import build_pi
+    from heisenrep.symplectic import SympMod
+
+    blocks = IN_FIELD_SYSTEMS[name]
+    if blocks is None:
+        M = SympMod.from_json({"orders": [3, 3, 1],
+                               "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]})
+    else:
+        M = standard_module(blocks)
+    if name.startswith("solved"):
+        sys = solve_canonical_system(M, verify="none")
+    else:
+        pi = build_pi(M, system_verify="none")
+        sys = pi.system
+        assert sys is not pi.system_c
+    assert sys.entries_in_field() is anchored_entries_in_field(sys) is True
 
 
 def test_solver_basepoint_independence_z3():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
-from heisenrep.kmat import GenPerm, identity, kron, mat_eq, mat_mul, scalar_mul
+from heisenrep.kmat import (
+    GenPerm,
+    identity,
+    kron,
+    mat_eq,
+    mat_mul,
+    neg,
+    scalar_mul,
+)
 
 CONDUCTORS = [1, 3, 4, 5, 9, 12, 15, 27]
 
@@ -210,6 +218,17 @@ def test_scalar_mul_zeros_are_shared_products():
     # one zero per conductor of the zero entries
     assert out[0][0] is out[1][1] and out[0][2] is out[2][0]
     assert out[1][0] is out[2][2] and out[0][0] is not out[0][2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(5))
+def test_neg_is_entrywise_and_keeps_zeros(a):
+    out = neg(a)
+    assert mat_eq(out, [[-x for x in row] for row in a])
+    assert exact(out) == exact([[-x for x in row] for row in a])
+    for row, new_row in zip(a, out):
+        for x, y in zip(row, new_row):
+            assert (y is x) == x.is_zero()
 
 
 def test_kron_empty_factors():

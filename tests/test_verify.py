@@ -5,8 +5,11 @@ import random
 import pytest
 from helpers import check_inverse_symmetry
 
+from dense_oracle import anchored_entries_in_field
+
 from heisenrep import canonrep, verify
-from heisenrep.intertwine import solve_canonical_system
+from heisenrep.cyclo import root_of_unity
+from heisenrep.intertwine import CanonicalSystem, solve_canonical_system
 from heisenrep.symplectic import SympMod, standard_module
 from heisenrep.verify import check_system_axioms, run_verify
 
@@ -104,3 +107,63 @@ def test_sampled_tuples_match_sampling_the_listed_product(k):
                 want = ref.sample(listed, count)
             assert got == want, (seed, count)
             assert ours.getstate() == ref.getstate(), (seed, count)
+
+
+def _tampered(sys, c=None, delta=None, T_LB=None):
+    """A copy of ``sys`` with some of its stored data replaced."""
+    return CanonicalSystem(
+        sys.module, sys.enh_module, sys.lags, sys.enh_lags, sys.base_index,
+        sys.modules, sys.T_LB if T_LB is None else T_LB, sys.T_BL,
+        sys.delta if delta is None else delta,
+        sys.c if c is None else c, sys.conductor)
+
+
+def _failed(report):
+    return [name for (name, passed, _detail) in report.checks if not passed]
+
+
+@pytest.fixture(scope="module")
+def solved_z3():
+    sys = solve_canonical_system(standard_module([(3, 1)]), verify="none")
+    assert check_system_axioms(sys, level="full").ok()
+    return sys, (sys.base_index + 1) % sys.count
+
+
+def test_scaled_scalar_fails_equivariance(solved_z3):
+    # transitivity holds for any scalars by construction
+    sys, i = solved_z3
+    c = dict(sys.c)
+    c[i] = c[i] * root_of_unity(3)
+    report = check_system_axioms(_tampered(sys, c=c), level="full")
+    assert _failed(report) == ["equivariance under the symplectic action"]
+
+
+def test_doubled_delta_fails_transitivity_at_full_level(solved_z3):
+    sys, j = solved_z3
+    delta = list(sys.delta)
+    delta[j] = delta[j] * 2
+    report = check_system_axioms(_tampered(sys, delta=delta), level="full")
+    assert "transitivity over enhanced triples" in _failed(report)
+
+
+def test_scalar_outside_the_field_fails(solved_z3):
+    sys, i = solved_z3
+    c = dict(sys.c)
+    c[i] = c[i] * root_of_unity(7)
+    bad = _tampered(sys, c=c)
+    assert bad.entries_in_field() is anchored_entries_in_field(bad) is False
+    report = check_system_axioms(bad, level="light")
+    assert not report.ok()
+    assert "entries lie in Q(mu_p, sqrt p)" in _failed(report)
+
+
+def test_standard_entry_outside_the_field_fails(solved_z3):
+    # an entry of conductor 5 in a module of exponent 3 is the one entry
+    # that is tested on its own, not through its scalar
+    sys, i = solved_z3
+    T_LB = [[list(row) for row in T] for T in sys.T_LB]
+    r, k = next((r, k) for r, row in enumerate(T_LB[i])
+                for k, x in enumerate(row) if not x.is_zero())
+    T_LB[i][r][k] = root_of_unity(5)
+    bad = _tampered(sys, T_LB=T_LB)
+    assert bad.entries_in_field() is anchored_entries_in_field(bad) is False
