@@ -293,7 +293,9 @@ def g_transport(g, module, target=None):
         new_lag = Lagrangian(M, g.on_subgroup(module.lag.sub), validate=False)
         target = InducedModule(H, new_lag)
     else:
-        if target.lag.sub != g.on_subgroup(module.lag.sub):
+        # g is injective, so g L <= N with |N| = |L| gives g L = N
+        if target.lag.order() != module.lag.order() or not all(
+                target.lag.sub.contains(g.apply(l)) for l in module.lag.sub.gens()):
             raise SymplecticError("supplied target module has the wrong lagrangian")
     perm = [0] * module.dim
     expo = [0] * module.dim

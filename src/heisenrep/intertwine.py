@@ -262,7 +262,8 @@ class CanonicalSystem:
     """The family F_{N0, L0} over enhanced lagrangians.
 
     Stored through the anchored scalars: F_{(i,e),(j,f)} =
-    e * f * (c_i / (c_j * delta_j)) * T_{i,B} @ T_{B,j}.  Identity and
+    e * f * (c_i / (c_j * delta_j)) * T_{i,B} @ T_{B,j}, where T_{B,j} is
+    the conjugate transpose of T_{j,B} (see ``standard_pairs``).  Identity and
     transitivity hold by construction; genuineness and equivariance are what
     the solver's propagation enforces.
 
@@ -273,15 +274,15 @@ class CanonicalSystem:
     """
 
     def __init__(self, module, enh_module, lags, enh_lags, base_index,
-                 modules, T_LB, T_BL, delta, c, conductor):
+                 modules, T_LB, delta, c, conductor):
         self.module = module
         self.enh_module = enh_module
         self.lags = lags
         self.enh_lags = enh_lags
+        self._enh_index = {L.key(): i for i, L in enumerate(enh_lags)}
         self.base_index = base_index
         self.modules = modules
         self.T_LB = T_LB
-        self.T_BL = T_BL
         self.delta = delta
         self.c = c
         self.conductor = conductor
@@ -309,16 +310,16 @@ class CanonicalSystem:
                 base = kmat_identity(self.modules[j].dim, self.conductor)
             else:
                 coef = self.c[i] / (self.c[j] * self.delta[j])
-                base = scalar_mul(coef, mat_mul(self.T_LB[i], self.T_BL[j]))
+                base = scalar_mul(coef, mat_mul(self.T_LB[i], self.T_LB[j],
+                                                adjoint=True))
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else neg(base)
 
     def enhanced_index(self, point):
-        key = point.lag.key()
-        for i, L in enumerate(self.enh_lags):
-            if L.key() == key:
-                return (i, point.eps)
-        raise SolveError("enhanced point not in the system")
+        i = self._enh_index.get(point.lag.key())
+        if i is None:
+            raise SolveError("enhanced point not in the system")
+        return (i, point.eps)
 
     def act_point(self, g, n0):
         """Transport an enhanced index pair along g in Sp(enh_module)."""
@@ -396,22 +397,32 @@ class CanonicalSystem:
 
 
 def standard_pairs(mods, B):
-    """The averaging intertwiners T_LB[i]: mods[B] -> mods[i] and
-    T_BL[i]: mods[i] -> mods[B], with the scalars delta[i] given by
-    T_BL[i] o T_LB[i] = delta[i] * id.
+    """The averaging intertwiners T_LB[i]: mods[B] -> mods[i], with the
+    scalars delta[i] given by T_{B,i} o T_LB[i] = delta[i] * id.
+
+    The map back, T_{B,i}: mods[i] -> mods[B], is the conjugate transpose
+    of T_LB[i], so it is not built; ``mat_mul(a, T_LB[i], adjoint=True)``
+    multiplies by it.  Take <f, f'> = sum over h in H of f(h) conj(f'(h))
+    on functions on H, and let A_N f (h) = sum over n in N of f((n, 0) h).
+    For f in H_L and f' in H_N, substituting h -> (n, 0)^(-1) h and using
+    f'((-n, 0) h) = f'(h) gives <A_N f, f'> = |N| <f, f'>; in the same way
+    <f, A_L f'> = |L| <f, f'>.  Both lagrangians have order sqrt(|M|), so
+    A_N and A_L are adjoint, and the standard intertwiners are A_N and A_L
+    over the same |N cap L|.  The coset basis of every model is orthogonal
+    (disjoint supports) with the one norm n * |L|, so the matrix of the
+    adjoint is the conjugate transpose.
 
     delta[i] is the subgroup index [L_i : L_i cap L_B], so no composite is
     formed; the transitivity check of ``check_system_axioms`` multiplies
     the operators densely and catches a wrong delta.
     """
     T_LB = [standard_T(V, mods[B]).matrix for V in mods]
-    T_BL = [standard_T(mods[B], V).matrix for V in mods]
     L_B = mods[B].lag.sub
     delta = []
     for V in mods:
         index = V.lag.order() // subgroup_intersect(V.lag.sub, L_B).order()
         delta.append(CycNum.rational(index, mods[B].H.n))
-    return T_LB, T_BL, delta
+    return T_LB, delta
 
 
 def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
@@ -438,10 +449,10 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     mods = [induce(H, L) for L in lags]
     conductor = Mc.n if Mc.group.rank else 1
     B = base_index
-    T_LB, T_BL, delta = standard_pairs(mods, B)
+    T_LB, delta = standard_pairs(mods, B)
     c = {B: CycNum.one(conductor)}
-    _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c)
-    sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, T_BL, delta,
+    _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c)
+    sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, delta,
                           c, conductor)
     if verify != "none":
         from .verify import check_system_axioms
@@ -453,7 +464,7 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     return sys
 
 
-def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
+def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
     """Fill ``c`` from the equivariance relations of the transvections.
 
     For g and j, with t = g j and b = g B, equivariance of the system reads
@@ -501,7 +512,7 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, T_BL, delta, c):
                 GP, _ = g_transport(g, mods[j], target=mods[t])
                 GPBinv, _ = g_transport(g.inverse(), mods[b], target=mods[B])
                 mu = proportionality(GP.apply_left(GPBinv.apply_right(T_LB[j])),
-                                     mat_mul(T_LB[t], T_BL[b]))
+                                     mat_mul(T_LB[t], T_LB[b], adjoint=True))
                 if mu is None:
                     raise SolveError("equivariance constraint is not proportional; "
                                      "convention bug at transvection %r" % (g.mat,))

@@ -11,9 +11,13 @@ Intertwiners stay dense.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
-zero of that conductor, not a product; each nonzero factor is lifted once
-per conductor it meets, so only products of two nonzero entries are
-multiplied.
+zero of that conductor, not a product.  A product x * y of two nonzero
+entries at N = lcm(x.n, y.n) is read off its exponent pairs: the term
+(s * N / x.n + t * N / y.n, a_s * b_t) for each pair of coefficients a_s of
+x and b_t of y, counted per exponent mod N and reduced once through
+``cyclo.from_powers`` over x.den * y.den, so no polynomial product or lift
+is formed.  Each factor's shifted terms are made once per conductor it
+meets.
 
 ``mat_mul`` works on packed integers (Kronecker substitution).  N is the
 lcm of the conductors of the nonzero entries of both factors; each row of
@@ -27,6 +31,15 @@ is at most inner * L * max|a coefficient| * max|b coefficient| in absolute
 value, so w = bit_length of that bound + 2 leaves every digit clear of its
 neighbours whatever the heights.  Each output entry is unpacked once and
 reduced once, through ``cyclo.from_powers``.
+
+``mat_mul(a, b, adjoint=True)`` is a @ b^H, b^H the conjugate transpose of
+b.  Entry b_jk is packed as entry (k, j) of the right factor at the negated
+exponents -t * N / n: conjugation maps zeta_n^t to zeta_n^-t, and it keeps
+conductors and denominators, so no conjugate is formed and the result
+equals the product with b^H built entrywise.  Every entry of b is packed D
+digits higher, D the largest t * N / n among its terms, so no packed
+polynomial is longer than those of b^H built entrywise, and the output
+digit at position e holds the exponent e - D.
 
 An output entry with no k where both a_ik and b_kj are nonzero is
 ``CycNum.zero(1)``; any other entry has conductor n = lcm of
@@ -54,17 +67,25 @@ def identity(dim, n=1):
     return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
-def mat_mul(a, b):
-    """The product a @ b by Kronecker substitution; see the module notes."""
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
+def mat_mul(a, b, adjoint=False):
+    """The product a @ b by Kronecker substitution; see the module notes.
+    With ``adjoint`` it is a @ b^H, b^H the conjugate transpose of b."""
+    rows = len(a)
+    if adjoint:
+        # b with no rows is 0 x inner for any inner
+        inner = len(b[0]) if b else len(a[0]) if a else 0
+        cols = len(b)
+        nz_b = [(k, j, y) for j, row in enumerate(b) for k, y in enumerate(row)
+                if any(y.num)]
+    else:
+        inner, cols = len(b), (len(b[0]) if b else 0)
+        nz_b = [(k, j, y) for k, row in enumerate(b) for j, y in enumerate(row)
+                if any(y.num)]
     if a and len(a[0]) != inner:
         raise ValueError("cannot multiply a %dx%d matrix by a %dx%d matrix"
                          % (rows, len(a[0]), inner, cols))
     nz_a = [(i, k, x) for i, row in enumerate(a) for k, x in enumerate(row)
             if any(x.num)]
-    nz_b = [(k, j, y) for k, row in enumerate(b) for j, y in enumerate(row)
-            if any(y.num)]
     N = lcm(*(x.n for (_, _, x) in nz_a), *(y.n for (_, _, y) in nz_b))
     den_a = [1] * rows
     for (i, _, x) in nz_a:
@@ -75,8 +96,11 @@ def mat_mul(a, b):
     # (exponent of zeta_N, integer coefficient) terms over each row's or
     # column's common denominator
     terms_a = [_terms(x, N, den_a[i]) for (i, _, x) in nz_a]
-    terms_b = [_terms(y, N, den_b[j]) for (_, j, y) in nz_b]
-    length = 1 + max((t[-1][0] for t in terms_a + terms_b), default=0)
+    terms_b = [_terms(y, N, den_b[j], adjoint) for (_, j, y) in nz_b]
+    # D of the module notes; 0 unless adjoint
+    lift = -min((t[0][0] for t in terms_b), default=0)
+    length = 1 + max(max((t[-1][0] for t in terms_a), default=0),
+                     lift + max((t[-1][0] for t in terms_b), default=0))
     height_a = max((abs(c) for t in terms_a for (_, c) in t), default=0)
     height_b = max((abs(c) for t in terms_b for (_, c) in t), default=0)
     w = (inner * length * height_a * height_b).bit_length() + 2
@@ -88,7 +112,7 @@ def mat_mul(a, b):
     packed_b = [[0] * inner for _ in range(cols)]
     masks_b = {}
     for (k, j, y), t in zip(nz_b, terms_b):
-        packed_b[j][k] = sum(c << (w * e) for (e, c) in t)
+        packed_b[j][k] = sum(c << (w * (e + lift)) for (e, c) in t)
         masks_b.setdefault(y.n, [0] * cols)[j] |= 1 << k
     # conductor pairs with the rows and columns in which they meet
     pairs = [(lcm(c, d), ma, mb) for c, ma in masks_a.items()
@@ -113,16 +137,24 @@ def mat_mul(a, b):
             n = lcm(*hits)
             acc = sum(map(mul, prow, packed_b[j])) + offset
             conv = [((acc >> s) & low) - half for s in shifts]
-            new.append(from_powers(n, enumerate(conv[::N // n]),
-                                   den_a[i] * den_b[j]))
+            step = N // n
+            new.append(from_powers(
+                n, enumerate(conv[lift % step::step], -(lift // step)),
+                den_a[i] * den_b[j]))
         out.append(new)
     return out
 
 
-def _terms(x, N, den):
-    """x * den as (exponent of zeta_N, integer) pairs, unreduced: the
-    coefficient of zeta_n^t sits at exponent t * N / n."""
+def _terms(x, N, den, conj=False):
+    """x * den as (exponent of zeta_N, integer) pairs in ascending order,
+    unreduced: the coefficient of zeta_n^t sits at exponent t * N / n, or
+    at -t * N / n for the conjugate of x (zeta_n^t -> zeta_n^-t), with no
+    conjugate formed."""
     step, scale = N // x.n, den // x.den
+    if conj:
+        num = x.num
+        return [(-step * t, num[t] * scale)
+                for t in range(len(num) - 1, -1, -1) if num[t]]
     return [(step * t, c * scale) for t, c in enumerate(x.num) if c]
 
 
@@ -159,36 +191,42 @@ def trace(a):
 
 
 def kron(a, b):
-    """The Kronecker product; see the module notes for its zeros."""
+    """The Kronecker product; see the module notes for its zeros and
+    products."""
     conds_a = {x.n for row in a for x in row if any(x.num)}
     conds_b = {y.n for row in b for y in row if any(y.num)}
-    lift_a = [[_lifts(x, conds_b) for x in row] for row in a]
-    lift_b = [[_lifts(y, conds_a) for y in row] for row in b]
+    terms_a = [[_shifted(x, conds_b) for x in row] for row in a]
+    terms_b = [[_shifted(y, conds_a) for y in row] for row in b]
     zeros = {}
     out = []
-    for row_a, lrow_a in zip(a, lift_a):
-        for row_b, lrow_b in zip(b, lift_b):
+    for row_a, trow_a in zip(a, terms_a):
+        for row_b, trow_b in zip(b, terms_b):
             new = []
-            for x, lx in zip(row_a, lrow_a):
-                for y, ly in zip(row_b, lrow_b):
+            for x, tx in zip(row_a, trow_a):
+                for y, ty in zip(row_b, trow_b):
                     N = lcm(x.n, y.n)
-                    if lx is None or ly is None:
+                    if tx is None or ty is None:
                         z = zeros.get(N)
                         if z is None:
                             z = zeros[N] = CycNum.zero(N)
                         new.append(z)
-                    else:
-                        new.append(lx[N] * ly[N])
+                        continue
+                    counts = [0] * N
+                    for (e, c) in tx[N]:
+                        for (f, d) in ty[N]:
+                            counts[(e + f) % N] += c * d
+                    new.append(from_powers(N, enumerate(counts), x.den * y.den))
             out.append(new)
     return out
 
 
-def _lifts(x, conds):
-    """x lifted to lcm(x.n, d) for each conductor d in ``conds``, keyed by
-    that lcm; None when x is zero."""
+def _shifted(x, conds):
+    """The terms of x at N = lcm(x.n, d) for each conductor d in ``conds``,
+    keyed by N, as ``_terms`` gives them over x's own denominator; None
+    when x is zero."""
     if not any(x.num):
         return None
-    return {N: x.lift(N) for N in {lcm(x.n, d) for d in conds}}
+    return {N: _terms(x, N, x.den) for N in {lcm(x.n, d) for d in conds}}
 
 
 def proportionality(a, b):

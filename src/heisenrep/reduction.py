@@ -118,10 +118,18 @@ class ReductionData:
 
 
 def g_to_gc(red, g):
-    """The induced symplectic automorphism of M_c; errors if g moves S."""
-    if g.on_subgroup(red.S) != red.S:
+    """The induced symplectic automorphism of M_c; errors if g moves S.
+
+    When M_c is M, S = 0 and S^perp = M, so every automorphism fixes both
+    and the quotient map is the identity: g itself is the answer.  Otherwise
+    g fixes S (and S^perp) when it maps each generator into it; g is
+    injective and S finite, so g(S) <= S already gives g(S) = S.
+    """
+    if red.Mc == red.M:
+        return g
+    if not all(red.S.contains(g.apply(s)) for s in red.S.gens()):
         raise ReductionError("automorphism does not fix the canonical subgroup")
-    if g.on_subgroup(red.S_perp) != red.S_perp:
+    if not all(red.S_perp.contains(g.apply(s)) for s in red.S_perp.gens()):
         raise ReductionError("automorphism does not fix S^perp")
     rows = []
     for e in red.Mc.group.basis():
@@ -156,7 +164,7 @@ def lift_canonical_system(red, sys_c):
     lifted_lags = [red.lag_lift(L) for L in sys_c.lags]
     mods = [induce(red.H, L) for L in lifted_lags]
     B = sys_c.base_index
-    T_LB, T_BL, delta = standard_pairs(mods, B)
+    T_LB, delta = standard_pairs(mods, B)
     return CanonicalSystem(red.M, sys_c.enh_module, lifted_lags,
-                           sys_c.enh_lags, B, mods, T_LB, T_BL, delta,
+                           sys_c.enh_lags, B, mods, T_LB, delta,
                            sys_c.c, conductor=red.M.n)

@@ -40,7 +40,7 @@ DEFAULT_SP_ENUM_BUDGET = 81
 class SympMod:
     """Finite abelian group with an alternating nondegenerate Z/n pairing."""
 
-    __slots__ = ("group", "n", "gram")
+    __slots__ = ("group", "n", "gram", "dual")
 
     def __init__(self, group, gram):
         self.group = group
@@ -48,6 +48,7 @@ class SympMod:
         rows = (strict_ints(row, SymplecticError, "gram entries") for row in gram)
         self.gram = tuple(tuple(x % self.n for x in row) for row in rows)
         self.validate()
+        self.dual = self._dual_basis()
 
     def validate(self):
         m = self.group.rank
@@ -76,6 +77,28 @@ class SympMod:
         if rad.order() != 1:
             raise SymplecticError("pairing is degenerate; radical has order %d"
                                   % rad.order())
+
+    def _dual_basis(self):
+        """The elements d_j with <e_i, d_j> = delta_ij * n / o_j (mod n),
+        o_j the order of e_j; they exist and are unique because the pairing
+        is nondegenerate.  A vector v has coordinate <v, d_j> / (n / o_j)
+        mod o_j."""
+        m = self.group.rank
+        n = self.n
+        # x @ stacked == target (mod n) reads <e_i, x> = target[i]
+        stacked = [[self.gram[i][k] for i in range(m)] for k in range(m)]
+        stacked += [[n if j == i else 0 for j in range(m)] for i in range(m)]
+        reduced, _full, trans = intlin.hnf(stacked, with_transform=True)
+        dual = []
+        for j, d in enumerate(self.group.orders):
+            c = intlin.solve_lattice(reduced, [n // d if i == j else 0
+                                               for i in range(m)])
+            if c is None:
+                raise SymplecticError("pairing is degenerate")
+            dual.append(self.group.reduce(
+                [sum(ck * trans[k][col] for k, ck in enumerate(c))
+                 for col in range(m)]))
+        return tuple(dual)
 
     def is_elementary(self):
         """Whether M is (Z/p)^m for one prime p; the zero module counts."""
@@ -320,25 +343,24 @@ class SympAut:
         )
 
     def inverse(self):
+        """g^(-1) read off the pairing: <g^(-1) e_i, d_j> = <e_i, g d_j> for
+        symplectic g and the dual basis d_j of the module, so row i of
+        g^(-1) has coordinates <e_i, g d_j> / (n / o_j) mod o_j, o_j the
+        order of e_j.  The rows are checked by composing back,
+        g(row_i) == e_i for every i; since M is finite, that makes them the
+        inverse."""
         M = self.module
-        m = M.group.rank
-        # solve e_i = x @ mat (mod orders) via stacked HNF with transform
-        stacked = [list(self.mat[i]) for i in range(m)]
-        for i, d in enumerate(M.group.orders):
-            stacked.append([d if j == i else 0 for j in range(m)])
-        reduced, full, trans = intlin.hnf(stacked, with_transform=True)
-        rows = []
-        for target in M.group.basis():
-            c = intlin.solve_lattice(reduced, target)
-            if c is None:
-                raise SymplecticError("matrix is not invertible")
-            x = [0] * m
-            for k, ck in enumerate(c):
-                if ck:
-                    for j in range(m):
-                        x[j] += ck * trans[k][j]
-            rows.append(M.group.reduce(x[:m]))
-        return SympAut(self.module, rows, validate=False)
+        group = M.group
+        n = M.n
+        images = [self.apply(d) for d in M.dual]
+        basis = group.basis()
+        inv = SympAut(M, [[M.pair(e, gd) // (n // o)
+                           for gd, o in zip(images, group.orders)]
+                          for e in basis], validate=False)
+        if any(self.apply(row) != group.reduce(e)
+               for row, e in zip(inv.mat, basis)):
+            raise SymplecticError("matrix is not invertible")
+        return inv
 
     def is_identity(self):
         # mat holds reduced rows, so an order-1 summand's unit is 0 there

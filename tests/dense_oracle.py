@@ -8,14 +8,41 @@ reusing its scalars; the oracle matches each lifted operator through tau.
 The library compares two values of one conductor by their coefficients
 and tests field membership on the anchored scalars; the oracle lifts every
 comparison to the lcm of the conductors and tests every anchored entry.
+The library inverts a symplectic automorphism through the dual basis of
+the pairing; the oracle solves the lattice equations by HNF.
 """
 
 from math import lcm
 
+from heisenrep import intlin
 from heisenrep.cyclo import CycNum, in_subfield, root_of_unity, sqrt_prime
 from heisenrep.heisenberg import HeisGrp, induce
 from heisenrep.intertwine import SolveError, standard_T
 from heisenrep.kmat import mat_mul, proportionality
+from heisenrep.symplectic import SympAut, SymplecticError
+
+
+def hnf_inverse(g):
+    """g^(-1) by solving e_i = x @ g.mat (mod the orders) through a stacked
+    HNF with transform."""
+    M = g.module
+    m = M.group.rank
+    stacked = [list(g.mat[i]) for i in range(m)]
+    for i, d in enumerate(M.group.orders):
+        stacked.append([d if j == i else 0 for j in range(m)])
+    reduced, _full, trans = intlin.hnf(stacked, with_transform=True)
+    rows = []
+    for target in M.group.basis():
+        c = intlin.solve_lattice(reduced, target)
+        if c is None:
+            raise SymplecticError("matrix is not invertible")
+        x = [0] * m
+        for k, ck in enumerate(c):
+            if ck:
+                for j in range(m):
+                    x[j] += ck * trans[k][j]
+        rows.append(M.group.reduce(x[:m]))
+    return SympAut(M, rows, validate=False)
 
 
 def scalar_of(a):

@@ -308,6 +308,8 @@ ACTION_DIGESTS = [
     ([(27, 1)], "dde4db01e279c4f461d67a938f44ded5b83f638c172d996eed47c08d5cc1e985"),
     ([(3, 1), (5, 1)],
      "b16cef00d08444fb68da226d4eb026af67c5be0b6c334be99ffbecadc9830163"),
+    ([(9, 1), (3, 1)],
+     "33ae2e0c246d19ce3d6d489f9220946418c0c2754642a7f6cecc639cfca0cd70"),
 ]
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heisenrep
 from heisenrep.cli import main, parse_standard_spec, UsageError
@@ -279,3 +280,71 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"orders": [3, 3], "gram": [[0, 1], [2, 0]]}
+
+
+FUZZ_COMMANDS = ["info", "lagrangians", "reduce", "system", "pi", "verify",
+                 "gauss"]
+
+
+@st.composite
+def module_json(draw):
+    """{"orders", "gram"} objects: hyperbolic pairs with a unit multiple of
+    the standard pairing and order-1 summands in a random basis order, or
+    random orders with an alternating, symmetric or random gram, sometimes
+    of the wrong shape or with non-integer values."""
+    junk = st.sampled_from([None, "3", 1.5, [], {}, True])
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([3, 5, 7, 9, 15]))
+        u = draw(st.integers(1, q - 1))
+        orders = [q, q] + [1] * draw(st.integers(0, 2))
+        gram = [[0] * len(orders) for _ in orders]
+        gram[0][1], gram[1][0] = u, -u
+        perm = draw(st.permutations(range(len(orders))))
+        return {"orders": [orders[i] for i in perm],
+                "gram": [[gram[i][j] for j in perm] for i in perm]}
+    valid = [1, 3, 3, 3, 5, 7, 9, 15]
+    order = st.one_of(st.sampled_from(valid + [2, 0, -3]), junk) \
+        if draw(st.integers(0, 9)) == 0 else st.sampled_from(valid)
+    orders = draw(st.lists(order, max_size=4).filter(_small))
+    m = len(orders)
+    kind = draw(st.sampled_from(["alternating", "symmetric", "random",
+                                 "shape", "junk"]))
+    entry = st.integers(-10, 10)
+    upper = {(i, j): draw(entry) for i in range(m) for j in range(i + 1, m)}
+    gram = [[0] * m for _ in range(m)]
+    for (i, j), x in upper.items():
+        gram[i][j] = x
+        gram[j][i] = -x if kind == "alternating" else x
+    if kind == "random":
+        gram = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    elif kind == "shape":
+        gram = gram[:-1] if m and draw(st.booleans()) else gram + [[0] * m]
+    elif kind == "junk" and m:
+        gram[draw(st.integers(0, m - 1))][0] = draw(junk)
+    return {"orders": orders, "gram": gram}
+
+
+def _small(orders):
+    """Whether at most two integer orders exceed 1, so that every command
+    on a valid module ends within about a second; ``verify`` on (Z/3)^4
+    alone takes 20 s."""
+    return sum(isinstance(d, int) and abs(d) > 1 for d in orders) <= 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "module.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=module_json(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_cli_exit_codes_on_random_modules(fuzz_file, data, command):
+    fuzz_file.write_text(json.dumps(data))
+    try:
+        code, _out, err = run_cli([command, str(fuzz_file), "--budget", "81"])
+    except Exception as exc:  # anything escaping main is a traceback
+        pytest.fail("%s on %r raised %r" % (command, data, exc))
+    assert code in (0, 1, 2), (command, data, code)
+    if code == 2:
+        assert err.startswith("error:"), (command, data, err)
+    assert "Traceback" not in err

@@ -17,6 +17,7 @@ from heisenrep.heisenberg import (
 from heisenrep.kmat import identity, mat_eq, scalar_mul
 from heisenrep.symplectic import (
     SympMod,
+    SymplecticError,
     enumerate_lagrangians,
     sp_enumerate,
     standard_module,
@@ -264,6 +265,20 @@ def test_g_transport_composition(H3, lags3):
         T12, W12 = g_transport(g1.compose(g2), V)
         assert W1.lag == W12.lag
         assert T1.compose(T2) == T12
+
+
+def test_g_transport_rejects_a_target_over_another_lagrangian(H3, lags3):
+    sp = sp_enumerate(H3.base)
+    V = induce(H3, lags3[0])
+    mods = [induce(H3, L) for L in lags3]
+    for g in sp:
+        _T, W = g_transport(g, V)
+        for U in mods:
+            if U.lag == W.lag:
+                assert g_transport(g, V, target=U)[1] is U
+            else:
+                with pytest.raises(SymplecticError, match="wrong lagrangian"):
+                    g_transport(g, V, target=U)
 
 
 def test_g_transport_identity(H3, lags3):

@@ -25,6 +25,10 @@ from heisenrep.symplectic import (
 from heisenrep.verify import check_system_axioms
 
 
+def exact(mat):
+    return [[(x.n, x.num, x.den) for x in row] for row in mat]
+
+
 @pytest.fixture(scope="module")
 def setup3():
     M = standard_module([(3, 1)])
@@ -103,12 +107,38 @@ def test_delta_is_dense_composite_at_every_basepoint(blocks):
     sys_c = solve_canonical_system(red.Mc, verify="none")
     mods = lift_canonical_system(red, sys_c).modules
     for B in range(len(mods)):
-        T_LB, T_BL, delta = standard_pairs(mods, B)
-        for i in range(len(mods)):
-            dense = scalar_of(mat_mul(T_BL[i], T_LB[i]))
+        T_LB, delta = standard_pairs(mods, B)
+        for i, V in enumerate(mods):
+            # the map back, built by averaging, not as the adjoint
+            T_BL = standard_T(mods[B], V).matrix
+            dense = scalar_of(mat_mul(T_BL, T_LB[i]))
             assert dense is not None
             assert (delta[i].n, delta[i].num, delta[i].den) == \
                 (dense.n, dense.num, dense.den), (B, i)
+
+
+def _adjoint_pairs(blocks, basepoints=None):
+    """(standard_T(V, mods[B]), standard_T(mods[B], V)) over the modules of
+    the system on M, lifted from M_c when M is not elementary."""
+    from heisenrep.reduction import ReductionData, lift_canonical_system
+
+    red = ReductionData(standard_module(blocks))
+    sys_c = solve_canonical_system(red.Mc, verify="none")
+    mods = lift_canonical_system(red, sys_c).modules
+    for B in (range(len(mods)) if basepoints is None else basepoints):
+        for V in mods:
+            yield standard_T(V, mods[B]).matrix, standard_T(mods[B], V).matrix
+
+
+@pytest.mark.parametrize("blocks, basepoints", [
+    ([(3, 1)], None), ([(5, 1)], None), ([(7, 1)], None), ([(11, 1)], None),
+    ([(3, 2)], range(3)), ([(27, 1)], None), ([(9, 1), (3, 1)], None),
+])
+def test_map_back_is_the_conjugate_transpose(blocks, basepoints):
+    for T_LB, T_BL in _adjoint_pairs(blocks, basepoints):
+        adjoint = [[T_LB[i][j].conj() for i in range(len(T_LB))]
+                   for j in range(len(T_LB[0]))]
+        assert exact(T_BL) == exact(adjoint)
 
 
 def test_doubled_delta_fails_transitivity():
@@ -229,6 +259,20 @@ def test_solver_basepoint_independence_z3():
         sys = solve_canonical_system(M, base_index=b, verify="none")
         blobs.append(json.dumps(sys.pair_table_json(), sort_keys=True).encode())
     assert all(x == blobs[0] for x in blobs)
+
+
+def test_enhanced_index_of_a_point_outside_the_system():
+    from heisenrep.abgroup import subgroup_from_gens
+    from heisenrep.symplectic import EnhLag, Lagrangian
+
+    M = standard_module([(3, 1)])
+    sys = solve_canonical_system(M, verify="none")
+    for i, L in enumerate(sys.enh_lags):
+        assert sys.enhanced_index(EnhLag(L, -1)) == (i, -1)
+    whole = Lagrangian(M, subgroup_from_gens(M.group, M.group.basis()),
+                       validate=False)
+    with pytest.raises(SolveError, match="not in the system"):
+        sys.enhanced_index(EnhLag(whole, 1))
 
 
 def test_solver_bad_basepoint():

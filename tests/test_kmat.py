@@ -65,8 +65,8 @@ def exact(mat):
 
 
 @st.composite
-def entries(draw, height):
-    n = draw(st.sampled_from(CONDUCTORS))
+def entries(draw, height, conductors=CONDUCTORS):
+    n = draw(st.sampled_from(conductors))
     phi = euler_phi(n)
     kind = draw(st.sampled_from(["zero", "random", "random", "extreme"]))
     if kind == "zero":
@@ -109,6 +109,52 @@ def products(draw):
 def test_mat_mul_matches_reference(ab):
     a, b = ab
     assert exact(mat_mul(a, b)) == exact(_mat_mul_reference(a, b))
+
+
+ADJOINT_CONDUCTORS = [1, 3, 5, 9, 15, 27]
+
+
+def conj_transpose(b, inner):
+    return [[row[k].conj() for row in b] for k in range(inner)]
+
+
+@st.composite
+def adjoint_products(draw):
+    """(a, b, inner) with a rows x inner and b cols x inner."""
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    height = draw(st.sampled_from([1, 2, 5, 2 ** 31, 2 ** 300]))
+    cell = entries(height, ADJOINT_CONDUCTORS)
+    a = [[draw(cell) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(cell) for _ in range(inner)] for _ in range(cols)]
+    if cols and draw(st.booleans()):
+        b[draw(st.integers(0, cols - 1))] = [
+            CycNum.zero(draw(st.sampled_from(ADJOINT_CONDUCTORS)))
+            for _ in range(inner)]
+    return a, b, inner
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjoint_products())
+def test_adjoint_product_matches_product_with_conjugate_transpose(abk):
+    a, b, inner = abk
+    got = mat_mul(a, b, adjoint=True)
+    if not inner:
+        # b^H has no rows, so as a list it loses its width len(b)
+        assert exact(got) == [[(1, (0,), 1)] * len(b)] * len(a)
+        return
+    assert exact(got) == exact(mat_mul(a, conj_transpose(b, inner)))
+    assert exact(got) == exact(_mat_mul_reference(a, conj_transpose(b, inner)))
+
+
+def test_adjoint_product_shape_mismatch():
+    one = CycNum.one(3)
+    a23 = [[one] * 3 for _ in range(2)]
+    a22 = [[one] * 2 for _ in range(2)]
+    with pytest.raises(ValueError, match=r"2x3.*2x2"):
+        mat_mul(a23, a22, adjoint=True)
+    with pytest.raises(ValueError, match=r"2x2.*3x2"):
+        mat_mul(a22, a23, adjoint=True)
+    assert mat_mul(a23, [], adjoint=True) == [[], []]
 
 
 def test_empty_inner_dimension():

@@ -335,6 +335,28 @@ def test_g_to_gc():
             assert lhs == rhs
 
 
+def test_g_to_gc_rejects_a_matrix_moving_S_perp():
+    # every endomorphism of (Z/9)^2+(Z/3)^2 fixes S = 3M and S^perp = M[3];
+    # a matrix sending the order-3 generator e3 to an element of order 9
+    # is none, and it moves S^perp
+    Mmix = standard_module([(9, 1), (3, 1)])
+    red = ReductionData(Mmix)
+    assert red.Mc != red.M
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]
+    g = SympAut(Mmix, rows, validate=False)
+    assert not red.S_perp.contains(g.apply((0, 0, 1, 0)))
+    with pytest.raises(ReductionError, match="S\\^perp"):
+        g_to_gc(red, g)
+
+
+def test_g_to_gc_is_g_when_Mc_is_M():
+    M = standard_module([(3, 2)])
+    red = ReductionData(M)
+    assert red.Mc == red.M
+    for g in sp_sample(M, 3, 4):
+        assert g_to_gc(red, g) is g
+
+
 def test_lifted_entries_stay_in_K_at_deep_exponent():
     # conductor 108 exercise: the (Z/27)^2 lift lives in Q(mu_27, sqrt 3)
     M27 = standard_module([(27, 1)])

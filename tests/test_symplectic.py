@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from dense_oracle import hnf_inverse
 
 from heisenrep.abgroup import AbGroup, subgroup_from_gens, zero_subgroup
 from heisenrep.cyclo import root_of_unity
@@ -243,6 +244,43 @@ def test_aut_inverse_and_compose():
         gi = g.inverse()
         assert g.compose(gi).is_identity()
         assert gi.compose(g).is_identity()
+
+
+INVERSE_MODULES = [
+    standard_module([(3, 1)]),
+    standard_module([(3, 2)]),
+    standard_module([(27, 1)]),
+    standard_module([(9, 1), (3, 1)]),
+    standard_module([(3, 1), (5, 1)]),
+    # an order-1 summand: its dual vector is 0 and the functional is read
+    # mod n before it is divided by n / 1
+    SympMod(AbGroup([3, 3, 1]), [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
+    # not the standard gram: <e1, e2> = 2
+    SympMod(AbGroup([3, 3]), [[0, 2], [1, 0]]),
+]
+
+
+@pytest.mark.parametrize("M", INVERSE_MODULES, ids=repr)
+def test_inverse_by_pairing_matches_hnf_oracle(M):
+    basis = M.group.basis()
+    for j, d in enumerate(M.dual):
+        assert [M.pair(e, d) for e in basis] == \
+            [(M.n // M.group.orders[j]) % M.n if i == j else 0
+             for i in range(len(basis))]
+    for g in sp_sample(M, 7, 12):
+        gi = g.inverse()
+        assert gi == hnf_inverse(g)
+        assert g.compose(gi).is_identity()
+        assert gi.compose(g).is_identity()
+
+
+def test_inverse_of_singular_matrix_raises():
+    M = standard_module([(3, 1)])
+    g = SympAut(M, [[1, 1], [2, 2]], validate=False)
+    with pytest.raises(SymplecticError, match="not invertible"):
+        g.inverse()
+    with pytest.raises(SymplecticError, match="not invertible"):
+        hnf_inverse(g)
 
 
 def test_enhanced_points_and_flip():

@@ -113,7 +113,7 @@ def _tampered(sys, c=None, delta=None, T_LB=None):
     """A copy of ``sys`` with some of its stored data replaced."""
     return CanonicalSystem(
         sys.module, sys.enh_module, sys.lags, sys.enh_lags, sys.base_index,
-        sys.modules, sys.T_LB if T_LB is None else T_LB, sys.T_BL,
+        sys.modules, sys.T_LB if T_LB is None else T_LB,
         sys.delta if delta is None else delta,
         sys.c if c is None else c, sys.conductor)
 
