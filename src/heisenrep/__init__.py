@@ -29,10 +29,7 @@ from .cyclo import (
 from .heisenberg import HeisGrp, InducedModule, g_transport, induce
 from .intertwine import (
     CanonicalSystem,
-    Intertwiner,
     hom_dim,
-    kernel_of,
-    operator_from_kernel,
     solve_canonical_system,
     standard_T,
 )

@@ -58,8 +58,8 @@ class CanonicalRep:
         src = self.system.act_point(gc.inverse(), (self.base_index, 1))
         F = self.system.operator(src, (self.base_index, 1))
         i2 = src[0]
-        GP, _ = g_transport(g, self.system.modules[i2],
-                            target=self.system.modules[self.base_index])
+        GP = g_transport(g, self.system.modules[i2],
+                         self.system.modules[self.base_index])
         return GP.apply_left(F)
 
     def act(self, x):
@@ -177,19 +177,15 @@ class TensorRep:
         return out
 
     def restrict_g(self, g):
-        """Restrictions of a symplectic automorphism to the primary parts."""
+        """Restrictions of a symplectic automorphism to the primary parts.
+
+        g keeps each primary part, on which crt * (n / p^r) = 1 mod p^r acts
+        as the identity, so ``primary_project`` of an image is its
+        coordinates in the part."""
         out = []
-        for (p, Hp, embed, crt, rep) in self.parts:
-            rows = []
-            for k, gen in enumerate(embed):
-                img = g.apply(gen)
-                coords = []
-                for gen2, dp in zip(embed, Hp.base.group.orders):
-                    i = next(q for q, x in enumerate(gen2) if x)
-                    step = gen2[i]
-                    assert img[i] % step == 0
-                    coords.append((img[i] // step) % dp)
-                rows.append(tuple(coords))
+        for (_p, Hp, embed, crt, _rep) in self.parts:
+            rows = [primary_project(self.H, Hp, embed, crt, (g.apply(gen), 0))[0]
+                    for gen in embed]
             out.append(SympAut(Hp.base, rows))
         return out
 

@@ -17,7 +17,7 @@ from math import isqrt
 from .abgroup import AbGroup
 from .cyclo import from_powers
 from .kmat import GenPerm
-from .symplectic import Lagrangian, SympMod, SymplecticError
+from .symplectic import SympMod, SymplecticError
 
 
 class HeisGrp:
@@ -200,22 +200,33 @@ class InducedModule:
             self._rep_of_cache[m] = r
         return r
 
+    def locate(self, y):
+        """(j, e) with (y, 0) = (l, e) * (r_j, 0) in H: r_j = rep_of(y),
+        l = y - r_j in L and e = -beta(l, r_j) mod n.
+
+        This is the one decomposition every basis computation of the model
+        rests on: the basis function f_j is supported on L-bar * (r_j, 0)
+        with f_j((r_j, 0)) = 1, so f_j((y, 0)) = zeta_n^e.
+        """
+        r = self.rep_of(y)
+        l = self.H.base.group.sub(y, r)
+        return self.index[r], -self.H.base.beta(l, r) % self.H.n
+
     def rho_parts(self, h):
         """(perm, exponents): column j maps to row perm[j] with scalar
-        zeta_n^(exponents[j])."""
-        M = self.H.base
-        group = M.group
+        zeta_n^(exponents[j]), read row by row: (r_i, 0)(m, a) =
+        (r_i + m, a + beta(r_i, m)), and ``locate`` puts r_i + m in
+        column j."""
+        beta = self.H.base.beta
+        add = self.H.base.group.add
         m, a = h
         n = self.H.n
         perm = [0] * self.dim
         expo = [0] * self.dim
-        for j, rj in enumerate(self.reps):
-            ri = self.rep_of(group.sub(rj, m))
-            i = self.index[ri]
-            lp = group.sub(group.add(ri, m), rj)
-            e = (a + M.beta(ri, m) - M.beta(lp, rj)) % n
+        for i, ri in enumerate(self.reps):
+            j, e = self.locate(add(ri, m))
             perm[j] = i
-            expo[j] = e
+            expo[j] = (a + beta(ri, m) + e) % n
         return perm, expo
 
     def rho_genperm(self, h):
@@ -242,9 +253,9 @@ class InducedModule:
         """Trace of rho(h) as a vector of zeta_n exponent multiplicities.
 
         h = (m, a) sends the coset r + L to r - m + L, so column j is a fixed
-        point exactly when rep_of(r_j - m) == r_j, that is when m lies in L:
+        point exactly when r_j - m lies in r_j + L, that is when m lies in L:
         for m outside L the trace is zero, and for m in L every coset is
-        fixed with l' = m in ``rho_parts``, contributing
+        fixed with l = m in ``locate``, contributing
         zeta_n^(a + beta(r_j, m) - beta(m, r_j)).
         """
         n = self.H.n
@@ -277,33 +288,24 @@ def induce(H, lag):
     return InducedModule(H, lag)
 
 
-def g_transport(g, module, target=None):
-    """The isomorphism H_L -> H_gL given by (g f)(h) = f(g^(-1) h).
+def g_transport(g, module, target):
+    """The isomorphism H_L -> H_gL given by (g f)(h) = f(g^(-1) h), as a
+    GenPerm onto the prebuilt ``target`` module over gL.
 
-    Returns (GenPerm matrix, target InducedModule).  Composition-compatible:
-    transport(g1 g2) = transport(g1) o transport(g2) exactly.  A prebuilt
-    ``target`` module over gL may be supplied to avoid reconstruction.
+    g f_j is supported on gL-bar * (g r_j, 0).  With i, e =
+    target.locate(g r_j), that is (g r_j, 0) = (l, e) * (r_i, 0), so
+    (g f_j)((r_i, 0)) = f_j((g^(-1) l, e)^(-1) * (r_j, 0)) = zeta_n^(-e):
+    column j maps to row i with exponent -e, and no g^(-1) is formed.
+    Composition-compatible: transport(g1 g2) = transport(g1) o
+    transport(g2) exactly.
     """
-    H = module.H
-    M = H.base
-    group = M.group
-    n = H.n
-    g_inv = g.inverse()
-    if target is None:
-        new_lag = Lagrangian(M, g.on_subgroup(module.lag.sub), validate=False)
-        target = InducedModule(H, new_lag)
-    else:
-        # g is injective, so g L <= N with |N| = |L| gives g L = N
-        if target.lag.order() != module.lag.order() or not all(
-                target.lag.sub.contains(g.apply(l)) for l in module.lag.sub.gens()):
-            raise SymplecticError("supplied target module has the wrong lagrangian")
+    # g is injective, so g L <= N with |N| = |L| gives g L = N
+    if target.lag.order() != module.lag.order() or not all(
+            target.lag.sub.contains(g.apply(l)) for l in module.lag.sub.gens()):
+        raise SymplecticError("supplied target module has the wrong lagrangian")
     perm = [0] * module.dim
     expo = [0] * module.dim
-    for i, ri in enumerate(target.reps):
-        x = g_inv.apply(ri)
-        rj = module.rep_of(x)
-        j = module.index[rj]
-        lp = group.sub(x, rj)
-        perm[j] = i
-        expo[j] = -M.beta(lp, rj)
-    return GenPerm(perm, expo, n), target
+    for j, rj in enumerate(module.reps):
+        perm[j], e = target.locate(g.apply(rj))
+        expo[j] = -e
+    return GenPerm(perm, expo, module.H.n)

@@ -17,7 +17,6 @@ from .cyclo import CycNum, from_powers, root_of_unity, sqrt_prime, in_subfield
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import (
     identity as kmat_identity,
-    mat_eq,
     mat_mul,
     mat_to_json,
     neg,
@@ -47,30 +46,13 @@ class SolveError(RuntimeError):
     pass
 
 
-class Intertwiner:
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def verify(self):
-        """Exact intertwining check over a generating set of H."""
-        for h in self.source.group_generators():
-            lhs = mat_mul(self.matrix, self.source.rho(h))
-            rhs = mat_mul(self.target.rho(h), self.matrix)
-            if not mat_eq(lhs, rhs):
-                raise SolveError("operator does not intertwine at %r" % (h,))
-        return True
-
-
 def standard_T(target, source):
     """The averaging intertwiner H_L -> H_N for lagrangians L (source) and
     N (target): (Tf)(h) = sum over N/(N cap L) of f(n h), the canonical
     character being trivial on N x {0}.
 
-    T_{L,L} = id; T is always nonzero and intertwines right translation.
+    Returns the dense target.dim x source.dim matrix.  T_{L,L} = id; T is
+    always nonzero and intertwines right translation.
     """
     H = target.H
     M = H.base
@@ -80,20 +62,16 @@ def standard_T(target, source):
     counts = [[[0] * n for _ in range(source.dim)] for _ in range(target.dim)]
     for i, ri in enumerate(target.reps):
         for nn in reps:
-            y = M.group.add(nn, ri)
-            c = M.beta(nn, ri)
-            rj = source.rep_of(y)
-            j = source.index[rj]
-            lp = M.group.sub(y, rj)
-            e = (c - M.beta(lp, rj)) % n
-            counts[i][j][e] += 1
+            # (nn, 0)(r_i, 0) = (nn + r_i, beta(nn, r_i))
+            j, e = source.locate(M.group.add(nn, ri))
+            counts[i][j][(M.beta(nn, ri) + e) % n] += 1
     # most entries are zero on larger modules; they share one object
     zero = CycNum.zero(n)
     matrix = [[from_powers(n, enumerate(c)) if any(c) else zero for c in row]
               for row in counts]
     if all(x.is_zero() for row in matrix for x in row):
         raise SolveError("standard intertwiner vanished; this is a bug")
-    return Intertwiner(source, target, matrix)
+    return matrix
 
 
 class _RatioUnionFind:
@@ -184,75 +162,6 @@ def hom_dim(V, W):
                 else:
                     uf.union(u1, u2, e)
     return uf.dimension()
-
-
-# -- kernels ---------------------------------------------------------------
-
-
-def kernel_of(F):
-    """Kernel function on H with F f (h1) = sum_{h2} k(h1 h2^(-1)) f(h2),
-    the measure giving every point volume one.
-
-    Covariance: k(nbar x) = chi(nbar) k(x) and k(x lbar) = chi(lbar) k(x)
-    for the canonical character chi((l, a)) = zeta_n^a of N-bar and L-bar.
-    The sign on the right factor differs from a naive transcription; it is
-    the one under which the convolution reproduces F exactly and the kernel
-    of the identity is the normalized indicator of L-bar.
-    """
-    V, W = F.source, F.target
-    H = V.H
-    n = H.n
-    norm = CycNum.rational(1) / (n * V.lag.order())
-    out = {}
-    r0 = V.reps[0]
-    for h in H.elements():
-        m, a = h
-        y = H.base.group.add(m, r0)
-        ri = W.rep_of(y)
-        i = W.index[ri]
-        nn = H.base.group.sub(y, ri)
-        if not W.lag.sub.contains(nn):
-            raise SolveError("kernel support decomposition failed")
-        z = H.product((ri, 0), H.inverse((r0, 0)))
-        full = H.product((nn, 0), z)
-        c0 = full[1]
-        out[h] = root_of_unity(n, (a - c0) % n) * F.matrix[i][0] * norm
-    return out
-
-
-def operator_from_kernel(k, source, target):
-    """Rebuild the intertwiner from a bicovariant kernel by convolution."""
-    H = source.H
-    n = H.n
-    # bicovariance validation
-    ngens = [(g, 0) for g in target.lag.sub.gens()] + [(H.base.group.zero(), 1)]
-    lgens = [(g, 0) for g in source.lag.sub.gens()] + [(H.base.group.zero(), 1)]
-    for x in H.elements():
-        for nb in ngens:
-            lhs = k[H.product(nb, x)]
-            rhs = root_of_unity(n, nb[1]) * k[x]
-            if lhs != rhs:
-                raise SolveError("kernel is not left covariant")
-        for lb in lgens:
-            lhs = k[H.product(x, lb)]
-            rhs = root_of_unity(n, lb[1]) * k[x]
-            if lhs != rhs:
-                raise SolveError("kernel is not right covariant")
-    mat = []
-    for i in range(target.dim):
-        row = []
-        h1 = (target.reps[i], 0)
-        for j in range(source.dim):
-            acc = CycNum.zero(n)
-            for l in source.lag.sub.elements():
-                for a in range(n):
-                    h2 = H.product((l, a), (source.reps[j], 0))
-                    kv = k[H.product(h1, H.inverse(h2))]
-                    if not kv.is_zero():
-                        acc = acc + kv * root_of_unity(n, a)
-            row.append(acc)
-        mat.append(row)
-    return Intertwiner(source, target, mat)
 
 
 # -- the canonical system --------------------------------------------------
@@ -416,7 +325,7 @@ def standard_pairs(mods, B):
     formed; the transitivity check of ``check_system_axioms`` multiplies
     the operators densely and catches a wrong delta.
     """
-    T_LB = [standard_T(V, mods[B]).matrix for V in mods]
+    T_LB = [standard_T(V, mods[B]) for V in mods]
     L_B = mods[B].lag.sub
     delta = []
     for V in mods:
@@ -509,8 +418,10 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
                 if len(unknown) != 1 or abs(expo[unknown[0]]) != 1:
                     continue
                 u = unknown[0]
-                GP, _ = g_transport(g, mods[j], target=mods[t])
-                GPBinv, _ = g_transport(g.inverse(), mods[b], target=mods[B])
+                # transport is composition-compatible, so the transport
+                # of g^(-1) from b back to B is the GenPerm inverse
+                GP = g_transport(g, mods[j], mods[t])
+                GPBinv = g_transport(g, mods[B], mods[b]).inverse()
                 mu = proportionality(GP.apply_left(GPBinv.apply_right(T_LB[j])),
                                      mat_mul(T_LB[t], T_LB[b], adjoint=True))
                 if mu is None:

@@ -7,7 +7,7 @@ exponents and ``inverse`` negates them.  Applying a GenPerm to a dense
 matrix multiplies each entry x by its root zeta_n^e with
 ``cyclo.mul_root``: one walk over the coefficients of x at shifted
 exponents of zeta_N, N = lcm(n, x.n), with no polynomial product.
-Intertwiners stay dense.
+The intertwining operators stay dense.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared

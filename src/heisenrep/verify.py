@@ -131,10 +131,9 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
             n1 = sys.act_point(gc, n0)
             l1 = sys.act_point(gc, l0)
             F = sys.operator(n0, l0)
-            GP_n, _ = g_transport(g, sys.modules[n0[0]],
-                                  target=sys.modules[n1[0]])
-            GP_l_inv, _ = g_transport(g.inverse(), sys.modules[l1[0]],
-                                      target=sys.modules[l0[0]])
+            GP_n = g_transport(g, sys.modules[n0[0]], sys.modules[n1[0]])
+            GP_l_inv = g_transport(g, sys.modules[l0[0]],
+                                   sys.modules[l1[0]]).inverse()
             lhs = GP_n.apply_left(GP_l_inv.apply_right(F))
             rhs = sys.operator(n1, l1)
             checked += 1
@@ -373,6 +372,9 @@ def _heisenberg_suite(M, seed, level):
 
 def run_verify(M, level="quick", seed=0, budget=3 ** 8):
     """The whole property matrix for one module, as a list of reports."""
+    # built first, so that a module over the budget is refused before the
+    # layer suites run
+    pi = build_pi(M, system_verify="none", budget=budget)
     reports = [
         _cyclo_suite(seed, level),
         _group_suite(M, seed + 1, level),
@@ -380,7 +382,6 @@ def run_verify(M, level="quick", seed=0, budget=3 ** 8):
         _heisenberg_suite(M, seed + 3, level),
     ]
     sys_level = "full" if level == "full" else "light"
-    pi = build_pi(M, system_verify="none")
     parts = [pi] if isinstance(pi, CanonicalRep) else [p[-1] for p in pi.parts]
     for rep in parts:
         reports.append(check_system_axioms(rep.system_c, level=sys_level,
@@ -400,7 +401,9 @@ def run_verify(M, level="quick", seed=0, budget=3 ** 8):
 
 
 def uniqueness_probe_report(rep, level, seed):
-    count = len(enumerate_lagrangians(rep.red.Mc))
+    # the solved system holds every lagrangian of M_c, enumerated within
+    # the budget that built it
+    count = rep.system_c.count
     if level == "full" or count <= 6:
         points = None
     else:

@@ -10,6 +10,12 @@ and tests field membership on the anchored scalars; the oracle lifts every
 comparison to the lcm of the conductors and tests every anchored entry.
 The library inverts a symplectic automorphism through the dual basis of
 the pairing; the oracle solves the lattice equations by HNF.
+The library transports a model along g by mapping each representative
+r_j forward; the oracle pulls each target representative back through
+g^(-1).  The library reads the action of h row by row; the oracle reads it
+column by column.  The kernel oracle is the convolution picture of an
+intertwiner (Gurevich-Hadani): a bicovariant function on H from which
+the operator is rebuilt by convolution.
 """
 
 from math import lcm
@@ -18,7 +24,7 @@ from heisenrep import intlin
 from heisenrep.cyclo import CycNum, in_subfield, root_of_unity, sqrt_prime
 from heisenrep.heisenberg import HeisGrp, induce
 from heisenrep.intertwine import SolveError, standard_T
-from heisenrep.kmat import mat_mul, proportionality
+from heisenrep.kmat import GenPerm, mat_mul, proportionality
 from heisenrep.symplectic import SympAut, SymplecticError
 
 
@@ -78,9 +84,7 @@ def composition_scalar(lag_a, lag_b, H=None):
         H = HeisGrp(lag_a.module)
     Va = induce(H, lag_a)
     Vb = induce(H, lag_b)
-    T_ba = standard_T(Vb, Va)
-    T_ab = standard_T(Va, Vb)
-    prod = mat_mul(T_ab.matrix, T_ba.matrix)
+    prod = mat_mul(standard_T(Va, Vb), standard_T(Vb, Va))
     scal = scalar_of(prod)
     if scal is None:
         raise SolveError("composite of standard intertwiners is not scalar")
@@ -152,3 +156,105 @@ def anchored_entries_in_field(sys):
         gens.append(sqrt_prime(p))
     return all(in_subfield(x, gens) for i in range(sys.count)
                for row in sys.anchored(i) for x in row)
+
+
+def transport_by_inverse(g, module, target):
+    """g_transport through g^(-1): each target representative r_i pulls
+    back to g^(-1) r_i = l + r_j with l in L, and column j goes to row i
+    with exponent -beta(l, r_j)."""
+    M = module.H.base
+    g_inv = g.inverse()
+    perm = [0] * module.dim
+    expo = [0] * module.dim
+    for i, ri in enumerate(target.reps):
+        x = g_inv.apply(ri)
+        rj = module.rep_of(x)
+        j = module.index[rj]
+        perm[j] = i
+        expo[j] = -M.beta(M.group.sub(x, rj), rj)
+    return GenPerm(perm, expo, module.H.n)
+
+
+def rho_parts_by_columns(V, h):
+    """``rho_parts`` read column by column: column j goes to the row of
+    r_i = rep_of(r_j - m), with l = r_i + m - r_j in L and exponent
+    a + beta(r_i, m) - beta(l, r_j) mod n."""
+    M = V.H.base
+    group = M.group
+    m, a = h
+    perm = [0] * V.dim
+    expo = [0] * V.dim
+    for j, rj in enumerate(V.reps):
+        ri = V.rep_of(group.sub(rj, m))
+        lp = group.sub(group.add(ri, m), rj)
+        perm[j] = V.index[ri]
+        expo[j] = (a + M.beta(ri, m) - M.beta(lp, rj)) % V.H.n
+    return perm, expo
+
+
+def kernel_of(matrix, source, target):
+    """Kernel function on H with F f (h1) = sum_{h2} k(h1 h2^(-1)) f(h2)
+    for the intertwiner F: source -> target given by ``matrix``, the
+    measure giving every point volume one.
+
+    Covariance: k(nbar x) = chi(nbar) k(x) and k(x lbar) = chi(lbar) k(x)
+    for the canonical character chi((l, a)) = zeta_n^a of N-bar and L-bar.
+    The sign on the right factor differs from a naive transcription; it is
+    the one under which the convolution reproduces F exactly and the kernel
+    of the identity is the normalized indicator of L-bar.
+    """
+    V, W = source, target
+    H = V.H
+    n = H.n
+    norm = CycNum.rational(1) / (n * V.lag.order())
+    out = {}
+    r0 = V.reps[0]
+    for h in H.elements():
+        m, a = h
+        y = H.base.group.add(m, r0)
+        ri = W.rep_of(y)
+        i = W.index[ri]
+        nn = H.base.group.sub(y, ri)
+        if not W.lag.sub.contains(nn):
+            raise SolveError("kernel support decomposition failed")
+        z = H.product((ri, 0), H.inverse((r0, 0)))
+        full = H.product((nn, 0), z)
+        c0 = full[1]
+        out[h] = root_of_unity(n, (a - c0) % n) * matrix[i][0] * norm
+    return out
+
+
+def operator_from_kernel(k, source, target):
+    """Rebuild the intertwiner matrix from a bicovariant kernel by
+    convolution."""
+    H = source.H
+    n = H.n
+    # bicovariance validation
+    ngens = [(g, 0) for g in target.lag.sub.gens()] + [(H.base.group.zero(), 1)]
+    lgens = [(g, 0) for g in source.lag.sub.gens()] + [(H.base.group.zero(), 1)]
+    for x in H.elements():
+        for nb in ngens:
+            lhs = k[H.product(nb, x)]
+            rhs = root_of_unity(n, nb[1]) * k[x]
+            if lhs != rhs:
+                raise SolveError("kernel is not left covariant")
+        for lb in lgens:
+            lhs = k[H.product(x, lb)]
+            rhs = root_of_unity(n, lb[1]) * k[x]
+            if lhs != rhs:
+                raise SolveError("kernel is not right covariant")
+    mat = []
+    for i in range(target.dim):
+        row = []
+        h1 = (target.reps[i], 0)
+        for j in range(source.dim):
+            acc = CycNum.zero(n)
+            for l in source.lag.sub.elements():
+                for a in range(n):
+                    h2 = H.product((l, a), (source.reps[j], 0))
+                    kv = k[H.product(h1, H.inverse(h2))]
+                    if not kv.is_zero():
+                        acc = acc + kv * root_of_unity(n, a)
+            row.append(acc)
+        mat.append(row)
+    return mat

@@ -323,3 +323,30 @@ def test_action_outputs_golden(blocks, digest):
     mats = [pi.act_g(g) for g in sp_sample(M, 11, 5)] + [pi.act_h(h) for h in hs]
     entries = [(x.n, x.num, x.den) for mat in mats for row in mat for x in row]
     assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
+
+
+def test_symplectic_inverses_counted_on_the_action_and_the_check(monkeypatch):
+    # act_g inverts g once, for the source point of the coherence operator;
+    # transport maps forward and inverts no automorphism
+    from heisenrep.symplectic import SympAut
+    from heisenrep.verify import check_system_axioms
+
+    M = standard_module([(3, 2)])
+    pi = build_pi(M, system_verify="none")
+    gs = sp_sample(M, 3, 50)
+    for g in gs:
+        pi.act_g(g)
+    calls = []
+    inverse = SympAut.inverse
+
+    def counted(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(SympAut, "inverse", counted)
+    for g in gs:
+        pi.act_g(g)
+    assert len(calls) == 50
+    calls.clear()
+    assert check_system_axioms(pi.system_c, level="light").ok()
+    assert calls == []

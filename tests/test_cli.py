@@ -146,6 +146,16 @@ def test_budget_reaches_the_solver(tmp_path, command):
     assert "Traceback" not in err
 
 
+def test_verify_honours_the_budget(tmp_path):
+    # |M| = 121 > 81: verify refuses to build the representation, as pi does
+    mod = tmp_path / "m.json"
+    run_cli(["standard", "11^1:1", "--out", str(mod)])
+    code, out, err = run_cli(["verify", str(mod), "--budget", "81"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: lagrangian enumeration budget exceeded")
+    assert "Traceback" not in err
+
+
 # SHA-256 of the stdout of ``heisenrep pi`` and ``heisenrep system``, which
 # run the light self-check that the benchmark's construct path skips
 CLI_DIGESTS = [
@@ -294,7 +304,7 @@ def module_json(draw):
     of the wrong shape or with non-integer values."""
     junk = st.sampled_from([None, "3", 1.5, [], {}, True])
     if draw(st.booleans()):
-        q = draw(st.sampled_from([3, 5, 7, 9, 15]))
+        q = draw(st.sampled_from([3, 5, 7, 9, 11, 15]))
         u = draw(st.integers(1, q - 1))
         orders = [q, q] + [1] * draw(st.integers(0, 2))
         gram = [[0] * len(orders) for _ in orders]

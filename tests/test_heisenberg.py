@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from dense_oracle import trace_counts
+from dense_oracle import rho_parts_by_columns, trace_counts, transport_by_inverse
 
 from heisenrep.abgroup import AbGroup
 from heisenrep.cyclo import root_of_unity
@@ -20,6 +20,7 @@ from heisenrep.symplectic import (
     SymplecticError,
     enumerate_lagrangians,
     sp_enumerate,
+    sp_sample,
     standard_module,
 )
 
@@ -239,13 +240,25 @@ def test_char_counts_match_trace_on_realization(name):
     assert support == 2 * V.dim
 
 
-def test_g_transport_intertwines(H3, lags3):
+@pytest.fixture(scope="module")
+def mods3(H3, lags3):
+    return [induce(H3, L) for L in lags3]
+
+
+def _transport(g, V, mods):
+    """g_transport of V onto the module over gL among ``mods``."""
+    key = g.on_subgroup(V.lag.sub).key()
+    W = next(U for U in mods if U.lag.sub.key() == key)
+    return g_transport(g, V, W), W
+
+
+def test_g_transport_intertwines(H3, mods3):
     sp = sp_enumerate(H3.base)
     rng = random.Random(4)
     els = list(H3.elements())
-    V = induce(H3, lags3[0])
+    V = mods3[0]
     for g in sp[:10]:
-        T, W = g_transport(g, V)
+        T, W = _transport(g, V, mods3)
         Ti = T.inverse()
         for _ in range(8):
             h = els[rng.randrange(27)]
@@ -254,39 +267,37 @@ def test_g_transport_intertwines(H3, lags3):
             assert lhs == rhs
 
 
-def test_g_transport_composition(H3, lags3):
+def test_g_transport_composition(H3, mods3):
     sp = sp_enumerate(H3.base)
-    V = induce(H3, lags3[2])
+    V = mods3[2]
     rng = random.Random(5)
     for _ in range(20):
         g1, g2 = sp[rng.randrange(24)], sp[rng.randrange(24)]
-        T2, W2 = g_transport(g2, V)
-        T1, W1 = g_transport(g1, W2)
-        T12, W12 = g_transport(g1.compose(g2), V)
-        assert W1.lag == W12.lag
+        T2, W2 = _transport(g2, V, mods3)
+        T1, W1 = _transport(g1, W2, mods3)
+        T12, W12 = _transport(g1.compose(g2), V, mods3)
+        assert W1 is W12
         assert T1.compose(T2) == T12
 
 
-def test_g_transport_rejects_a_target_over_another_lagrangian(H3, lags3):
+def test_g_transport_rejects_a_target_over_another_lagrangian(H3, mods3):
     sp = sp_enumerate(H3.base)
-    V = induce(H3, lags3[0])
-    mods = [induce(H3, L) for L in lags3]
+    V = mods3[0]
     for g in sp:
-        _T, W = g_transport(g, V)
-        for U in mods:
-            if U.lag == W.lag:
-                assert g_transport(g, V, target=U)[1] is U
+        T, W = _transport(g, V, mods3)
+        for U in mods3:
+            if U is W:
+                assert g_transport(g, V, U) == T
             else:
                 with pytest.raises(SymplecticError, match="wrong lagrangian"):
-                    g_transport(g, V, target=U)
+                    g_transport(g, V, U)
 
 
-def test_g_transport_identity(H3, lags3):
+def test_g_transport_identity(H3, mods3):
     sp = sp_enumerate(H3.base)
     ident = next(g for g in sp if g.is_identity())
-    V = induce(H3, lags3[0])
-    T, W = g_transport(ident, V)
-    assert W.lag == V.lag
+    V = mods3[0]
+    T = g_transport(ident, V, V)
     assert T.to_dense(3) == identity(3, 3)
 
 
@@ -295,3 +306,46 @@ def test_induced_module_export(H3, lags3):
     data = V.to_json()
     assert data["dim"] == 3
     assert len(data["generators"]) == 3
+
+
+TRANSPORT_MODULES = {
+    "Z3^2": lambda: standard_module([(3, 1)]),
+    "Z5^2": lambda: standard_module([(5, 1)]),
+    "Z3^4": lambda: standard_module([(3, 2)]),
+    "orders-3-3-1": LAGRANGIAN_MODULES["orders-3-3-1"],
+    "Z27^2": lambda: standard_module([(27, 1)]),
+    "Z9^2+Z3^2": lambda: standard_module([(9, 1), (3, 1)]),
+}
+
+
+def _models(name):
+    """The induced models over every lagrangian of the named module; for
+    (Z/27)^2 and (Z/9)^2+(Z/3)^2, those of the system lifted from M_c."""
+    from heisenrep.intertwine import solve_canonical_system
+    from heisenrep.reduction import ReductionData, lift_canonical_system
+
+    M = TRANSPORT_MODULES[name]()
+    if M.is_elementary():
+        H = HeisGrp(M)
+        return M, [induce(H, L) for L in enumerate_lagrangians(M)]
+    red = ReductionData(M)
+    sys_c = solve_canonical_system(red.Mc, verify="none")
+    return M, lift_canonical_system(red, sys_c).modules
+
+
+@pytest.mark.parametrize("name", list(TRANSPORT_MODULES))
+def test_g_transport_matches_the_pull_back_through_the_inverse(name):
+    M, mods = _models(name)
+    for g in sp_sample(M, 11, 4):
+        for V in mods:
+            T, W = _transport(g, V, mods)
+            assert T == transport_by_inverse(g, V, W), (name, g.mat, V.lag)
+
+
+@pytest.mark.parametrize("name", ["Z3^2", "orders-3-3-1"])
+def test_rho_parts_matches_the_column_reading(name):
+    _M, mods = _models(name)
+    H = mods[0].H
+    for V in mods:
+        for h in H.elements():
+            assert V.rho_parts(h) == rho_parts_by_columns(V, h), (V.lag, h)
