@@ -74,94 +74,44 @@ def standard_T(target, source):
     return matrix
 
 
-class _RatioUnionFind:
-    """Union-find over unknowns with root-of-unity ratios to the root.
-
-    Ratios are exponents of zeta_n, stored as ints mod n; an inconsistent
-    cycle forces the component to zero.  Used to count the solution
-    dimension of the two-term intertwining equations.
-    """
-
-    def __init__(self, size, n):
-        self.parent = list(range(size))
-        self.ratio = [0] * size
-        self.dead = [False] * size
-        self.n = n
-
-    def find(self, x):
-        root = x
-        acc = 0
-        while self.parent[root] != root:
-            acc += self.ratio[root]
-            root = self.parent[root]
-        # path compression with accumulated exponents
-        cur = x
-        acc2 = acc
-        while self.parent[cur] != cur:
-            nxt = self.parent[cur]
-            step = self.ratio[cur]
-            self.parent[cur] = root
-            self.ratio[cur] = acc2 % self.n
-            acc2 -= step
-            cur = nxt
-        return root, acc % self.n
-
-    def union(self, a, b, e):
-        """Impose a = zeta^e * b."""
-        ra, qa = self.find(a)
-        rb, qb = self.find(b)
-        if ra == rb:
-            if (qa - e - qb) % self.n:
-                self.dead[ra] = True
-            return
-        self.parent[rb] = ra
-        self.ratio[rb] = (qa - e - qb) % self.n
-        if self.dead[rb]:
-            self.dead[ra] = True
-
-    def kill(self, x):
-        r, _ = self.find(x)
-        self.dead[r] = True
-
-    def dimension(self):
-        roots = set()
-        dead_roots = set()
-        for x in range(len(self.parent)):
-            r, _ = self.find(x)
-            roots.add(r)
-            if self.dead[r]:
-                dead_roots.add(r)
-        return len(roots) - len(dead_roots)
-
-
 def hom_dim(V, W):
     """Dimension of the space of H-intertwiners V -> W.
 
-    The intertwining equations for monomial generator actions pair the
-    matrix unknowns two at a time with root-of-unity coefficients, so the
-    solve reduces to ratio-tracking union-find over the matrix entries.
+    X rho_V(h) = rho_W(h) X for a generator h pairs the unknowns two at a
+    time: with h sending column b of V to row pV[b] with zeta_n^eV[b], and
+    column k of W to pW[k] with zeta_n^eW[k], it reads
+    X[pW[k]][pV[b]] = zeta_n^(eW[k] - eV[b]) * X[k][b].  Each generator so
+    permutes the unknowns, and walking these maps forward from an unknown
+    visits its whole orbit, giving each unknown a phase relative to the
+    first.  An orbit is one free scalar unless two paths give one unknown
+    different phases; then it is zero.
     """
     if V.H != W.H:
         raise SolveError("modules over different Heisenberg groups")
-    dv, dw = V.dim, W.dim
+    dv = V.dim
     n = V.H.n
-    uf = _RatioUnionFind(dv * dw, n)
-    for (permV, expV), (permW, expW) in zip(V.generator_parts(),
-                                            W.generator_parts()):
-        for b in range(dv):
-            eb = expV[b]
-            pb = permV[b]
-            for k in range(dw):
-                # X[a][permV[b]] * sV[b] = sW[k] * X[k][b],  a = permW[k]
-                u1 = permW[k] * dv + pb
-                u2 = k * dv + b
-                e = (expW[k] - eb) % n
-                if u1 == u2:
-                    if e:
-                        uf.kill(u1)
-                else:
-                    uf.union(u1, u2, e)
-    return uf.dimension()
+    gens = list(zip(V.generator_parts(), W.generator_parts()))
+    phase = [None] * (dv * W.dim)
+    dim = 0
+    for start in range(len(phase)):
+        if phase[start] is not None:
+            continue
+        phase[start] = 0
+        stack = [start]
+        consistent = True
+        while stack:
+            u = stack.pop()
+            k, b = divmod(u, dv)
+            for (pV, eV), (pW, eW) in gens:
+                v = pW[k] * dv + pV[b]
+                e = (phase[u] + eW[k] - eV[b]) % n
+                if phase[v] is None:
+                    phase[v] = e
+                    stack.append(v)
+                elif phase[v] != e:
+                    consistent = False
+        dim += consistent
+    return dim
 
 
 # -- the canonical system --------------------------------------------------
@@ -219,8 +169,8 @@ class CanonicalSystem:
                 base = kmat_identity(self.modules[j].dim, self.conductor)
             else:
                 coef = self.c[i] / (self.c[j] * self.delta[j])
-                base = scalar_mul(coef, mat_mul(self.T_LB[i], self.T_LB[j],
-                                                adjoint=True))
+                base = mat_mul(self.T_LB[i], self.T_LB[j], adjoint=True,
+                               scale=coef)
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else neg(base)
 

@@ -24,11 +24,14 @@ lcm of the conductors of the nonzero entries of both factors; each row of
 ``a`` and each column of ``b`` is put over one common denominator, and each
 entry becomes an integer polynomial in zeta_N, unreduced: the coefficient
 of zeta_n^t sits at exponent t * N / n.  The polynomial is packed into one
-Python int with signed digits of w bits, P = sum of c_e * 2^(w e).  With L
-the length of the longest polynomial (phi(N) when every entry has
-conductor N), each of the 2L - 1 digits of sum over k of P(a_ik) P(b_kj)
-is at most inner * L * max|a coefficient| * max|b coefficient| in absolute
-value, so w = bit_length of that bound + 2 leaves every digit clear of its
+Python int with signed digits of w bits, P = sum of c_e * 2^(w e): the
+coefficients of x are shifted to their digits once, and the packed int is
+multiplied by den / x.den, which multiplies every digit.  With L one more
+than the highest exponent (phi(n) - 1) * N / n over the conductors n of
+the entries (phi(N) when every entry has conductor N), each of the 2L - 1
+digits of sum over k of P(a_ik) P(b_kj) is at most
+inner * L * max|a coefficient| * max|b coefficient| in absolute value, so
+w = bit_length of that bound + 2 leaves every digit clear of its
 neighbours whatever the heights.  Each output entry is unpacked once and
 reduced once, through ``cyclo.from_powers``.
 
@@ -37,23 +40,33 @@ b.  Entry b_jk is packed as entry (k, j) of the right factor at the negated
 exponents -t * N / n: conjugation maps zeta_n^t to zeta_n^-t, and it keeps
 conductors and denominators, so no conjugate is formed and the result
 equals the product with b^H built entrywise.  Every entry of b is packed D
-digits higher, D the largest t * N / n among its terms, so no packed
-polynomial is longer than those of b^H built entrywise, and the output
-digit at position e holds the exponent e - D.
+digits higher, D the largest (phi(n) - 1) * N / n over the conductors n of
+b, so no packed polynomial is longer than those of b^H built entrywise, and
+the output digit at position e holds the exponent e - D.
 
-An output entry with no k where both a_ik and b_kj are nonzero is
-``CycNum.zero(1)``; any other entry has conductor n = lcm of
-lcm(a_ik.n, b_kj.n) over those k, even when the sum cancels.  Every
-exponent in such an entry's product is a multiple of N / n, so it is read
-off at conductor n directly.
+``mat_mul(a, b, scale=c)`` is c * (a @ b), the product ``scalar_mul``
+would give, with no second pass: c joins the conductors of N, each packed
+output entry is multiplied by the packed c * c.den (exponents 0 to E, the
+absolute values of its coefficients summing to S) before it is unpacked,
+and its denominator is den_a * den_b * c.den.  The product has E more
+digits, each at most S times the bound above, so w is taken for that
+bound.
+
+An output entry with no k where both a_ik and b_kj are nonzero is zero at
+conductor c.n (1 with no scale); any other entry has conductor n = lcm of
+c.n and of lcm(a_ik.n, b_kj.n) over those k, even when the sum cancels.
+Every exponent in such an entry's product is a multiple of N / n, so it is
+read off at conductor n directly.  The zero entries of one conductor in
+the output are one shared object, so ``neg`` keeps them and ``mat_eq``
+passes them by identity.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
+from operator import lshift, mul
 
-from .cyclo import CycNum, from_powers, mul_root, root_of_unity
+from .cyclo import CycNum, euler_phi, from_powers, mul_root, root_of_unity
 
 
 def zeros(rows, cols, n=1):
@@ -67,9 +80,11 @@ def identity(dim, n=1):
     return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
-def mat_mul(a, b, adjoint=False):
-    """The product a @ b by Kronecker substitution; see the module notes.
-    With ``adjoint`` it is a @ b^H, b^H the conjugate transpose of b."""
+def mat_mul(a, b, adjoint=False, scale=None):
+    """scale * (a @ b) by Kronecker substitution; see the module notes.
+    With ``adjoint`` it is a @ b^H, b^H the conjugate transpose of b.
+    ``scale`` (a CycNum, 1 when None) multiplies each packed output entry
+    before it is unpacked."""
     rows = len(a)
     if adjoint:
         # b with no rows is 0 x inner for any inner
@@ -84,47 +99,65 @@ def mat_mul(a, b, adjoint=False):
     if a and len(a[0]) != inner:
         raise ValueError("cannot multiply a %dx%d matrix by a %dx%d matrix"
                          % (rows, len(a[0]), inner, cols))
+    if scale is None:
+        scale = CycNum.one(1)
     nz_a = [(i, k, x) for i, row in enumerate(a) for k, x in enumerate(row)
             if any(x.num)]
-    N = lcm(*(x.n for (_, _, x) in nz_a), *(y.n for (_, _, y) in nz_b))
+    conds_a = {x.n for (_, _, x) in nz_a}
+    conds_b = {y.n for (_, _, y) in nz_b}
+    N = lcm(scale.n, *conds_a, *conds_b)
     den_a = [1] * rows
     for (i, _, x) in nz_a:
         den_a[i] = lcm(den_a[i], x.den)
     den_b = [1] * cols
     for (_, j, y) in nz_b:
         den_b[j] = lcm(den_b[j], y.den)
-    # (exponent of zeta_N, integer coefficient) terms over each row's or
-    # column's common denominator
-    terms_a = [_terms(x, N, den_a[i]) for (i, _, x) in nz_a]
-    terms_b = [_terms(y, N, den_b[j], adjoint) for (_, j, y) in nz_b]
+    # the highest exponent of zeta_N that an entry of conductor m holds
+    top = {m: N // m * (euler_phi(m) - 1)
+           for m in conds_a | conds_b | {scale.n}}
     # D of the module notes; 0 unless adjoint
-    lift = -min((t[0][0] for t in terms_b), default=0)
-    length = 1 + max(max((t[-1][0] for t in terms_a), default=0),
-                     lift + max((t[-1][0] for t in terms_b), default=0))
-    height_a = max((abs(c) for t in terms_a for (_, c) in t), default=0)
-    height_b = max((abs(c) for t in terms_b for (_, c) in t), default=0)
-    w = (inner * length * height_a * height_b).bit_length() + 2
+    lift = max((top[m] for m in conds_b), default=0) if adjoint else 0
+    length = 1 + max(max((top[m] for m in conds_a), default=0),
+                     lift if adjoint else
+                     max((top[m] for m in conds_b), default=0))
+    # the largest integer coefficient over each row's or column's common
+    # denominator
+    height_a = max((max(map(abs, x.num)) * (den_a[i] // x.den)
+                    for (i, _, x) in nz_a), default=0)
+    height_b = max((max(map(abs, y.num)) * (den_b[j] // y.den)
+                    for (_, j, y) in nz_b), default=0)
+    w = (inner * length * height_a * height_b
+         * sum(map(abs, scale.num))).bit_length() + 2
+    # the bit positions of the coefficients of an entry of conductor m:
+    # zeta_m^t sits at exponent t * N / m, or at D - t * N / m conjugated
+    places = {m: [w * (N // m) * t for t in range(euler_phi(m))] for m in top}
+    places_b = {m: [w * lift - s for s in places[m]] for m in conds_b} \
+        if adjoint else places
     packed_a = [[0] * inner for _ in range(rows)]
     masks_a = {}
-    for (i, k, x), t in zip(nz_a, terms_a):
-        packed_a[i][k] = sum(c << (w * e) for (e, c) in t)
+    for (i, k, x) in nz_a:
+        packed = sum(map(lshift, x.num, places[x.n]))
+        packed_a[i][k] = packed * (den_a[i] // x.den)
         masks_a.setdefault(x.n, [0] * rows)[i] |= 1 << k
     packed_b = [[0] * inner for _ in range(cols)]
     masks_b = {}
-    for (k, j, y), t in zip(nz_b, terms_b):
-        packed_b[j][k] = sum(c << (w * (e + lift)) for (e, c) in t)
+    for (k, j, y) in nz_b:
+        packed = sum(map(lshift, y.num, places_b[y.n]))
+        packed_b[j][k] = packed * (den_b[j] // y.den)
         masks_b.setdefault(y.n, [0] * cols)[j] |= 1 << k
+    packed_s = sum(map(lshift, scale.num, places[scale.n]))
     # conductor pairs with the rows and columns in which they meet
     pairs = [(lcm(c, d), ma, mb) for c, ma in masks_a.items()
              for d, mb in masks_b.items()]
     # adding half to every digit makes them all nonnegative, so each digit
     # is read with a shift and a mask, with no borrow from its neighbour
-    digits = 2 * length - 1
+    digits = 2 * length - 1 + top[scale.n]
     half = 1 << (w - 1)
     low = (1 << w) - 1
     offset = sum(half << (w * e) for e in range(digits))
     shifts = range(0, w * digits, w)
-    zero = CycNum.zero(1)
+    # one zero per conductor, shared by every zero entry of the output
+    zeros = {scale.n: CycNum.zero(scale.n)}
     out = []
     for i in range(rows):
         prow = packed_a[i]
@@ -132,30 +165,22 @@ def mat_mul(a, b, adjoint=False):
         for j in range(cols):
             hits = [n for (n, ma, mb) in pairs if ma[i] & mb[j]]
             if not hits:
-                new.append(zero)
+                new.append(zeros[scale.n])
                 continue
-            n = lcm(*hits)
-            acc = sum(map(mul, prow, packed_b[j])) + offset
+            n = lcm(scale.n, *hits)
+            acc = sum(map(mul, prow, packed_b[j]))
+            if not acc:
+                new.append(zeros.get(n) or zeros.setdefault(n, CycNum.zero(n)))
+                continue
+            acc = acc * packed_s + offset
             conv = [((acc >> s) & low) - half for s in shifts]
             step = N // n
-            new.append(from_powers(
+            x = from_powers(
                 n, enumerate(conv[lift % step::step], -(lift // step)),
-                den_a[i] * den_b[j]))
+                den_a[i] * den_b[j] * scale.den)
+            new.append(x if any(x.num) else zeros.setdefault(n, x))
         out.append(new)
     return out
-
-
-def _terms(x, N, den, conj=False):
-    """x * den as (exponent of zeta_N, integer) pairs in ascending order,
-    unreduced: the coefficient of zeta_n^t sits at exponent t * N / n, or
-    at -t * N / n for the conjugate of x (zeta_n^t -> zeta_n^-t), with no
-    conjugate formed."""
-    step, scale = N // x.n, den // x.den
-    if conj:
-        num = x.num
-        return [(-step * t, num[t] * scale)
-                for t in range(len(num) - 1, -1, -1) if num[t]]
-    return [(step * t, c * scale) for t, c in enumerate(x.num) if c]
 
 
 def scalar_mul(c, a):
@@ -172,15 +197,10 @@ def neg(a):
 
 
 def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
+    """Exact equality; matrices of different shapes are unequal.  List
+    equality tests identity before it calls ``CycNum.__eq__``, so shared
+    zeros cost no comparison."""
+    return a == b
 
 
 def trace(a):
@@ -222,29 +242,28 @@ def kron(a, b):
 
 def _shifted(x, conds):
     """The terms of x at N = lcm(x.n, d) for each conductor d in ``conds``,
-    keyed by N, as ``_terms`` gives them over x's own denominator; None
-    when x is zero."""
+    keyed by N: (exponent of zeta_N, coefficient) pairs in ascending order,
+    the coefficient of zeta_n^t at exponent t * N / n, unreduced; None when
+    x is zero."""
     if not any(x.num):
         return None
-    return {N: _terms(x, N, x.den) for N in {lcm(x.n, d) for d in conds}}
+    return {N: [(N // x.n * t, c) for t, c in enumerate(x.num) if c]
+            for N in {lcm(x.n, d) for d in conds}}
 
 
 def proportionality(a, b):
-    """Scalar c with a == c * b, else None (b must be nonzero)."""
-    ref = None
-    for i in range(len(b)):
-        for j in range(len(b[0])):
-            if not b[i][j].is_zero():
-                ref = (i, j)
-                break
-        if ref:
-            break
-    if ref is None:
-        return None
-    c = a[ref[0]][ref[1]] / b[ref[0]][ref[1]]
+    """Scalar c with a == c * b, else None (also when b is zero).  c is read
+    off the first nonzero entry of b.  Where b is zero, x == c * 0 exactly
+    when x is zero, so only the nonzero entries of b are multiplied."""
+    c = None
     for ra, rb in zip(a, b):
         for x, y in zip(ra, rb):
-            if x != c * y:
+            if any(y.num):
+                if c is None:
+                    c = x / y
+                elif x != c * y:
+                    return None
+            elif any(x.num):
                 return None
     return c
 

@@ -16,6 +16,10 @@ g^(-1).  The library reads the action of h row by row; the oracle reads it
 column by column.  The kernel oracle is the convolution picture of an
 intertwiner (Gurevich-Hadani): a bicovariant function on H from which
 the operator is rebuilt by convolution.
+The library counts intertwiner dimensions by walking the orbits of the
+generator maps; the oracle joins the unknowns in a union-find with
+root-of-unity ratios.  The library multiplies only the nonzero entries of
+b in a proportionality; the oracle multiplies every entry.
 """
 
 from math import lcm
@@ -258,3 +262,105 @@ def operator_from_kernel(k, source, target):
             row.append(acc)
         mat.append(row)
     return mat
+
+
+class _RatioUnionFind:
+    """Union-find over unknowns with root-of-unity ratios to the root.
+
+    Ratios are exponents of zeta_n, stored as ints mod n; an inconsistent
+    cycle forces the component to zero.
+    """
+
+    def __init__(self, size, n):
+        self.parent = list(range(size))
+        self.ratio = [0] * size
+        self.dead = [False] * size
+        self.n = n
+
+    def find(self, x):
+        root = x
+        acc = 0
+        while self.parent[root] != root:
+            acc += self.ratio[root]
+            root = self.parent[root]
+        # path compression with accumulated exponents
+        cur = x
+        acc2 = acc
+        while self.parent[cur] != cur:
+            nxt = self.parent[cur]
+            step = self.ratio[cur]
+            self.parent[cur] = root
+            self.ratio[cur] = acc2 % self.n
+            acc2 -= step
+            cur = nxt
+        return root, acc % self.n
+
+    def union(self, a, b, e):
+        """Impose a = zeta^e * b."""
+        ra, qa = self.find(a)
+        rb, qb = self.find(b)
+        if ra == rb:
+            if (qa - e - qb) % self.n:
+                self.dead[ra] = True
+            return
+        self.parent[rb] = ra
+        self.ratio[rb] = (qa - e - qb) % self.n
+        if self.dead[rb]:
+            self.dead[ra] = True
+
+    def kill(self, x):
+        r, _ = self.find(x)
+        self.dead[r] = True
+
+    def dimension(self):
+        roots = set()
+        dead_roots = set()
+        for x in range(len(self.parent)):
+            r, _ = self.find(x)
+            roots.add(r)
+            if self.dead[r]:
+                dead_roots.add(r)
+        return len(roots) - len(dead_roots)
+
+
+def hom_dim_union_find(V, W):
+    """Dimension of the space of H-intertwiners V -> W: the two-term
+    intertwining equations X[permW[k]][permV[b]] * zeta^expV[b] =
+    zeta^expW[k] * X[k][b] joined in a ratio-tracking union-find."""
+    dv, dw = V.dim, W.dim
+    n = V.H.n
+    uf = _RatioUnionFind(dv * dw, n)
+    for (permV, expV), (permW, expW) in zip(V.generator_parts(),
+                                            W.generator_parts()):
+        for b in range(dv):
+            for k in range(dw):
+                u1 = permW[k] * dv + permV[b]
+                u2 = k * dv + b
+                e = (expW[k] - expV[b]) % n
+                if u1 == u2:
+                    if e:
+                        uf.kill(u1)
+                else:
+                    uf.union(u1, u2, e)
+    return uf.dimension()
+
+
+def proportionality_full(a, b):
+    """Scalar c with a == c * b, else None (also when b is zero), with one
+    product c * y per entry of b."""
+    ref = None
+    for i in range(len(b)):
+        for j in range(len(b[0])):
+            if not b[i][j].is_zero():
+                ref = (i, j)
+                break
+        if ref:
+            break
+    if ref is None:
+        return None
+    c = a[ref[0]][ref[1]] / b[ref[0]][ref[1]]
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra, rb):
+            if x != c * y:
+                return None
+    return c

@@ -1,11 +1,14 @@
-"""Source hygiene: every module-level import of the library is used."""
+"""Source hygiene: every module-level import of the library is used, and
+every module-level definition is referenced."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "heisenrep"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "heisenrep"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +40,67 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def references(source, own=True):
+    """Names that ``source`` reads, imports or reads as attributes, outside
+    the module-level definition of the same name (so a recursive call is
+    not a use).  With ``own`` false, names that ``source`` defines itself
+    are left out: there they mean its own definitions."""
+    tree = ast.parse(source)
+    out = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != owner:
+                out.add(name)
+    return out if own else out - {node.name for node in definitions(tree)}
+
+
+def unreferenced(module, used):
+    """The (line, name) of each module-level def or class of the source
+    ``module`` whose name is not in ``used``."""
+    return [(node.lineno, node.name) for node in definitions(ast.parse(module))
+            if node.name not in used]
+
+
+def test_unreferenced_definitions_are_found():
+    module = ("def used():\n    return 1\n"
+              "def recursive(k):\n    return recursive(k - 1) if k else used()\n"
+              "class Named:\n    pass\n"
+              "def imported():\n    pass\n"
+              "def shadowed():\n    pass\n")
+    other = ("from m import imported\n"
+             "def shadowed():\n    pass\n"
+             "shadowed()\n")
+    used = references(module) | references(other, own=False) | {"Named"}
+    assert unreferenced(module, used) == [(3, "recursive"), (9, "shadowed")]
+
+
+def test_every_definition_is_referenced():
+    """Each definition is referenced by its own module, by another source
+    in src/ or tests/ (where that source does not define the name itself),
+    or by a word of README.md."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    foreign = {path: references(path.read_text(), own=False) for path in paths}
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    found = {}
+    for path in MODULES:
+        source = path.read_text()
+        used = references(source).union(
+            words, *(refs for other, refs in foreign.items() if other != path))
+        found[path.name] = unreferenced(source, used)
+    assert {name: names for name, names in found.items() if names} == {}

@@ -5,6 +5,7 @@ import pytest
 from dense_oracle import (
     anchored_entries_in_field,
     composition_scalar,
+    hom_dim_union_find,
     kernel_of,
     operator_from_kernel,
     scalar_of,
@@ -22,6 +23,7 @@ from heisenrep.intertwine import (
 )
 from heisenrep.kmat import identity, mat_eq, mat_mul, scalar_mul
 from heisenrep.symplectic import (
+    SympMod,
     SymplecticError,
     enumerate_lagrangians,
     standard_module,
@@ -88,6 +90,68 @@ def test_hom_dim_examples(setup3):
     assert hom_dim(doubled, doubled) == 4
 
 
+def _lagrangian_models(M):
+    H = HeisGrp(M)
+    return [induce(H, L) for L in enumerate_lagrangians(M)]
+
+
+def _system_models(blocks):
+    """The modules of the canonical system on M: elementary, or lifted from
+    M_c when M is not elementary."""
+    from heisenrep.reduction import ReductionData, lift_canonical_system
+
+    red = ReductionData(standard_module(blocks))
+    sys_c = solve_canonical_system(red.Mc, verify="none")
+    return lift_canonical_system(red, sys_c).modules
+
+
+def _doubles():
+    V = _lagrangian_models(standard_module([(3, 1)]))[0]
+    return [V, DirectSum([V, V])]
+
+
+class _ShiftedCenter:
+    """V with its central generator acting by zeta_n^(a + 1) where V has
+    zeta_n^a: its central character differs from V's, so no nonzero
+    intertwiner joins the two."""
+
+    def __init__(self, V):
+        self.H, self.dim = V.H, V.dim
+        *parts, (perm, expo) = V.generator_parts()
+        self.parts = parts + [(perm, [(e + 1) % V.H.n for e in expo])]
+
+    def generator_parts(self):
+        return self.parts
+
+
+HOM_DIM_MODELS = {
+    "Z3^2": lambda: _lagrangian_models(standard_module([(3, 1)])),
+    "Z5^2": lambda: _lagrangian_models(standard_module([(5, 1)])),
+    "orders-3-3-1": lambda: _lagrangian_models(SympMod.from_json(
+        {"orders": [3, 3, 1], "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]})),
+    "lifted-Z27^2": lambda: _system_models([(27, 1)]),
+    "lifted-Z9^2+Z3^2": lambda: _system_models([(9, 1), (3, 1)]),
+    "doubles": _doubles,
+}
+
+
+@pytest.mark.parametrize("name", list(HOM_DIM_MODELS))
+def test_hom_dim_matches_union_find(name):
+    mods = HOM_DIM_MODELS[name]()
+    for V in mods:
+        for W in mods:
+            assert hom_dim(V, W) == hom_dim_union_find(V, W)
+
+
+def test_hom_dim_zero_for_another_central_character(setup3):
+    _M, _H, _lags, mods = setup3
+    V = mods[0]
+    shifted = _ShiftedCenter(V)
+    assert hom_dim(V, shifted) == hom_dim_union_find(V, shifted) == 0
+    assert hom_dim(shifted, V) == 0
+    assert hom_dim(shifted, shifted) == 1
+
+
 def test_composition_scalar(setup3):
     M, H, lags, mods = setup3
     bi = _index_of(lags, (1, 0))
@@ -104,12 +168,7 @@ def test_composition_scalar(setup3):
 @pytest.mark.parametrize("blocks", [[(3, 1)], [(3, 2)], [(27, 1)],
                                     [(9, 1), (3, 1)]])
 def test_delta_is_dense_composite_at_every_basepoint(blocks):
-    # the modules of the system over M: elementary, or lifted from M_c
-    from heisenrep.reduction import ReductionData, lift_canonical_system
-
-    red = ReductionData(standard_module(blocks))
-    sys_c = solve_canonical_system(red.Mc, verify="none")
-    mods = lift_canonical_system(red, sys_c).modules
+    mods = _system_models(blocks)
     for B in range(len(mods)):
         T_LB, delta = standard_pairs(mods, B)
         for i, V in enumerate(mods):
@@ -123,12 +182,8 @@ def test_delta_is_dense_composite_at_every_basepoint(blocks):
 
 def _adjoint_pairs(blocks, basepoints=None):
     """(standard_T(V, mods[B]), standard_T(mods[B], V)) over the modules of
-    the system on M, lifted from M_c when M is not elementary."""
-    from heisenrep.reduction import ReductionData, lift_canonical_system
-
-    red = ReductionData(standard_module(blocks))
-    sys_c = solve_canonical_system(red.Mc, verify="none")
-    mods = lift_canonical_system(red, sys_c).modules
+    the system on M."""
+    mods = _system_models(blocks)
     for B in (range(len(mods)) if basepoints is None else basepoints):
         for V in mods:
             yield standard_T(V, mods[B]), standard_T(mods[B], V)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from dense_oracle import proportionality_full
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
@@ -12,6 +13,7 @@ from heisenrep.kmat import (
     mat_eq,
     mat_mul,
     neg,
+    proportionality,
     scalar_mul,
 )
 
@@ -109,6 +111,101 @@ def products(draw):
 def test_mat_mul_matches_reference(ab):
     a, b = ab
     assert exact(mat_mul(a, b)) == exact(_mat_mul_reference(a, b))
+
+
+@st.composite
+def nonzero_entries(draw, height):
+    x = draw(entries(height))
+    return x if any(x.num) else root_of_unity(x.n, draw(st.integers(0, x.n)))
+
+
+def shared_zeros(mat):
+    """Whether the zero entries of each conductor are one object."""
+    seen = {}
+    return all(seen.setdefault(x.n, x) is x
+               for row in mat for x in row if not any(x.num))
+
+
+@settings(max_examples=150, deadline=None)
+@given(products(), st.booleans(),
+       st.sampled_from([1, 5, 2 ** 31, 2 ** 300]).flatmap(nonzero_entries))
+def test_scaled_product_is_scalar_mul_of_product(ab, adjoint, c):
+    a, b = ab
+    if adjoint:
+        # b (inner x cols) read as the cols x inner factor of a @ b^H
+        b = [list(col) for col in zip(*b)]
+    got = mat_mul(a, b, adjoint=adjoint, scale=c)
+    assert exact(got) == exact(scalar_mul(c, mat_mul(a, b, adjoint=adjoint)))
+    assert shared_zeros(got) and shared_zeros(mat_mul(a, b, adjoint=adjoint))
+
+
+def test_scaled_product_shares_cancelled_zeros():
+    z3 = root_of_unity(3)
+    one = CycNum.one(1)
+    # row 0 cancels against column 0 at conductor 3 (9 with c) and against
+    # column 1 at conductor 15 (45 with c); row 1 meets no nonzero entry
+    a = [[z3, z3, one], [CycNum.zero(5), CycNum.zero(5), CycNum.zero(5)]]
+    b = [[one, root_of_unity(5)], [-one, -root_of_unity(5)],
+         [CycNum.zero(1), CycNum.zero(1)]]
+    c = root_of_unity(9, 4) / 7
+    out = mat_mul(a, b, scale=c)
+    assert exact(out) == exact(scalar_mul(c, mat_mul(a, b)))
+    assert [[x.n for x in row] for row in out] == [[9, 45], [9, 9]]
+    assert all(x.is_zero() for row in out for x in row)
+    assert out[0][0] is out[1][0] is out[1][1]
+    again = mat_mul(a + a, b, scale=c)
+    assert again[0][1] is again[2][1]
+    # z3 * z3 + z3 + 1 packs as x^2 + x + 1, which vanishes only mod Phi_3
+    a, b = [[z3, one, one]] * 2, [[z3], [z3], [one]]
+    out = mat_mul(a, b, scale=c)
+    assert exact(out) == exact(scalar_mul(c, mat_mul(a, b)))
+    assert out[0][0].is_zero() and out[0][0] is out[1][0]
+
+
+def test_mat_eq_shapes_and_conductors():
+    z3 = root_of_unity(3)
+    a = [[z3, CycNum.zero(1)], [CycNum.one(1), z3]]
+    b = [[z3.lift(9), CycNum.zero(5)], [CycNum.one(15), z3.lift(15)]]
+    assert mat_eq(a, b) and mat_eq(b, a)
+    assert not mat_eq(a, [a[0]])
+    assert not mat_eq(a, [a[0], a[1][:1]])
+    assert not mat_eq(a, [a[0], a[1] + [CycNum.zero(1)]])
+    assert not mat_eq(a, [[z3, CycNum.zero(1)], [CycNum.one(1), z3 * z3]])
+    assert mat_eq([], []) and not mat_eq([], [[]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_proportionality_matches_full_loop(data):
+    height = data.draw(st.sampled_from([1, 5, 2 ** 31]))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    b = [[data.draw(entries(height)) for _ in range(cols)] for _ in range(rows)]
+    c = data.draw(nonzero_entries(height))
+    kind = data.draw(st.sampled_from(["proportional", "zero b", "other",
+                                      "nonzero where b is zero"]))
+    if kind == "zero b":
+        b = [[CycNum.zero(data.draw(st.sampled_from(CONDUCTORS)))
+              for _ in range(cols)] for _ in range(rows)]
+    a = scalar_mul(c, b)
+    if kind == "other":
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        a[i][j] = a[i][j] + data.draw(nonzero_entries(height))
+    elif kind == "nonzero where b is zero":
+        zeros = [(i, j) for i in range(rows) for j in range(cols)
+                 if b[i][j].is_zero()]
+        if zeros:
+            i, j = data.draw(st.sampled_from(zeros))
+            a[i][j] = data.draw(nonzero_entries(height))
+        else:
+            kind = "proportional"
+    got, want = proportionality(a, b), proportionality_full(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert exact([[got]]) == exact([[want]])
+    if kind in ("zero b", "nonzero where b is zero"):
+        assert got is None
+    elif kind == "proportional" and any(any(y.num) for row in b for y in row):
+        assert got == c
 
 
 ADJOINT_CONDUCTORS = [1, 3, 5, 9, 15, 27]
