@@ -13,15 +13,15 @@ relation needs it, and the solve stops once every scalar is pinned.
 from __future__ import annotations
 
 from .abgroup import subgroup_intersect
-from .cyclo import CycNum, from_powers, root_of_unity, sqrt_prime, in_subfield
+from .cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import (
+    PhaseMat,
     identity as kmat_identity,
-    mat_mul,
     mat_to_json,
     neg,
-    proportionality,
-    scalar_mul,
+    phase_product,
+    phase_proportionality,
 )
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
@@ -51,27 +51,31 @@ def standard_T(target, source):
     N (target): (Tf)(h) = sum over N/(N cap L) of f(n h), the canonical
     character being trivial on N x {0}.
 
-    Returns the dense target.dim x source.dim matrix.  T_{L,L} = id; T is
-    always nonzero and intertwines right translation.
+    Returns the target.dim x source.dim ``PhaseMat``.  Row i sums over the
+    cosets n of N/(N cap L): (n, 0)(r_i, 0) = (n + r_i, beta(n, r_i)) puts
+    column j = locate(n + r_i) at exponent beta(n, r_i) + e.  Two cosets
+    n, n' in one column would make n - n' lie in L, and in N, so in N cap L:
+    n -> n + r_i is injective from N/(N cap L) into M/L, and every entry is
+    0 or a single root of unity.  A second coset in one entry raises
+    SolveError.  T_{L,L} = id; T is always nonzero and intertwines right
+    translation.
     """
     H = target.H
     M = H.base
-    n = H.n
+    add, beta, locate = M.group.add, M.beta, source.locate
     inter = subgroup_intersect(target.lag.sub, source.lag.sub)
     reps = sorted({inter.coset_reduce(v) for v in target.lag.sub.elements()})
-    counts = [[[0] * n for _ in range(source.dim)] for _ in range(target.dim)]
+    rows = []
     for i, ri in enumerate(target.reps):
+        row = {}
         for nn in reps:
-            # (nn, 0)(r_i, 0) = (nn + r_i, beta(nn, r_i))
-            j, e = source.locate(M.group.add(nn, ri))
-            counts[i][j][(M.beta(nn, ri) + e) % n] += 1
-    # most entries are zero on larger modules; they share one object
-    zero = CycNum.zero(n)
-    matrix = [[from_powers(n, enumerate(c)) if any(c) else zero for c in row]
-              for row in counts]
-    if all(x.is_zero() for row in matrix for x in row):
-        raise SolveError("standard intertwiner vanished; this is a bug")
-    return matrix
+            j, e = locate(add(nn, ri))
+            if j in row:
+                raise SolveError("two cosets meet in entry (%d, %d) of the "
+                                 "standard intertwiner; this is a bug" % (i, j))
+            row[j] = beta(nn, ri) + e
+        rows.append(row.items())
+    return PhaseMat(rows, source.dim, H.n)
 
 
 def hom_dim(V, W):
@@ -122,7 +126,8 @@ class CanonicalSystem:
 
     Stored through the anchored scalars: F_{(i,e),(j,f)} =
     e * f * (c_i / (c_j * delta_j)) * T_{i,B} @ T_{B,j}, where T_{B,j} is
-    the conjugate transpose of T_{j,B} (see ``standard_pairs``).  Identity and
+    the conjugate transpose of T_{j,B} (see ``standard_pairs``) and each
+    T_{i,B} is held as a phase matrix, ``T_LB[i]``.  Identity and
     transitivity hold by construction; genuineness and equivariance are what
     the solver's propagation enforces.
 
@@ -156,8 +161,7 @@ class CanonicalSystem:
 
     def anchored(self, i, e=1):
         """F_{(i,e), basepoint} as a dense matrix."""
-        m = scalar_mul(self.c[i], self.T_LB[i])
-        return neg(m) if e == -1 else m
+        return self.T_LB[i].scaled(self.c[i] if e == 1 else -self.c[i])
 
     def operator(self, n0, l0):
         """F_{n0, l0}: modules[j] -> modules[i] for n0=(i,e), l0=(j,f)."""
@@ -169,8 +173,7 @@ class CanonicalSystem:
                 base = kmat_identity(self.modules[j].dim, self.conductor)
             else:
                 coef = self.c[i] / (self.c[j] * self.delta[j])
-                base = mat_mul(self.T_LB[i], self.T_LB[j], adjoint=True,
-                               scale=coef)
+                base = phase_product(self.T_LB[i], self.T_LB[j], coef)
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else neg(base)
 
@@ -194,11 +197,11 @@ class CanonicalSystem:
         The anchored entries are +-c_i * t over the entries t of T_LB[i].
         Each c_i is nonzero (the solver pins it as a product and quotient
         of nonzero values), and ``standard_T`` gives T_LB[i] a nonzero
-        entry t0 of conductor n, so t0 lies in Q(zeta_n), inside K.  Then
-        every c_i * t lies in K if and only if c_i (= c_i t0 / t0) and
-        every t (= c_i t / c_i) lie in K.  So the test is one Galois test
-        per c_i, and one per entry t only when its conductor does not
-        divide n.
+        entry t0, a root of unity of order dividing n, so t0 lies in K.
+        Then every c_i * t lies in K if and only if c_i (= c_i t0 / t0) and
+        every t (= c_i t / c_i) lie in K.  Each t is 0 or zeta_m^e, m the
+        modulus of T_LB[i].  So the test is one Galois test per c_i, and
+        one per exponent e that occurs only when m does not divide n.
         """
         n = self.module.n if self.module.group.rank else 1
         p = self.enh_module.n if self.enh_module.group.rank else 1
@@ -208,10 +211,11 @@ class CanonicalSystem:
         for i in range(self.count):
             if not in_subfield(self.c[i], gens):
                 return False
-            for row in self.T_LB[i]:
-                for t in row:
-                    if n % t.n and not in_subfield(t, gens):
-                        return False
+            m = self.T_LB[i].n
+            if n % m and not all(
+                    in_subfield(root_of_unity(m, e), gens)
+                    for e in {e for row in self.T_LB[i].rows for _, e in row}):
+                return False
         return True
 
     def pair_table_json(self):
@@ -260,7 +264,7 @@ def standard_pairs(mods, B):
     scalars delta[i] given by T_{B,i} o T_LB[i] = delta[i] * id.
 
     The map back, T_{B,i}: mods[i] -> mods[B], is the conjugate transpose
-    of T_LB[i], so it is not built; ``mat_mul(a, T_LB[i], adjoint=True)``
+    of T_LB[i], so it is not built; ``phase_product(a, T_LB[i], c)``
     multiplies by it.  Take <f, f'> = sum over h in H of f(h) conj(f'(h))
     on functions on H, and let A_N f (h) = sum over n in N of f((n, 0) h).
     For f in H_L and f' in H_N, substituting h -> (n, 0)^(-1) h and using
@@ -354,6 +358,7 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
         return t
 
     gs = transvections(Mc)[1:]
+    one = CycNum.one(1)
     progress = len(c) < nlag
     while progress:
         progress = False
@@ -372,8 +377,8 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
                 # of g^(-1) from b back to B is the GenPerm inverse
                 GP = g_transport(g, mods[j], mods[t])
                 GPBinv = g_transport(g, mods[B], mods[b]).inverse()
-                mu = proportionality(GP.apply_left(GPBinv.apply_right(T_LB[j])),
-                                     mat_mul(T_LB[t], T_LB[b], adjoint=True))
+                mu = phase_proportionality(T_LB[j].moved(GP, GPBinv),
+                                           phase_product(T_LB[t], T_LB[b], one))
                 if mu is None:
                     raise SolveError("equivariance constraint is not proportional; "
                                      "convention bug at transvection %r" % (g.mat,))

@@ -1,4 +1,5 @@
-"""Dense matrices over cyclotomic scalars, plus generalized permutations.
+"""Dense matrices over cyclotomic scalars, generalized permutations and
+phase matrices.
 
 Group-element actions on induced modules are monomial (one nonzero entry
 per column, a root of unity), so they get a compact GenPerm form: a
@@ -7,7 +8,28 @@ exponents and ``inverse`` negates them.  Applying a GenPerm to a dense
 matrix multiplies each entry x by its root zeta_n^e with
 ``cyclo.mul_root``: one walk over the coefficients of x at shifted
 exponents of zeta_N, N = lcm(n, x.n), with no polynomial product.
-The intertwining operators stay dense.
+``apply_both`` places each entry of left @ x @ right once and rotates it
+once, by the sum of its row's and its column's exponents.
+
+The standard intertwiners are phase matrices (``PhaseMat``): every entry
+is 0 or one root zeta_n^e, kept per row as (column, exponent) pairs at
+modulus n.  ``phase_product(a, b, c)`` is c * (a @ b^H), b^H the conjugate
+transpose of b: entry (r, s) is the sum of c * zeta_n^(x - y) over the
+columns k where a_rk = zeta_n^x and b_sk = zeta_n^y are both nonzero (n
+the lcm of the two moduli).  The n rotations c * zeta_n^d are made once
+per product with ``cyclo.mul_root``, at N = lcm(c.n, n), and their
+power-basis coefficients are packed as signed w-bit digits of one int
+each; an entry adds one packed rotation per shared column and is unpacked
+once.  No digit exceeds inner * h in absolute value, h the largest
+coefficient of a rotation, so w = bit_length(inner * h) + 2.  Each entry
+has the value and conductor of ``scalar_mul(c, mat_mul(a, b^H))`` on the
+dense factors: zero at conductor c.n where no column is shared, zero at N
+where the sum cancels, each of them one object per product.  ``moved``
+transports a phase matrix along two GenPerms by permuting its rows and
+columns and adding exponents; ``scaled`` multiplies it by a scalar with
+one ``mul_root`` per exponent; ``phase_proportionality`` reads the scalar
+relating a phase matrix to a dense one off one entry and compares every
+entry of the dense matrix with one rotation of it.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
@@ -35,26 +57,9 @@ w = bit_length of that bound + 2 leaves every digit clear of its
 neighbours whatever the heights.  Each output entry is unpacked once and
 reduced once, through ``cyclo.from_powers``.
 
-``mat_mul(a, b, adjoint=True)`` is a @ b^H, b^H the conjugate transpose of
-b.  Entry b_jk is packed as entry (k, j) of the right factor at the negated
-exponents -t * N / n: conjugation maps zeta_n^t to zeta_n^-t, and it keeps
-conductors and denominators, so no conjugate is formed and the result
-equals the product with b^H built entrywise.  Every entry of b is packed D
-digits higher, D the largest (phi(n) - 1) * N / n over the conductors n of
-b, so no packed polynomial is longer than those of b^H built entrywise, and
-the output digit at position e holds the exponent e - D.
-
-``mat_mul(a, b, scale=c)`` is c * (a @ b), the product ``scalar_mul``
-would give, with no second pass: c joins the conductors of N, each packed
-output entry is multiplied by the packed c * c.den (exponents 0 to E, the
-absolute values of its coefficients summing to S) before it is unpacked,
-and its denominator is den_a * den_b * c.den.  The product has E more
-digits, each at most S times the bound above, so w is taken for that
-bound.
-
 An output entry with no k where both a_ik and b_kj are nonzero is zero at
-conductor c.n (1 with no scale); any other entry has conductor n = lcm of
-c.n and of lcm(a_ik.n, b_kj.n) over those k, even when the sum cancels.
+conductor 1; any other entry has conductor n = lcm of lcm(a_ik.n, b_kj.n)
+over those k, even when the sum cancels.
 Every exponent in such an entry's product is a multiple of N / n, so it is
 read off at conductor n directly.  The zero entries of one conductor in
 the output are one shared object, so ``neg`` keeps them and ``mat_eq``
@@ -80,32 +85,20 @@ def identity(dim, n=1):
     return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
-def mat_mul(a, b, adjoint=False, scale=None):
-    """scale * (a @ b) by Kronecker substitution; see the module notes.
-    With ``adjoint`` it is a @ b^H, b^H the conjugate transpose of b.
-    ``scale`` (a CycNum, 1 when None) multiplies each packed output entry
-    before it is unpacked."""
+def mat_mul(a, b):
+    """a @ b by Kronecker substitution; see the module notes."""
     rows = len(a)
-    if adjoint:
-        # b with no rows is 0 x inner for any inner
-        inner = len(b[0]) if b else len(a[0]) if a else 0
-        cols = len(b)
-        nz_b = [(k, j, y) for j, row in enumerate(b) for k, y in enumerate(row)
-                if any(y.num)]
-    else:
-        inner, cols = len(b), (len(b[0]) if b else 0)
-        nz_b = [(k, j, y) for k, row in enumerate(b) for j, y in enumerate(row)
-                if any(y.num)]
+    inner, cols = len(b), (len(b[0]) if b else 0)
     if a and len(a[0]) != inner:
         raise ValueError("cannot multiply a %dx%d matrix by a %dx%d matrix"
                          % (rows, len(a[0]), inner, cols))
-    if scale is None:
-        scale = CycNum.one(1)
     nz_a = [(i, k, x) for i, row in enumerate(a) for k, x in enumerate(row)
             if any(x.num)]
+    nz_b = [(k, j, y) for k, row in enumerate(b) for j, y in enumerate(row)
+            if any(y.num)]
     conds_a = {x.n for (_, _, x) in nz_a}
     conds_b = {y.n for (_, _, y) in nz_b}
-    N = lcm(scale.n, *conds_a, *conds_b)
+    N = lcm(*conds_a, *conds_b)
     den_a = [1] * rows
     for (i, _, x) in nz_a:
         den_a[i] = lcm(den_a[i], x.den)
@@ -113,26 +106,18 @@ def mat_mul(a, b, adjoint=False, scale=None):
     for (_, j, y) in nz_b:
         den_b[j] = lcm(den_b[j], y.den)
     # the highest exponent of zeta_N that an entry of conductor m holds
-    top = {m: N // m * (euler_phi(m) - 1)
-           for m in conds_a | conds_b | {scale.n}}
-    # D of the module notes; 0 unless adjoint
-    lift = max((top[m] for m in conds_b), default=0) if adjoint else 0
-    length = 1 + max(max((top[m] for m in conds_a), default=0),
-                     lift if adjoint else
-                     max((top[m] for m in conds_b), default=0))
+    top = {m: N // m * (euler_phi(m) - 1) for m in conds_a | conds_b}
+    length = 1 + max(top.values(), default=0)
     # the largest integer coefficient over each row's or column's common
     # denominator
     height_a = max((max(map(abs, x.num)) * (den_a[i] // x.den)
                     for (i, _, x) in nz_a), default=0)
     height_b = max((max(map(abs, y.num)) * (den_b[j] // y.den)
                     for (_, j, y) in nz_b), default=0)
-    w = (inner * length * height_a * height_b
-         * sum(map(abs, scale.num))).bit_length() + 2
+    w = (inner * length * height_a * height_b).bit_length() + 2
     # the bit positions of the coefficients of an entry of conductor m:
-    # zeta_m^t sits at exponent t * N / m, or at D - t * N / m conjugated
+    # zeta_m^t sits at exponent t * N / m
     places = {m: [w * (N // m) * t for t in range(euler_phi(m))] for m in top}
-    places_b = {m: [w * lift - s for s in places[m]] for m in conds_b} \
-        if adjoint else places
     packed_a = [[0] * inner for _ in range(rows)]
     masks_a = {}
     for (i, k, x) in nz_a:
@@ -142,22 +127,21 @@ def mat_mul(a, b, adjoint=False, scale=None):
     packed_b = [[0] * inner for _ in range(cols)]
     masks_b = {}
     for (k, j, y) in nz_b:
-        packed = sum(map(lshift, y.num, places_b[y.n]))
+        packed = sum(map(lshift, y.num, places[y.n]))
         packed_b[j][k] = packed * (den_b[j] // y.den)
         masks_b.setdefault(y.n, [0] * cols)[j] |= 1 << k
-    packed_s = sum(map(lshift, scale.num, places[scale.n]))
     # conductor pairs with the rows and columns in which they meet
     pairs = [(lcm(c, d), ma, mb) for c, ma in masks_a.items()
              for d, mb in masks_b.items()]
     # adding half to every digit makes them all nonnegative, so each digit
     # is read with a shift and a mask, with no borrow from its neighbour
-    digits = 2 * length - 1 + top[scale.n]
+    digits = 2 * length - 1
     half = 1 << (w - 1)
     low = (1 << w) - 1
     offset = sum(half << (w * e) for e in range(digits))
     shifts = range(0, w * digits, w)
     # one zero per conductor, shared by every zero entry of the output
-    zeros = {scale.n: CycNum.zero(scale.n)}
+    zeros = {1: CycNum.zero(1)}
     out = []
     for i in range(rows):
         prow = packed_a[i]
@@ -165,19 +149,16 @@ def mat_mul(a, b, adjoint=False, scale=None):
         for j in range(cols):
             hits = [n for (n, ma, mb) in pairs if ma[i] & mb[j]]
             if not hits:
-                new.append(zeros[scale.n])
+                new.append(zeros[1])
                 continue
-            n = lcm(scale.n, *hits)
+            n = lcm(*hits)
             acc = sum(map(mul, prow, packed_b[j]))
             if not acc:
                 new.append(zeros.get(n) or zeros.setdefault(n, CycNum.zero(n)))
                 continue
-            acc = acc * packed_s + offset
+            acc += offset
             conv = [((acc >> s) & low) - half for s in shifts]
-            step = N // n
-            x = from_powers(
-                n, enumerate(conv[lift % step::step], -(lift // step)),
-                den_a[i] * den_b[j] * scale.den)
+            x = from_powers(n, enumerate(conv[::N // n]), den_a[i] * den_b[j])
             new.append(x if any(x.num) else zeros.setdefault(n, x))
         out.append(new)
     return out
@@ -254,7 +235,11 @@ def _shifted(x, conds):
 def proportionality(a, b):
     """Scalar c with a == c * b, else None (also when b is zero).  c is read
     off the first nonzero entry of b.  Where b is zero, x == c * 0 exactly
-    when x is zero, so only the nonzero entries of b are multiplied."""
+    when x is zero, so only the nonzero entries of b are multiplied.
+
+    The dense form of ``phase_proportionality``; the solver works on phase
+    matrices, and this stays as the dense reference (the benchmark tracer
+    also wraps it by name)."""
     c = None
     for ra, rb in zip(a, b):
         for x, y in zip(ra, rb):
@@ -344,6 +329,19 @@ class GenPerm:
         return [[mul_root(row[i], n, e) for i, e in zip(self.perm, self.expo)]
                 for row in dense]
 
+    def apply_both(self, dense, right):
+        """self @ dense @ right: entry (r, c) of dense goes once to row
+        self.perm[r] and to the column j with right.perm[j] = c, rotated
+        once by the sum of the two exponents."""
+        n = lcm(self.n, right.n)
+        s, t = n // self.n, n // right.n
+        cols = [(c, t * f) for c, f in zip(right.perm, right.expo)]
+        rows = [None] * len(dense)
+        for i, e, row in zip(self.perm, self.expo, dense):
+            e *= s
+            rows[i] = [mul_root(row[c], n, e + f) for c, f in cols]
+        return rows
+
     def __eq__(self, other):
         if not isinstance(other, GenPerm) or self.perm != other.perm:
             return False
@@ -351,3 +349,125 @@ class GenPerm:
         s, t = n // self.n, n // other.n
         return all((s * e - t * f) % n == 0
                    for e, f in zip(self.expo, other.expo))
+
+
+class PhaseMat:
+    """A matrix whose nonzero entries are roots of unity: row r is a tuple
+    of (column, exponent) pairs, one per nonzero entry zeta_n^e, with e
+    taken mod n; see the module notes."""
+
+    __slots__ = ("rows", "cols", "n")
+
+    def __init__(self, rows, cols, n):
+        self.rows = tuple(tuple((k, e % n) for k, e in row) for row in rows)
+        self.cols = cols
+        self.n = n
+
+    def to_dense(self):
+        """The dense matrix: zeta_n^e at conductor n, and one shared zero of
+        conductor n."""
+        return self.scaled(CycNum.one(1))
+
+    def scaled(self, c):
+        """c * self as a dense matrix, with the values and conductors
+        (lcm(c.n, n), zeros included) of ``scalar_mul(c, self.to_dense())``."""
+        n = self.n
+        rots = [mul_root(c, n, e) for e in range(n)]
+        zero = CycNum.zero(lcm(c.n, n))
+        out = []
+        for row in self.rows:
+            new = [zero] * self.cols
+            for k, e in row:
+                new[k] = rots[e]
+            out.append(new)
+        return out
+
+    def moved(self, left, right):
+        """left @ self @ right for GenPerms left and right, as a PhaseMat:
+        row r goes to row left.perm[r] and column c to the column j with
+        right.perm[j] = c, and the exponent gains left.expo[r] and
+        right.expo[j]."""
+        n = lcm(self.n, left.n, right.n)
+        s, t, u = n // self.n, n // left.n, n // right.n
+        to = [0] * self.cols
+        shift = [0] * self.cols
+        for j, (c, f) in enumerate(zip(right.perm, right.expo)):
+            to[c] = j
+            shift[c] = u * f
+        rows = [None] * len(self.rows)
+        for row, r, e in zip(self.rows, left.perm, left.expo):
+            e *= t
+            rows[r] = [(to[c], s * x + e + shift[c]) for c, x in row]
+        return PhaseMat(rows, right.dim, n)
+
+
+def phase_product(a, b, scale):
+    """scale * (a @ b^H) for phase matrices a and b, as a dense matrix; see
+    the module notes."""
+    if a.cols != b.cols:
+        raise ValueError("cannot multiply a %dx%d matrix by the adjoint of a "
+                         "%dx%d matrix" % (len(a.rows), a.cols, len(b.rows),
+                                           b.cols))
+    n = lcm(a.n, b.n)
+    s, t = n // a.n, n // b.n
+    N = lcm(scale.n, n)
+    rots = [mul_root(scale, n, d).num for d in range(n)]
+    w = (a.cols * max(abs(c) for rot in rots for c in rot)).bit_length() + 2
+    places = range(0, w * len(rots[0]), w)
+    # indexed by x - y in (-n, n): a negative index is the rotation x - y + n
+    packed = [sum(map(lshift, rot, places)) for rot in rots]
+    half = 1 << (w - 1)
+    low = (1 << w) - 1
+    offset = sum(half << p for p in places)
+    missed = CycNum.zero(scale.n)
+    cancelled = missed if N == scale.n else CycNum.zero(N)
+    rows_b = [[(k, t * y) for k, y in row] for row in b.rows]
+    out = []
+    xs = [None] * a.cols
+    for row in a.rows:
+        for k, x in row:
+            xs[k] = s * x
+        new = []
+        for row_b in rows_b:
+            terms = [packed[x - y] for k, y in row_b
+                     if (x := xs[k]) is not None]
+            if not terms:
+                new.append(missed)
+                continue
+            acc = sum(terms)
+            if not acc:
+                new.append(cancelled)
+                continue
+            acc += offset
+            new.append(CycNum(N, [((acc >> p) & low) - half for p in places],
+                              scale.den))
+        out.append(new)
+        for k, _x in row:
+            xs[k] = None
+    return out
+
+
+def phase_proportionality(a, b):
+    """Scalar c with a == c * b for a phase matrix a and a dense matrix b,
+    else None (also when b is zero): the value and conductor that
+    ``proportionality(a.to_dense(), b)`` gives.
+
+    With a_rk = zeta_n^e the first nonzero entry of a, kappa = b_rk *
+    zeta_n^(-e) is 1 / c, and a == c * b exactly when every entry of b is
+    kappa * zeta_n^f where a has zeta_n^f and zero where a is zero."""
+    n = a.n
+    r = next((r for r, row in enumerate(a.rows) if row), None)
+    if r is None:
+        y = next((y for row in b for y in row if any(y.num)), None)
+        return None if y is None else CycNum.zero(lcm(n, y.n))
+    k, e = min(a.rows[r])
+    kappa = mul_root(b[r][k], n, -e)
+    if not any(kappa.num):
+        return None
+    rots = [mul_root(kappa, n, f) for f in range(n)]
+    for row, row_b in zip(a.rows, b):
+        if sum(1 for y in row_b if any(y.num)) != len(row):
+            return None
+        if any(row_b[k] != rots[f] for k, f in row):
+            return None
+    return kappa.inverse()

@@ -134,7 +134,7 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
             GP_n = g_transport(g, sys.modules[n0[0]], sys.modules[n1[0]])
             GP_l_inv = g_transport(g, sys.modules[l0[0]],
                                    sys.modules[l1[0]]).inverse()
-            lhs = GP_n.apply_left(GP_l_inv.apply_right(F))
+            lhs = GP_n.apply_both(F, GP_l_inv)
             rhs = sys.operator(n1, l1)
             checked += 1
             if not mat_eq(lhs, rhs):

@@ -20,14 +20,25 @@ The library counts intertwiner dimensions by walking the orbits of the
 generator maps; the oracle joins the unknowns in a union-find with
 root-of-unity ratios.  The library multiplies only the nonzero entries of
 b in a proportionality; the oracle multiplies every entry.
+The library holds each standard intertwiner as a phase matrix, one
+root of unity per entry from one coset; the oracle counts the exponents of
+every entry in a dim x dim x n cube and reduces each entry through
+``from_powers``.
 """
 
 from math import lcm
 
 from heisenrep import intlin
-from heisenrep.cyclo import CycNum, in_subfield, root_of_unity, sqrt_prime
+from heisenrep.abgroup import subgroup_intersect
+from heisenrep.cyclo import (
+    CycNum,
+    from_powers,
+    in_subfield,
+    root_of_unity,
+    sqrt_prime,
+)
 from heisenrep.heisenberg import HeisGrp, induce
-from heisenrep.intertwine import SolveError, standard_T
+from heisenrep.intertwine import SolveError
 from heisenrep.kmat import GenPerm, mat_mul, proportionality
 from heisenrep.symplectic import SympAut, SymplecticError
 
@@ -82,13 +93,33 @@ def trace_counts(V, h):
     return counts
 
 
+def dense_standard_T(target, source):
+    """The averaging intertwiner H_L -> H_N (L source, N target) as a dense
+    matrix: the exponent of every term of the sum over N/(N cap L) counted
+    per entry, each entry reduced once, zeros one shared object of
+    conductor n."""
+    H = target.H
+    M = H.base
+    n = H.n
+    inter = subgroup_intersect(target.lag.sub, source.lag.sub)
+    reps = sorted({inter.coset_reduce(v) for v in target.lag.sub.elements()})
+    counts = [[[0] * n for _ in range(source.dim)] for _ in range(target.dim)]
+    for i, ri in enumerate(target.reps):
+        for nn in reps:
+            j, e = source.locate(M.group.add(nn, ri))
+            counts[i][j][(M.beta(nn, ri) + e) % n] += 1
+    zero = CycNum.zero(n)
+    return [[from_powers(n, enumerate(c)) if any(c) else zero for c in row]
+            for row in counts]
+
+
 def composition_scalar(lag_a, lag_b, H=None):
     """The scalar d with T_{A,B} o T_{B,A} = d * id."""
     if H is None:
         H = HeisGrp(lag_a.module)
     Va = induce(H, lag_a)
     Vb = induce(H, lag_b)
-    prod = mat_mul(standard_T(Va, Vb), standard_T(Vb, Va))
+    prod = mat_mul(dense_standard_T(Va, Vb), dense_standard_T(Vb, Va))
     scal = scalar_of(prod)
     if scal is None:
         raise SolveError("composite of standard intertwiners is not scalar")
@@ -132,7 +163,7 @@ def tau_matched_scalars(red, sys_c, lifted):
     for i in range(sys_c.count):
         tau_i = tau_matrix(red, sys_c.modules[i], lifted.modules[i])
         target = mat_mul(tau_i, sys_c.anchored(i, 1))
-        image = mat_mul(lifted.T_LB[i], tau_B)
+        image = mat_mul(lifted.T_LB[i].to_dense(), tau_B)
         scal = proportionality(target, image)
         if scal is None or scal.is_zero():
             raise SolveError("lifted operator is not determined on "

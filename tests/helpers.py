@@ -34,6 +34,18 @@ class DirectSum:
         return perm, exp
 
 
+def shared_zeros(mat):
+    """Whether the zero entries of each conductor are one object."""
+    seen = {}
+    return all(seen.setdefault(x.n, x) is x
+               for row in mat for x in row if not any(x.num))
+
+
+def conj_transpose(b, inner):
+    """b^H for b with rows of length ``inner``."""
+    return [[row[k].conj() for row in b] for k in range(inner)]
+
+
 def check_inverse_symmetry(sys, rng=None, samples=20):
     """F_{L0,N0} is exactly the inverse of F_{N0,L0} on sampled pairs."""
     rng = rng or random.Random(0)

@@ -5,15 +5,21 @@ import pytest
 from dense_oracle import (
     anchored_entries_in_field,
     composition_scalar,
+    dense_standard_T,
     hom_dim_union_find,
     kernel_of,
     operator_from_kernel,
     scalar_of,
 )
-from helpers import DirectSum, check_inverse_symmetry
+from helpers import (
+    DirectSum,
+    check_inverse_symmetry,
+    conj_transpose,
+    shared_zeros,
+)
 
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
-from heisenrep.heisenberg import HeisGrp, induce
+from heisenrep.heisenberg import HeisGrp, g_transport, induce
 from heisenrep.intertwine import (
     SolveError,
     hom_dim,
@@ -21,11 +27,20 @@ from heisenrep.intertwine import (
     standard_T,
     standard_pairs,
 )
-from heisenrep.kmat import identity, mat_eq, mat_mul, scalar_mul
+from heisenrep.kmat import (
+    identity,
+    mat_eq,
+    mat_mul,
+    phase_product,
+    phase_proportionality,
+    proportionality,
+    scalar_mul,
+)
 from heisenrep.symplectic import (
     SympMod,
     SymplecticError,
     enumerate_lagrangians,
+    sp_sample,
     standard_module,
 )
 from heisenrep.verify import check_system_axioms
@@ -51,7 +66,7 @@ def _index_of(lags, vec):
 def test_standard_T_identity(setup3):
     _M, _H, lags, mods = setup3
     for V in mods:
-        T = standard_T(V, V)
+        T = standard_T(V, V).to_dense()
         assert mat_eq(T, identity(V.dim, 3))
 
 
@@ -59,7 +74,7 @@ def test_standard_T_is_fourier_on_transverse_pair(setup3):
     M, H, lags, mods = setup3
     bi = _index_of(lags, (1, 0))
     yi = _index_of(lags, (0, 1))
-    T = standard_T(mods[yi], mods[bi])
+    T = standard_T(mods[yi], mods[bi]).to_dense()
     # oracle: the finite Fourier matrix (zeta^(-xt)) in the transverse-pair
     # coordinates, derived by unwinding the averaging sum by hand
     z = root_of_unity(3)
@@ -71,11 +86,30 @@ def test_standard_T_intertwines_all_elements(setup3):
     M, H, lags, mods = setup3
     for i in range(4):
         for j in range(4):
-            T = standard_T(mods[i], mods[j])
+            T = standard_T(mods[i], mods[j]).to_dense()
             for h in H.elements():
                 lhs = mat_mul(T, mods[j].rho(h))
                 rhs = mat_mul(mods[i].rho(h), T)
                 assert mat_eq(lhs, rhs)
+
+
+class _OneColumn:
+    """V with ``locate`` putting every point in column 0."""
+
+    def __init__(self, V):
+        self.dim, self.lag, self._locate = V.dim, V.lag, V.locate
+
+    def locate(self, y):
+        return 0, self._locate(y)[1]
+
+
+def test_standard_T_refuses_two_cosets_in_one_entry(setup3):
+    _M, _H, lags, mods = setup3
+    bi = _index_of(lags, (1, 0))
+    yi = _index_of(lags, (0, 1))
+    # N cap L = 0, so each row sums over three cosets
+    with pytest.raises(SolveError, match=r"entry \(0, 0\)"):
+        standard_T(mods[yi], _OneColumn(mods[bi]))
 
 
 def test_hom_dim_examples(setup3):
@@ -174,30 +208,108 @@ def test_delta_is_dense_composite_at_every_basepoint(blocks):
         for i, V in enumerate(mods):
             # the map back, built by averaging, not as the adjoint
             T_BL = standard_T(mods[B], V)
-            dense = scalar_of(mat_mul(T_BL, T_LB[i]))
+            dense = scalar_of(mat_mul(T_BL.to_dense(), T_LB[i].to_dense()))
             assert dense is not None
             assert (delta[i].n, delta[i].num, delta[i].den) == \
                 (dense.n, dense.num, dense.den), (B, i)
 
 
 def _adjoint_pairs(blocks, basepoints=None):
-    """(standard_T(V, mods[B]), standard_T(mods[B], V)) over the modules of
-    the system on M."""
+    """(standard_T(V, mods[B]), standard_T(mods[B], V)) as dense matrices
+    over the modules of the system on M."""
     mods = _system_models(blocks)
     for B in (range(len(mods)) if basepoints is None else basepoints):
         for V in mods:
-            yield standard_T(V, mods[B]), standard_T(mods[B], V)
+            yield (standard_T(V, mods[B]).to_dense(),
+                   standard_T(mods[B], V).to_dense())
 
 
-@pytest.mark.parametrize("blocks, basepoints", [
+# every basepoint of the rank-2 ladder and of the lifted systems, and
+# basepoints 0-2 of (Z/3)^4
+SYSTEM_BASEPOINTS = [
     ([(3, 1)], None), ([(5, 1)], None), ([(7, 1)], None), ([(11, 1)], None),
     ([(3, 2)], range(3)), ([(27, 1)], None), ([(9, 1), (3, 1)], None),
-])
+]
+
+
+@pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
 def test_map_back_is_the_conjugate_transpose(blocks, basepoints):
     for T_LB, T_BL in _adjoint_pairs(blocks, basepoints):
         adjoint = [[T_LB[i][j].conj() for i in range(len(T_LB))]
                    for j in range(len(T_LB[0]))]
         assert exact(T_BL) == exact(adjoint)
+
+
+def _phase_family(blocks, basepoints):
+    """(mods, B, [standard_T(V, mods[B]) for V in mods]) per basepoint."""
+    mods = _system_models(blocks)
+    for B in (range(len(mods)) if basepoints is None else basepoints):
+        yield mods, B, [standard_T(V, mods[B]) for V in mods]
+
+
+@pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
+def test_standard_T_matches_the_dense_oracle(blocks, basepoints):
+    for mods, B, T_LB in _phase_family(blocks, basepoints):
+        for V, T in zip(mods, T_LB):
+            for phase, dense in ((T, dense_standard_T(V, mods[B])),
+                                 (standard_T(mods[B], V),
+                                  dense_standard_T(mods[B], V))):
+                got = phase.to_dense()
+                assert exact(got) == exact(dense)
+                assert shared_zeros(got)
+
+
+@pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
+def test_phase_products_match_the_dense_products(blocks, basepoints):
+    for mods, B, T_LB in _phase_family(blocks, basepoints):
+        dense = [T.to_dense() for T in T_LB]
+        count = len(mods)
+        # conductors 1, 3 (a solved scalar's shape) and 4 (not dividing n)
+        for scale in (CycNum.one(1), (1 + 2 * root_of_unity(3)) / 3,
+                      root_of_unity(4) / 2 - 1):
+            for i in range(count):
+                pairs = {i, B, (i + 1) % count} if scale == 1 else {i + 1}
+                for j in (j % count for j in pairs):
+                    got = phase_product(T_LB[i], T_LB[j], scale)
+                    want = scalar_mul(scale, mat_mul(
+                        dense[i], conj_transpose(dense[j], len(dense[j][0]))))
+                    assert exact(got) == exact(want), (B, i, j)
+                    assert shared_zeros(got)
+            for T, D in list(zip(T_LB, dense))[B:B + 2]:
+                assert exact(T.scaled(scale)) == exact(scalar_mul(scale, D))
+
+
+@pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
+def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
+    """The solver's relation on phase matrices, against apply_left and
+    apply_right on the dense matrix and the dense proportionality: for g
+    and j with t = g j and b = g B, the transport of T_LB[j] is mu times
+    T_LB[t] T_LB[b]^H, and not proportional to T_LB[t'] T_LB[b]^H for the
+    other lagrangians t'."""
+    refused = 0
+    for mods, B, T_LB in _phase_family(blocks, basepoints):
+        keys = {V.lag.sub.key(): i for i, V in enumerate(mods)}
+        one = CycNum.one(1)
+        for g in sp_sample(mods[0].H.base, 7, 2):
+            b = keys[g.on_subgroup(mods[B].lag.sub).key()]
+            GPBinv = g_transport(g, mods[B], mods[b]).inverse()
+            for j, T in enumerate(T_LB):
+                t = keys[g.on_subgroup(mods[j].lag.sub).key()]
+                GP = g_transport(g, mods[j], mods[t])
+                moved = T.moved(GP, GPBinv)
+                dense = moved.to_dense()
+                assert exact(dense) == exact(
+                    GP.apply_left(GPBinv.apply_right(T.to_dense())))
+                for u in (t, (t + 1) % len(mods)):
+                    prod = phase_product(T_LB[u], T_LB[b], one)
+                    got = phase_proportionality(moved, prod)
+                    want = proportionality(dense, prod)
+                    assert (got is None) == (want is None)
+                    if u == t:
+                        assert got is not None
+                        assert exact([[got]]) == exact([[want]])
+                    refused += got is None
+    assert refused or len(mods) == 1
 
 
 def test_doubled_delta_fails_transitivity():
@@ -252,8 +364,8 @@ def test_solver_transverse_pair_product_is_one_third():
     from heisenrep.kmat import proportionality
 
     VB, VY = sys.modules[bi], sys.modules[yi]
-    T_yb = standard_T(VY, VB)
-    T_by = standard_T(VB, VY)
+    T_yb = standard_T(VY, VB).to_dense()
+    T_by = standard_T(VB, VY).to_dense()
     c1 = proportionality(sys.operator((yi, 1), (bi, 1)), T_yb)
     c2 = proportionality(sys.operator((bi, 1), (yi, 1)), T_by)
     assert c1 is not None and c2 is not None
@@ -413,7 +525,7 @@ def test_kernel_roundtrip_fourier(setup3):
     M, H, lags, mods = setup3
     bi = _index_of(lags, (1, 0))
     yi = _index_of(lags, (0, 1))
-    T = standard_T(mods[yi], mods[bi])
+    T = standard_T(mods[yi], mods[bi]).to_dense()
     k = kernel_of(T, mods[bi], mods[yi])
     back = operator_from_kernel(k, mods[bi], mods[yi])
     assert mat_eq(back, T)
@@ -422,7 +534,7 @@ def test_kernel_roundtrip_fourier(setup3):
 def test_kernel_of_identity_is_normalized_indicator(setup3):
     M, H, lags, mods = setup3
     V = mods[0]
-    k = kernel_of(standard_T(V, V), V, V)
+    k = kernel_of(standard_T(V, V).to_dense(), V, V)
     norm = CycNum.rational(1) / (3 * V.lag.order())
     for h in H.elements():
         m, a = h

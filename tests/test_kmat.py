@@ -3,16 +3,20 @@ from math import lcm
 
 import pytest
 from dense_oracle import proportionality_full
+from helpers import conj_transpose, shared_zeros
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
 from heisenrep.kmat import (
     GenPerm,
+    PhaseMat,
     identity,
     kron,
     mat_eq,
     mat_mul,
     neg,
+    phase_product,
+    phase_proportionality,
     proportionality,
     scalar_mul,
 )
@@ -110,7 +114,9 @@ def products(draw):
 @given(products())
 def test_mat_mul_matches_reference(ab):
     a, b = ab
-    assert exact(mat_mul(a, b)) == exact(_mat_mul_reference(a, b))
+    got = mat_mul(a, b)
+    assert exact(got) == exact(_mat_mul_reference(a, b))
+    assert shared_zeros(got)
 
 
 @st.composite
@@ -119,47 +125,178 @@ def nonzero_entries(draw, height):
     return x if any(x.num) else root_of_unity(x.n, draw(st.integers(0, x.n)))
 
 
-def shared_zeros(mat):
-    """Whether the zero entries of each conductor are one object."""
-    seen = {}
-    return all(seen.setdefault(x.n, x) is x
-               for row in mat for x in row if not any(x.num))
+PHASE_MODULI = [1, 3, 5, 9, 15, 27]
+
+
+@st.composite
+def phase_mats(draw, rows, cols, n=None):
+    """A rows x cols PhaseMat, each row a random set of columns with
+    unreduced exponents."""
+    if n is None:
+        n = draw(st.sampled_from(PHASE_MODULI))
+    out = []
+    for _ in range(rows):
+        ks = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                           max_size=cols)) if cols else []
+        out.append([(k, draw(st.integers(-2 * n, 2 * n))) for k in ks])
+    return PhaseMat(out, cols, n)
+
+
+@st.composite
+def phase_pairs(draw):
+    """(a, b, c): PhaseMats a (rows x inner) and b (cols x inner), at one
+    modulus or at two, and a nonzero scalar c."""
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    a = draw(phase_mats(rows, inner))
+    b = draw(phase_mats(cols, inner, a.n if draw(st.booleans()) else None))
+    if rows and inner >= 3 and a.n == b.n == 3 and draw(st.booleans()):
+        # 1 + zeta_3 + zeta_3^2 = 0 in the entries of row 0 against every
+        # row of b that holds all three columns at exponents 0, 1, 2
+        a = PhaseMat([[(0, 0), (1, 0), (2, 0)]] + list(a.rows[1:]), inner, 3)
+        b = PhaseMat([[(0, 0), (1, 1), (2, 2)]] * cols, inner, 3)
+    c = draw(st.sampled_from([1, 5, 2 ** 31, 2 ** 300]).flatmap(nonzero_entries))
+    return a, b, c
+
+
+def test_phase_to_dense_holds_roots_and_one_zero():
+    a = PhaseMat([[(2, 4), (0, -1)], [], [(1, 3)]], 3, 3)
+    z = root_of_unity(3)
+    assert exact(a.to_dense()) == exact(
+        [[z ** 2, CycNum.zero(3), z], [CycNum.zero(3)] * 3,
+         [CycNum.zero(3), z ** 0, CycNum.zero(3)]])
+    assert a.to_dense()[0][1].n == 3 and shared_zeros(a.to_dense())
 
 
 @settings(max_examples=150, deadline=None)
-@given(products(), st.booleans(),
-       st.sampled_from([1, 5, 2 ** 31, 2 ** 300]).flatmap(nonzero_entries))
-def test_scaled_product_is_scalar_mul_of_product(ab, adjoint, c):
-    a, b = ab
-    if adjoint:
-        # b (inner x cols) read as the cols x inner factor of a @ b^H
-        b = [list(col) for col in zip(*b)]
-    got = mat_mul(a, b, adjoint=adjoint, scale=c)
-    assert exact(got) == exact(scalar_mul(c, mat_mul(a, b, adjoint=adjoint)))
-    assert shared_zeros(got) and shared_zeros(mat_mul(a, b, adjoint=adjoint))
+@given(phase_pairs())
+def test_scaled_product_is_scalar_mul_of_product(abc):
+    a, b, c = abc
+    got = phase_product(a, b, c)
+    if not a.cols:
+        assert exact(got) == exact([[CycNum.zero(c.n)] * len(b.rows)
+                                    for _ in a.rows])
+        return
+    dense = mat_mul(a.to_dense(), conj_transpose(b.to_dense(), a.cols))
+    assert exact(got) == exact(scalar_mul(c, dense))
+    assert shared_zeros(got)
+    assert exact(a.scaled(c)) == exact(scalar_mul(c, a.to_dense()))
+    assert shared_zeros(a.scaled(c))
 
 
 def test_scaled_product_shares_cancelled_zeros():
+    # row 0 of a against row 0 of b is 1 + zeta^-1 + zeta^-2 = 0; row 1
+    # of a meets no column of b
+    a = PhaseMat([[(0, 0), (1, 0), (2, 0)], []], 3, 3)
+    b = PhaseMat([[(0, 0), (1, 1), (2, 2)], [(1, 2)]], 3, 3)
+    c = root_of_unity(9, 4) / 7
+    out = phase_product(a, b, c)
+    assert exact(out) == exact(scalar_mul(c, mat_mul(
+        a.to_dense(), conj_transpose(b.to_dense(), 3))))
+    assert [[x.n for x in row] for row in out] == [[9, 9], [9, 9]]
+    assert out[0][0].is_zero() and not out[0][1].is_zero()
+    assert out[0][0] is out[1][0] is out[1][1]
+    # with c rational, the cancelled zero has conductor 3 and a missed
+    # entry conductor 1, one object each
+    c = CycNum.rational(Fraction(2, 7))
+    out = phase_product(PhaseMat(a.rows * 2, 3, 3), b, c)
+    assert [[x.n for x in row] for row in out] == [[3, 3], [1, 1]] * 2
+    assert out[0][0] is out[2][0] and out[1][0] is out[1][1] is out[3][0]
+    assert out[0][1] == c * root_of_unity(3, 1)
+
+
+def test_product_shares_cancelled_zeros():
     z3 = root_of_unity(3)
     one = CycNum.one(1)
-    # row 0 cancels against column 0 at conductor 3 (9 with c) and against
-    # column 1 at conductor 15 (45 with c); row 1 meets no nonzero entry
+    # row 0 cancels against column 0 at conductor 3 and against column 1
+    # at conductor 15; row 1 meets no nonzero entry
     a = [[z3, z3, one], [CycNum.zero(5), CycNum.zero(5), CycNum.zero(5)]]
     b = [[one, root_of_unity(5)], [-one, -root_of_unity(5)],
          [CycNum.zero(1), CycNum.zero(1)]]
-    c = root_of_unity(9, 4) / 7
-    out = mat_mul(a, b, scale=c)
-    assert exact(out) == exact(scalar_mul(c, mat_mul(a, b)))
-    assert [[x.n for x in row] for row in out] == [[9, 45], [9, 9]]
+    out = mat_mul(a, b)
+    assert exact(out) == exact(_mat_mul_reference(a, b))
+    assert [[x.n for x in row] for row in out] == [[3, 15], [1, 1]]
     assert all(x.is_zero() for row in out for x in row)
-    assert out[0][0] is out[1][0] is out[1][1]
-    again = mat_mul(a + a, b, scale=c)
-    assert again[0][1] is again[2][1]
+    assert out[1][0] is out[1][1]
+    again = mat_mul(a + a, b)
+    assert again[0][0] is again[2][0] and again[0][1] is again[2][1]
+    assert again[1][0] is again[3][1]
     # z3 * z3 + z3 + 1 packs as x^2 + x + 1, which vanishes only mod Phi_3
     a, b = [[z3, one, one]] * 2, [[z3], [z3], [one]]
-    out = mat_mul(a, b, scale=c)
-    assert exact(out) == exact(scalar_mul(c, mat_mul(a, b)))
+    out = mat_mul(a, b)
+    assert exact(out) == exact(_mat_mul_reference(a, b))
     assert out[0][0].is_zero() and out[0][0] is out[1][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_pairs())
+def test_adjoint_product_matches_product_with_conjugate_transpose(abc):
+    a, b, _c = abc
+    got = phase_product(a, b, CycNum.one(1))
+    if not a.cols:
+        assert exact(got) == [[(1, (0,), 1)] * len(b.rows)] * len(a.rows)
+        return
+    bh = conj_transpose(b.to_dense(), a.cols)
+    assert exact(got) == exact(mat_mul(a.to_dense(), bh))
+    assert exact(got) == exact(_mat_mul_reference(a.to_dense(), bh))
+
+
+def test_adjoint_product_shape_mismatch():
+    a23 = PhaseMat([[(0, 0)]] * 2, 3, 3)
+    a22 = PhaseMat([[(1, 1)]] * 2, 2, 3)
+    one = CycNum.one(1)
+    with pytest.raises(ValueError, match=r"2x3.*2x2"):
+        phase_product(a23, a22, one)
+    with pytest.raises(ValueError, match=r"2x2.*2x3"):
+        phase_product(a22, a23, one)
+    assert phase_product(a23, PhaseMat([], 3, 3), one) == [[], []]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_phase_moved_matches_genperm_products(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    a = data.draw(phase_mats(rows, cols))
+    left, right = data.draw(genperms(rows)), data.draw(genperms(cols))
+    got = a.moved(left, right).to_dense()
+    assert exact(got) == exact(left.apply_left(right.apply_right(a.to_dense())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_phase_proportionality_matches_the_dense_one(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = data.draw(phase_mats(rows, cols))
+    kappa = data.draw(nonzero_entries(data.draw(st.sampled_from([1, 5, 2 ** 31]))))
+    b = scalar_mul(kappa, a.to_dense())
+    kind = data.draw(st.sampled_from(["proportional", "zero b", "zero a",
+                                      "other", "nonzero where a is zero",
+                                      "one entry lifted"]))
+    if kind == "zero b":
+        b = [[CycNum.zero(data.draw(st.sampled_from(CONDUCTORS)))
+              for _ in range(cols)] for _ in range(rows)]
+    elif kind == "zero a":
+        a = PhaseMat([[]] * rows, cols, a.n)
+    elif kind == "other":
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        b[i][j] = b[i][j] + data.draw(nonzero_entries(5))
+    elif kind == "one entry lifted":
+        # the same values; c takes its conductor from the first nonzero
+        # entry of b, lifted here to five times its conductor
+        i, j = next(((i, j) for i in range(rows) for j in range(cols)
+                     if not b[i][j].is_zero()), (0, 0))
+        b[i][j] = b[i][j].lift(5 * b[i][j].n)
+    elif kind == "nonzero where a is zero":
+        zeros = [(i, j) for i in range(rows) for j in range(cols)
+                 if b[i][j].is_zero()]
+        if zeros:
+            i, j = data.draw(st.sampled_from(zeros))
+            b[i][j] = data.draw(nonzero_entries(5))
+    got, want = phase_proportionality(a, b), proportionality(a.to_dense(), b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert exact([[got]]) == exact([[want]])
+    if kind in ("proportional", "one entry lifted") and any(a.rows):
+        assert got * kappa == 1
 
 
 def test_mat_eq_shapes_and_conductors():
@@ -206,52 +343,6 @@ def test_proportionality_matches_full_loop(data):
         assert got is None
     elif kind == "proportional" and any(any(y.num) for row in b for y in row):
         assert got == c
-
-
-ADJOINT_CONDUCTORS = [1, 3, 5, 9, 15, 27]
-
-
-def conj_transpose(b, inner):
-    return [[row[k].conj() for row in b] for k in range(inner)]
-
-
-@st.composite
-def adjoint_products(draw):
-    """(a, b, inner) with a rows x inner and b cols x inner."""
-    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
-    height = draw(st.sampled_from([1, 2, 5, 2 ** 31, 2 ** 300]))
-    cell = entries(height, ADJOINT_CONDUCTORS)
-    a = [[draw(cell) for _ in range(inner)] for _ in range(rows)]
-    b = [[draw(cell) for _ in range(inner)] for _ in range(cols)]
-    if cols and draw(st.booleans()):
-        b[draw(st.integers(0, cols - 1))] = [
-            CycNum.zero(draw(st.sampled_from(ADJOINT_CONDUCTORS)))
-            for _ in range(inner)]
-    return a, b, inner
-
-
-@settings(max_examples=200, deadline=None)
-@given(adjoint_products())
-def test_adjoint_product_matches_product_with_conjugate_transpose(abk):
-    a, b, inner = abk
-    got = mat_mul(a, b, adjoint=True)
-    if not inner:
-        # b^H has no rows, so as a list it loses its width len(b)
-        assert exact(got) == [[(1, (0,), 1)] * len(b)] * len(a)
-        return
-    assert exact(got) == exact(mat_mul(a, conj_transpose(b, inner)))
-    assert exact(got) == exact(_mat_mul_reference(a, conj_transpose(b, inner)))
-
-
-def test_adjoint_product_shape_mismatch():
-    one = CycNum.one(3)
-    a23 = [[one] * 3 for _ in range(2)]
-    a22 = [[one] * 2 for _ in range(2)]
-    with pytest.raises(ValueError, match=r"2x3.*2x2"):
-        mat_mul(a23, a22, adjoint=True)
-    with pytest.raises(ValueError, match=r"2x2.*3x2"):
-        mat_mul(a22, a23, adjoint=True)
-    assert mat_mul(a23, [], adjoint=True) == [[], []]
 
 
 def test_empty_inner_dimension():
@@ -413,6 +504,18 @@ def test_genperm_apply_matches_products(data):
     right = [[row[i] * s for i, s in zip(g.perm, roots)] for row in dense]
     assert exact(g.apply_left(dense)) == exact(left)
     assert exact(g.apply_right(dense)) == exact(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_genperm_apply_both_rotates_once(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    height = data.draw(st.sampled_from([1, 2 ** 31, 2 ** 300]))
+    left, right = data.draw(genperms(rows)), data.draw(genperms(cols))
+    dense = [[data.draw(entries(height)) for _ in range(cols)]
+             for _ in range(rows)]
+    assert exact(left.apply_both(dense, right)) == \
+        exact(left.apply_left(right.apply_right(dense)))
 
 
 @settings(max_examples=100, deadline=None)

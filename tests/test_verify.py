@@ -10,6 +10,7 @@ from dense_oracle import anchored_entries_in_field
 from heisenrep import canonrep, verify
 from heisenrep.cyclo import root_of_unity
 from heisenrep.intertwine import CanonicalSystem, solve_canonical_system
+from heisenrep.kmat import PhaseMat
 from heisenrep.symplectic import SympMod, standard_module
 from heisenrep.verify import check_system_axioms, run_verify
 
@@ -158,12 +159,19 @@ def test_scalar_outside_the_field_fails(solved_z3):
 
 
 def test_standard_entry_outside_the_field_fails(solved_z3):
-    # an entry of conductor 5 in a module of exponent 3 is the one entry
-    # that is tested on its own, not through its scalar
+    # a phase matrix of modulus 5 * 3 in a module of exponent 3 is the one
+    # whose entries are tested on their own, not through their scalar: the
+    # same roots of unity at exponents 5 e, and one entry zeta_15^3 = zeta_5
     sys, i = solved_z3
-    T_LB = [[list(row) for row in T] for T in sys.T_LB]
-    r, k = next((r, k) for r, row in enumerate(T_LB[i])
-                for k, x in enumerate(row) if not x.is_zero())
-    T_LB[i][r][k] = root_of_unity(5)
+    T = sys.T_LB[i]
+    rows = [[(k, 5 * e) for k, e in row] for row in T.rows]
+    rows[0][0] = (rows[0][0][0], 3)
+    T_LB = list(sys.T_LB)
+    T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
     bad = _tampered(sys, T_LB=T_LB)
     assert bad.entries_in_field() is anchored_entries_in_field(bad) is False
+    # the same matrix without the tampered entry passes
+    rows[0][0] = (rows[0][0][0], 5 * T.rows[0][0][1])
+    T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
+    good = _tampered(sys, T_LB=T_LB)
+    assert good.entries_in_field() is anchored_entries_in_field(good) is True
