@@ -3,7 +3,9 @@
 A group is Z/d1 x ... x Z/dm with elements stored as reduced residue
 tuples.  A subgroup is represented by the Hermite normal form of the integer
 lattice spanned by lifted generators together with the order relations
-d_i e_i, which makes equality of subgroups a plain tuple comparison.
+d_i e_i, which makes equality of subgroups a plain tuple comparison.  In an
+elementary group (Z/p)^m the subgroups are F_p subspaces, and that HNF is
+read off their reduced row echelon basis (``intlin.hnf_mod``).
 """
 
 from __future__ import annotations
@@ -184,6 +186,13 @@ class Subgroup:
         return subgroup_from_gens(amb, obj["gens"])
 
 
+def elementary_prime(group):
+    """p when the group is (Z/p)^m for a prime p and m >= 1, else None."""
+    orders = group.orders
+    p = orders[0] if orders else 0
+    return p if intlin.is_prime(p) and orders.count(p) == len(orders) else None
+
+
 def subgroup_from_gens(group, vectors):
     """Canonical subgroup generated by the given element vectors."""
     m = group.rank
@@ -192,6 +201,10 @@ def subgroup_from_gens(group, vectors):
         if len(v) != m:
             raise GroupError("generator %r has wrong length" % (v,))
         rows.append([int(x) for x in v])
+    p = elementary_prime(group)
+    if p:
+        echelon = intlin.echelon_mod(rows, p)
+        return Subgroup(group, intlin.hnf_mod(echelon, p, m))
     for i, d in enumerate(group.orders):
         rows.append([d if j == i else 0 for j in range(m)])
     return Subgroup(group, intlin.hnf(rows))
@@ -208,12 +221,22 @@ def full_subgroup(group):
 def subgroup_join(a, b):
     if a.ambient != b.ambient:
         raise GroupError("join of subgroups of different groups")
-    return Subgroup(a.ambient, intlin.hnf([list(r) for r in a.rows + b.rows]))
+    return subgroup_from_gens(a.ambient, a.rows + b.rows)
 
 
 def subgroup_intersect(a, b):
     if a.ambient != b.ambient:
         raise GroupError("intersection of subgroups of different groups")
+    p = elementary_prime(a.ambient)
+    if p:
+        # Zassenhaus: the echelon rows of [a | a] over [b | 0] whose left
+        # half is zero span the intersection, in echelon form, on the right
+        m = a.ambient.rank
+        zero = (0,) * m
+        stacked = [r + r for r in a.rows] + [r + zero for r in b.rows]
+        meet = [row[m:] for row in intlin.echelon_mod(stacked, p)
+                if not any(row[:m])]
+        return Subgroup(a.ambient, intlin.hnf_mod(meet, p, m))
     rows = intlin.lattice_intersect([list(r) for r in a.rows], [list(r) for r in b.rows])
     return Subgroup(a.ambient, intlin.hnf(rows))
 

@@ -21,7 +21,7 @@ from .kmat import (
     mat_to_json,
     neg,
     phase_product,
-    phase_proportionality,
+    product_proportionality,
 )
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
@@ -358,7 +358,6 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
         return t
 
     gs = transvections(Mc)[1:]
-    one = CycNum.one(1)
     progress = len(c) < nlag
     while progress:
         progress = False
@@ -377,8 +376,8 @@ def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
                 # of g^(-1) from b back to B is the GenPerm inverse
                 GP = g_transport(g, mods[j], mods[t])
                 GPBinv = g_transport(g, mods[B], mods[b]).inverse()
-                mu = phase_proportionality(T_LB[j].moved(GP, GPBinv),
-                                           phase_product(T_LB[t], T_LB[b], one))
+                mu = product_proportionality(T_LB[j].moved(GP, GPBinv),
+                                             T_LB[t], T_LB[b])
                 if mu is None:
                     raise SolveError("equivariance constraint is not proportional; "
                                      "convention bug at transvection %r" % (g.mat,))

@@ -1,11 +1,19 @@
-"""Exact integer-lattice linear algebra: Hermite and Smith normal forms.
+"""Exact integer-lattice linear algebra: Hermite and Smith normal forms,
+and the F_p case of both.
 
 All matrices are lists (or tuples) of row vectors with Python int entries,
 so there is no overflow anywhere.  Lattices are row spans.  Sizes here are
 tiny (rank <= 8), so the classical algorithms are plenty.
+
+A lattice that contains p Z^m for a prime p is the preimage of an F_p
+subspace, and its HNF is written in closed form from the reduced row
+echelon basis of that subspace (``hnf_mod``): no gcd elimination runs.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
 
 
 def _copy(mat):
@@ -223,11 +231,14 @@ def stacked_kernel_mod(a_rows, modulus):
     """Generators of {x : x @ a_rows == 0 (mod modulus)} as integer rows.
 
     ``a_rows`` is k x m; solutions x live in Z^k and are returned as a list
-    of generating rows (their reductions generate the solution group).
+    of generating rows (their reductions generate the solution group).  For
+    a prime modulus they are an F_p basis, from ``kernel_mod``.
     """
     k = len(a_rows)
     if k == 0:
         return []
+    if is_prime(modulus):
+        return kernel_mod(a_rows, modulus)
     m = len(a_rows[0])
     stacked = [list(r) for r in a_rows]
     for j in range(m):
@@ -254,3 +265,63 @@ def lattice_intersect(a_rows, b_rows):
                     vec[j] += c * a_rows[i][j]
         out.append(vec)
     return hnf(out) if out else []
+
+
+# -- over F_p ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def is_prime(n):
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def echelon_mod(rows, p):
+    """The reduced row echelon basis of the F_p span of ``rows``, p prime:
+    tuples with entries in [0, p), in order of their pivots, each 1 at its
+    own pivot and 0 at every other pivot."""
+    basis = {}
+    for v in rows:
+        v = [x % p for x in v]
+        for j, b in basis.items():
+            c = v[j]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is None:
+            continue
+        if v[j] != 1:
+            inv = pow(v[j], -1, p)
+            v = [x * inv % p for x in v]
+        for i, b in basis.items():
+            c = b[j]
+            if c:
+                basis[i] = [(x - c * y) % p for x, y in zip(b, v)]
+        basis[j] = v
+    return [tuple(basis[j]) for j in sorted(basis)]
+
+
+def hnf_mod(echelon, p, m):
+    """The row HNF of the lattice spanned by ``echelon``, an F_p echelon
+    basis as ``echelon_mod`` gives it, and p Z^m: the echelon row at each
+    of its pivot columns and p e_j at every other column j.
+
+    These rows span the lattice, since p times an echelon row less the
+    p e_j at its non-pivot columns is p e_i at its pivot i; each starts
+    with a positive pivot on a new column, and every entry above a pivot
+    lies in [0, pivot): 0 above a 1, which no other echelon row has in
+    its column, and an entry in [0, p) above p.  So they are what ``hnf``
+    gives for the rows stacked with p e_1, ..., p e_m."""
+    at = {next(j for j, x in enumerate(row) if x): row for row in echelon}
+    return [at.get(j) or tuple(p if k == j else 0 for k in range(m))
+            for j in range(m)]
+
+
+def kernel_mod(a_rows, p):
+    """An F_p basis of {x : x @ a_rows == 0 (mod p)}, p prime: the row
+    span of [a_rows | I] holds (x @ a_rows, x), and its echelon rows that
+    are zero on the left span the solutions x on the right."""
+    m = len(a_rows[0])
+    k = len(a_rows)
+    aug = [list(row) + [1 if j == i else 0 for j in range(k)]
+           for i, row in enumerate(a_rows)]
+    return [row[m:] for row in echelon_mod(aug, p) if not any(row[:m])]

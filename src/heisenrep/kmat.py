@@ -27,9 +27,10 @@ dense factors: zero at conductor c.n where no column is shared, zero at N
 where the sum cancels, each of them one object per product.  ``moved``
 transports a phase matrix along two GenPerms by permuting its rows and
 columns and adding exponents; ``scaled`` multiplies it by a scalar with
-one ``mul_root`` per exponent; ``phase_proportionality`` reads the scalar
-relating a phase matrix to a dense one off one entry and compares every
-entry of the dense matrix with one rotation of it.
+one ``mul_root`` per exponent; ``product_proportionality`` reads the
+scalar relating a phase matrix a to a product t @ b^H off one entry of the
+product and compares the packed sum of every entry with one packed
+rotation of it, so no entry of the product becomes a ``CycNum``.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
@@ -237,9 +238,9 @@ def proportionality(a, b):
     off the first nonzero entry of b.  Where b is zero, x == c * 0 exactly
     when x is zero, so only the nonzero entries of b are multiplied.
 
-    The dense form of ``phase_proportionality``; the solver works on phase
-    matrices, and this stays as the dense reference (the benchmark tracer
-    also wraps it by name)."""
+    The dense form of ``product_proportionality``; the solver works on
+    phase matrices, and this stays as the dense reference (the benchmark
+    tracer also wraps it by name)."""
     c = None
     for ra, rb in zip(a, b):
         for x, y in zip(ra, rb):
@@ -271,7 +272,20 @@ def mat_inverse(a):
 
 
 def mat_to_json(a):
-    return [[x.to_json() for x in row] for row in a]
+    """The JSON form of each entry.  An entry object met again in the
+    matrix (a shared zero, most often) gets the form made for it the first
+    time, so each distinct object is serialized once."""
+    forms = {}
+    out = []
+    for row in a:
+        new = []
+        for x in row:
+            form = forms.get(id(x))
+            if form is None:
+                form = forms[id(x)] = x.to_json()
+            new.append(form)
+        out.append(new)
+    return out
 
 
 def mat_from_json(obj):
@@ -401,73 +415,118 @@ class PhaseMat:
         return PhaseMat(rows, right.dim, n)
 
 
-def phase_product(a, b, scale):
-    """scale * (a @ b^H) for phase matrices a and b, as a dense matrix; see
-    the module notes."""
+class _Packing:
+    """Power-basis coefficients as signed digits of w bits, one int per
+    value: ``pack`` places them (None when a digit does not fit, so that
+    equal ints mean equal coefficients) and ``unpack`` reads a packed sum
+    back; adding half to every digit makes them all nonnegative, so each
+    digit is read with a shift and a mask, with no borrow from its
+    neighbour."""
+
+    __slots__ = ("places", "half", "low", "offset")
+
+    def __init__(self, w, length):
+        self.places = range(0, w * length, w)
+        self.half = 1 << (w - 1)
+        self.low = (1 << w) - 1
+        self.offset = sum(self.half << p for p in self.places)
+
+    def pack(self, num):
+        if max(map(abs, num)) >= self.half:
+            return None
+        return sum(map(lshift, num, self.places))
+
+    def unpack(self, acc):
+        acc += self.offset
+        return [((acc >> p) & self.low) - self.half for p in self.places]
+
+
+def _packed_sums(a, b, scale):
+    """The entries of scale * (a @ b^H) as packed sums, and their
+    ``_Packing``: per row of a, one int per row of b, the sum of the packed
+    rotations of scale over the columns the two rows share, or None where
+    they share none; see the module notes."""
     if a.cols != b.cols:
         raise ValueError("cannot multiply a %dx%d matrix by the adjoint of a "
                          "%dx%d matrix" % (len(a.rows), a.cols, len(b.rows),
                                            b.cols))
     n = lcm(a.n, b.n)
     s, t = n // a.n, n // b.n
-    N = lcm(scale.n, n)
     rots = [mul_root(scale, n, d).num for d in range(n)]
     w = (a.cols * max(abs(c) for rot in rots for c in rot)).bit_length() + 2
-    places = range(0, w * len(rots[0]), w)
+    packing = _Packing(w, len(rots[0]))
     # indexed by x - y in (-n, n): a negative index is the rotation x - y + n
-    packed = [sum(map(lshift, rot, places)) for rot in rots]
-    half = 1 << (w - 1)
-    low = (1 << w) - 1
-    offset = sum(half << p for p in places)
+    packed = [packing.pack(rot) for rot in rots]
+    rows_b = [[(k, t * y) for k, y in row] for row in b.rows]
+
+    def sums():
+        xs = [None] * a.cols
+        for row in a.rows:
+            for k, x in row:
+                xs[k] = s * x
+            new = []
+            for row_b in rows_b:
+                terms = [packed[x - y] for k, y in row_b
+                         if (x := xs[k]) is not None]
+                new.append(sum(terms) if terms else None)
+            yield new
+            for k, _x in row:
+                xs[k] = None
+
+    return sums(), packing
+
+
+def phase_product(a, b, scale):
+    """scale * (a @ b^H) for phase matrices a and b, as a dense matrix; see
+    the module notes."""
+    sums, packing = _packed_sums(a, b, scale)
+    N = lcm(scale.n, a.n, b.n)
     missed = CycNum.zero(scale.n)
     cancelled = missed if N == scale.n else CycNum.zero(N)
-    rows_b = [[(k, t * y) for k, y in row] for row in b.rows]
-    out = []
-    xs = [None] * a.cols
-    for row in a.rows:
-        for k, x in row:
-            xs[k] = s * x
-        new = []
-        for row_b in rows_b:
-            terms = [packed[x - y] for k, y in row_b
-                     if (x := xs[k]) is not None]
-            if not terms:
-                new.append(missed)
+    return [[missed if acc is None else
+             CycNum(N, packing.unpack(acc), scale.den) if acc else cancelled
+             for acc in row] for row in sums]
+
+
+def product_proportionality(a, t, b):
+    """Scalar c with a == c * (t @ b^H) for phase matrices a, t and b, else
+    None (also when the product is zero): the value and conductor of the
+    dense proportionality of a.to_dense() and ``phase_product(t, b, 1)``,
+    with no entry of the product made a ``CycNum``.
+
+    The entries of t @ b^H are packed sums, as in ``phase_product``, of
+    the roots of unity at N = lcm(a.n, t.n, b.n).  kappa = 1 / c is the
+    entry under the first nonzero entry zeta^e of a, times zeta^(-e), and
+    a == c * (t @ b^H) exactly when every entry of the product is
+    kappa * zeta^f where a has zeta^f and zero where a is zero.  The digits
+    of an entry fit their width, so its packed sum equals the packed
+    rotation of kappa exactly when the values are equal; a rotation whose
+    digits do not fit equals no entry.  The product is formed row by row,
+    and the first row that fails ends the test.
+    """
+    if len(a.rows) != len(t.rows) or a.cols != len(b.rows):
+        raise ValueError("a %dx%d matrix cannot be proportional to a %dx%d "
+                         "matrix times the adjoint of a %dx%d matrix"
+                         % (len(a.rows), a.cols, len(t.rows), t.cols,
+                            len(b.rows), b.cols))
+    N = lcm(a.n, t.n, b.n)
+    sums, packing = _packed_sums(t, b, CycNum.one(N))
+    kappa = None
+    above = False   # a nonzero product entry above a's first nonzero row
+    for row_a, row in zip(a.rows, sums):
+        if kappa is None:
+            if not row_a:
+                above = above or any(row)
                 continue
-            acc = sum(terms)
-            if not acc:
-                new.append(cancelled)
-                continue
-            acc += offset
-            new.append(CycNum(N, [((acc >> p) & low) - half for p in places],
-                              scale.den))
-        out.append(new)
-        for k, _x in row:
-            xs[k] = None
-    return out
-
-
-def phase_proportionality(a, b):
-    """Scalar c with a == c * b for a phase matrix a and a dense matrix b,
-    else None (also when b is zero): the value and conductor that
-    ``proportionality(a.to_dense(), b)`` gives.
-
-    With a_rk = zeta_n^e the first nonzero entry of a, kappa = b_rk *
-    zeta_n^(-e) is 1 / c, and a == c * b exactly when every entry of b is
-    kappa * zeta_n^f where a has zeta_n^f and zero where a is zero."""
-    n = a.n
-    r = next((r for r, row in enumerate(a.rows) if row), None)
-    if r is None:
-        y = next((y for row in b for y in row if any(y.num)), None)
-        return None if y is None else CycNum.zero(lcm(n, y.n))
-    k, e = min(a.rows[r])
-    kappa = mul_root(b[r][k], n, -e)
-    if not any(kappa.num):
-        return None
-    rots = [mul_root(kappa, n, f) for f in range(n)]
-    for row, row_b in zip(a.rows, b):
-        if sum(1 for y in row_b if any(y.num)) != len(row):
+            k, e = min(row_a)
+            if above or not row[k]:
+                return None
+            kappa = mul_root(CycNum(N, packing.unpack(row[k])), a.n, -e)
+            want = [packing.pack(mul_root(kappa, a.n, f).num)
+                    for f in range(a.n)]
+        expected = {k: want[f] for k, f in row_a}
+        if any((acc or 0) != expected.get(k, 0) for k, acc in enumerate(row)):
             return None
-        if any(row_b[k] != rots[f] for k, f in row):
-            return None
+    if kappa is None:
+        return CycNum.zero(N) if above else None
     return kappa.inverse()

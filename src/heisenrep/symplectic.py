@@ -16,6 +16,8 @@ from math import isqrt, lcm
 from . import intlin
 from .abgroup import (
     AbGroup,
+    Subgroup,
+    elementary_prime,
     prime_factors,
     quotient_pair,
     strict_ints,
@@ -102,9 +104,7 @@ class SympMod:
 
     def is_elementary(self):
         """Whether M is (Z/p)^m for one prime p; the zero module counts."""
-        return not self.group.rank or (
-            prime_factors(self.n) == [self.n]
-            and all(d == self.n for d in self.group.orders))
+        return not self.group.rank or elementary_prime(self.group) is not None
 
     def pair(self, a, b):
         n = self.n
@@ -220,11 +220,12 @@ class Lagrangian:
 
 
 def enumerate_lagrangians(M, budget=DEFAULT_LAGRANGIAN_BUDGET):
-    """All lagrangian subgroups, canonically ordered.
+    """All lagrangian subgroups, canonically ordered (by their HNF rows).
 
-    Walks the isotropic subgroup lattice upward; any subgroup generated by an
+    Walks the isotropic subgroups upward; any subgroup generated by an
     isotropic subgroup and a vector of its orthogonal complement is again
-    isotropic, so the walk is complete.
+    isotropic, so the walk is complete.  An elementary module is walked
+    over F_p (``_isotropic_walk_fp``), any other through HNF.
     """
     size = M.group.order()
     if size > budget:
@@ -232,7 +233,16 @@ def enumerate_lagrangians(M, budget=DEFAULT_LAGRANGIAN_BUDGET):
             "lagrangian enumeration budget exceeded (|M| = %d > %d); "
             "pass an explicit budget to override" % (size, budget)
         )
-    target = isqrt(size)
+    if M.is_elementary():
+        found = _isotropic_walk_fp(M)
+    else:
+        found = _isotropic_walk(M, isqrt(size))
+    return [Lagrangian(M, found[k]) for k in sorted(found.keys())]
+
+
+def _isotropic_walk(M, target):
+    """The lagrangians keyed by HNF rows: each isotropic S of order below
+    ``target`` is extended by every element of S^perp outside it."""
     zero = zero_subgroup(M.group)
     seen = {zero.key(): zero}
     frontier = [zero]
@@ -258,8 +268,51 @@ def enumerate_lagrangians(M, budget=DEFAULT_LAGRANGIAN_BUDGET):
                 elif T.order() == target:
                     found[k] = T
         frontier = nxt
-    lags = [Lagrangian(M, found[k]) for k in sorted(found.keys())]
-    return lags
+    return found
+
+
+def _isotropic_walk_fp(M):
+    """The lagrangians of M = F_p^2r keyed by HNF rows, walked level by
+    level over the isotropic subspaces, each held as its echelon basis.
+
+    An isotropic S of dimension k < r is extended by one vector per line of
+    S^perp / S.  In the echelon basis of S^perp built from the rows of S
+    first, the pivots of S stay pivots, and the rows W at the other pivots
+    are zero at them; so span(W) meets S in 0 and is a complement of S in
+    S^perp.  Each line is one combination v of W whose first nonzero
+    coefficient, on row i of W, is 1.  Then v is 1 at the pivot j of that
+    row and zero at the pivots of S, so the rows of S cleared at column j,
+    with v, are the echelon basis of S + <v>.  Each subspace of dimension
+    k + 1 is reached from each of its hyperplanes and kept once.
+    """
+    p, m = M.n, M.group.rank
+    level = [()]
+    for _ in range(m // 2):
+        nxt = set()
+        for S in level:
+            perp = orth_complement(
+                M, Subgroup(M.group, intlin.hnf_mod(S, p, m))).gens()
+            pivots = {row.index(1) for row in S}
+            W = [w for w in intlin.echelon_mod(list(S) + perp, p)
+                 if w.index(1) not in pivots]
+            for i, w in enumerate(W):
+                j = w.index(1)
+                for tail in itertools.product(range(p), repeat=len(W) - i - 1):
+                    v = w
+                    for c, u in zip(tail, W[i + 1:]):
+                        if c:
+                            v = tuple((x + c * y) % p for x, y in zip(v, u))
+                    rows = [tuple((x - row[j] * y) % p for x, y in zip(row, v))
+                            if row[j] else row for row in S]
+                    rows.append(v)
+                    # in order of pivots: an earlier pivot is the larger row
+                    nxt.add(tuple(sorted(rows, reverse=True)))
+        level = nxt
+    found = {}
+    for S in level:
+        sub = Subgroup(M.group, intlin.hnf_mod(S, p, m))
+        found[sub.key()] = sub
+    return found
 
 
 def induced_form(M, S):

@@ -23,7 +23,9 @@ b in a proportionality; the oracle multiplies every entry.
 The library holds each standard intertwiner as a phase matrix, one
 root of unity per entry from one coset; the oracle counts the exponents of
 every entry in a dim x dim x n cube and reduces each entry through
-``from_powers``.
+``from_powers``.  The library compares a transported intertwiner with the
+product t @ b^H entry by entry on packed integers; the oracle forms the
+product densely and compares ``CycNum`` entries.
 """
 
 from math import lcm
@@ -34,6 +36,7 @@ from heisenrep.cyclo import (
     CycNum,
     from_powers,
     in_subfield,
+    mul_root,
     root_of_unity,
     sqrt_prime,
 )
@@ -395,3 +398,29 @@ def proportionality_full(a, b):
             if x != c * y:
                 return None
     return c
+
+
+def phase_proportionality(a, b):
+    """Scalar c with a == c * b for a phase matrix a and a dense matrix b,
+    else None (also when b is zero): the value and conductor that
+    ``proportionality(a.to_dense(), b)`` gives.
+
+    With a_rk = zeta_n^e the first nonzero entry of a, kappa = b_rk *
+    zeta_n^(-e) is 1 / c, and a == c * b exactly when every entry of b is
+    kappa * zeta_n^f where a has zeta_n^f and zero where a is zero."""
+    n = a.n
+    r = next((r for r, row in enumerate(a.rows) if row), None)
+    if r is None:
+        y = next((y for row in b for y in row if any(y.num)), None)
+        return None if y is None else CycNum.zero(lcm(n, y.n))
+    k, e = min(a.rows[r])
+    kappa = mul_root(b[r][k], n, -e)
+    if not any(kappa.num):
+        return None
+    rots = [mul_root(kappa, n, f) for f in range(n)]
+    for row, row_b in zip(a.rows, b):
+        if sum(1 for y in row_b if any(y.num)) != len(row):
+            return None
+        if any(row_b[k] != rots[f] for k, f in row):
+            return None
+    return kappa.inverse()

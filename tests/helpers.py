@@ -1,8 +1,11 @@
 """Test-only helpers that the library itself does not use."""
 
 import random
+from contextlib import contextmanager
 from math import gcd
+from unittest import mock
 
+from heisenrep import intlin
 from heisenrep.abgroup import subgroup_from_gens
 from heisenrep.kmat import identity, mat_eq, mat_mul
 from heisenrep.symplectic import SympAut
@@ -87,3 +90,13 @@ def sampled_automorphisms(M, seed, count):
     if len(out) < count:
         raise RuntimeError("automorphism sampling failed to converge")
     return out
+
+
+@contextmanager
+def lattice_only():
+    """Within the block no modulus counts as prime, so every subgroup,
+    intersection and kernel is computed through HNF, as on a module that is
+    not elementary; the lattice walk ``symplectic._isotropic_walk`` then
+    runs with no F_p step."""
+    with mock.patch.object(intlin, "is_prime", lambda n: False):
+        yield

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from helpers import lattice_only
+from hypothesis import given, settings, strategies as st
 
+from heisenrep import intlin
 from heisenrep.abgroup import (
     AbGroup,
     GroupError,
+    elementary_prime,
     primary_component,
     quotient,
     quotient_pair,
@@ -170,3 +174,80 @@ def test_serialization():
     assert AbGroup.from_json(G.to_json()) == G
     S = subgroup_from_gens(G, [[3, 1]])
     assert type(S).from_json(S.to_json()) == S
+
+
+@st.composite
+def fp_generators(draw):
+    """(p, m, generators) for (Z/p)^m: entries negative and out of range,
+    any number of generators (none included), and often a dependent one."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    m = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-3 * p, 3 * p), min_size=m, max_size=m)
+    gens = draw(st.lists(vec, max_size=m + 1))
+    if gens and draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        c = draw(st.integers(-p, p))
+        gens.append([x + c * y for x, y in zip(a, b)])
+    return p, m, gens
+
+
+def stacked_hnf(p, m, gens):
+    """intlin.hnf of the generators stacked with p e_1, ..., p e_m."""
+    rows = [list(g) for g in gens]
+    rows += [[p if j == i else 0 for j in range(m)] for i in range(m)]
+    return tuple(tuple(r) for r in intlin.hnf(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_generators())
+def test_fp_subgroup_rows_are_the_lattice_hnf(pmg):
+    p, m, gens = pmg
+    S = subgroup_from_gens(AbGroup([p] * m), gens)
+    assert S.rows == stacked_hnf(p, m, gens)
+    if S.order() <= 2000:
+        assert S.order() == len(set(S.elements()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_generators(), st.data())
+def test_fp_intersection_is_the_lattice_one(pmg, data):
+    """Against the lattice intersection of the same subgroups, with B
+    drawn to share some generators of A."""
+    p, m, gens = pmg
+    vec = st.lists(st.integers(-3 * p, 3 * p), min_size=m, max_size=m)
+    other = data.draw(st.lists(vec, max_size=m))
+    if gens:
+        other += data.draw(st.lists(st.sampled_from(gens), max_size=m))
+    G = AbGroup([p] * m)
+    A, B = subgroup_from_gens(G, gens), subgroup_from_gens(G, other)
+    want = intlin.hnf(intlin.lattice_intersect([list(r) for r in A.rows],
+                                               [list(r) for r in B.rows]))
+    got = subgroup_intersect(A, B)
+    assert got.rows == tuple(tuple(r) for r in want)
+    if A.order() * B.order() <= 10 ** 5:
+        assert set(got.elements()) == set(A.elements()) & set(B.elements())
+    with lattice_only():
+        assert subgroup_join(A, B) == subgroup_from_gens(G, gens + other)
+    assert subgroup_join(A, B) == subgroup_from_gens(G, gens + other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_generators(), st.integers(1, 5))
+def test_kernel_mod_prime_is_the_lattice_kernel(pmg, k):
+    """Over a prime modulus, the F_p kernel basis generates the subgroup
+    that the lattice kernel generators do."""
+    p, m, gens = pmg
+    a = (gens * k)[:k] if gens else [[0] * m] * k
+    G = AbGroup([p] * k)
+    got = intlin.stacked_kernel_mod(a, p)
+    assert all(sum(x * row[j] for x, row in zip(v, a)) % p == 0
+               for v in got for j in range(m))
+    with lattice_only():
+        want = subgroup_from_gens(G, intlin.stacked_kernel_mod(a, p))
+    assert subgroup_from_gens(G, got) == want
+
+
+def test_elementary_prime():
+    assert elementary_prime(AbGroup([5, 5, 5])) == 5
+    for orders in ([], [1], [9, 9], [3, 5], [3, 3, 9], [15]):
+        assert elementary_prime(AbGroup(orders)) is None

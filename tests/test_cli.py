@@ -169,15 +169,32 @@ CLI_DIGESTS = [
      "c32bf0683d93373eb8db88473027616bbf1650694830adb08c5536e78eaf64fb"),
     ("pi", "5^1:1+3^1:1",
      "a8e820cef824d9c1122001fec0037a85f64d0b6acd242b7a0d03b905bc4b5009"),
+    # ``heisenrep lagrangians``, recorded at 31c8883 (before the F_p walk):
+    # (Z/9)^2 and (Z/25)^2 take the lattice walk; (Z/5)^2, (Z/3)^4 and a
+    # (Z/5)^2 with a non-standard gram the F_p walk
+    ("lagrangians", "3^2:1",
+     "3ed343dd1fb3391ce7562a59b0bef141eb12b060f57d813b63708af094739495"),
+    ("lagrangians", "5^2:1",
+     "61a12920d6c14f553df55d584b6aa9ab6c75741d3689076c0ed0c873d18a40ae"),
+    ("lagrangians", "5^1:1",
+     "8edc72ff13e3fe2ea08c08b048e500135d60db037b1836499d13db1e97fa5186"),
+    ("lagrangians", "3^1:2",
+     "f972878d25647560750548d3ce7bc932038bd62060ededb7e8fafeb55d1ff20a"),
+    ("lagrangians", {"orders": [5, 5], "gram": [[0, 2], [3, 0]]},
+     "8edc72ff13e3fe2ea08c08b048e500135d60db037b1836499d13db1e97fa5186"),
 ]
 
 
 @pytest.mark.parametrize("command,spec,digest", CLI_DIGESTS)
 def test_cli_construct_output_pinned(tmp_path, command, spec, digest):
+    """``spec`` is a standard block spec, or a module as JSON."""
     import hashlib
 
     mod = tmp_path / "m.json"
-    run_cli(["standard", spec, "--out", str(mod)])
+    if isinstance(spec, dict):
+        mod.write_text(json.dumps(spec))
+    else:
+        run_cli(["standard", spec, "--out", str(mod)])
     code, out, err = run_cli([command, str(mod)])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

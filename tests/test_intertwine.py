@@ -9,6 +9,7 @@ from dense_oracle import (
     hom_dim_union_find,
     kernel_of,
     operator_from_kernel,
+    phase_proportionality,
     scalar_of,
 )
 from helpers import (
@@ -28,11 +29,12 @@ from heisenrep.intertwine import (
     standard_pairs,
 )
 from heisenrep.kmat import (
+    PhaseMat,
     identity,
     mat_eq,
     mat_mul,
     phase_product,
-    phase_proportionality,
+    product_proportionality,
     proportionality,
     scalar_mul,
 )
@@ -282,7 +284,9 @@ def test_phase_products_match_the_dense_products(blocks, basepoints):
 @pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
 def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
     """The solver's relation on phase matrices, against apply_left and
-    apply_right on the dense matrix and the dense proportionality: for g
+    apply_right on the dense matrix and the dense proportionality (the
+    fused ``product_proportionality`` and the oracle's
+    ``phase_proportionality`` of the dense product too): for g
     and j with t = g j and b = g B, the transport of T_LB[j] is mu times
     T_LB[t] T_LB[b]^H, and not proportional to T_LB[t'] T_LB[b]^H for the
     other lagrangians t'."""
@@ -304,12 +308,59 @@ def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
                     prod = phase_product(T_LB[u], T_LB[b], one)
                     got = phase_proportionality(moved, prod)
                     want = proportionality(dense, prod)
-                    assert (got is None) == (want is None)
+                    fused = product_proportionality(moved, T_LB[u], T_LB[b])
+                    assert (got is None) == (want is None) == (fused is None)
                     if u == t:
                         assert got is not None
                         assert exact([[got]]) == exact([[want]])
+                        assert exact([[fused]]) == exact([[want]])
                     refused += got is None
     assert refused or len(mods) == 1
+
+
+def _tampered(a):
+    """Phase matrices near a: one exponent moved, one entry dropped, one
+    entry added where a is zero, and one row's entries moved to the next
+    column where that changes the row."""
+    rows = [list(row) for row in a.rows]
+    r = next(r for r, row in enumerate(rows) if row)
+    (k, e), rest = rows[r][0], rows[r][1:]
+    free = next((c for c in range(a.cols) if c not in dict(rows[r])), None)
+    out = [[[(k, e + 1)] + rest], [rest]]
+    if free is not None:
+        out.append([rows[r] + [(free, 0)]])
+    shifted = [((c + 1) % a.cols, f) for c, f in rows[r]]
+    if set(shifted) != set(rows[r]):
+        out.append([shifted])
+    return [PhaseMat(rows[:r] + change + rows[r + 1:], a.cols, a.n)
+            for change in out]
+
+
+@pytest.mark.parametrize("blocks", [[(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)],
+                                    [(3, 2)]])
+def test_solver_relations_match_the_dense_guard(monkeypatch, blocks):
+    """Every relation the solver reads on the elementary ladder modules
+    gives the scalar (value and conductor) of the oracle's dense product
+    and guard, and every tampered transport is refused by both."""
+    import heisenrep.intertwine as intertwine
+
+    fused = intertwine.product_proportionality
+    seen = []
+
+    def checked(a, t, b):
+        got = fused(a, t, b)
+        want = phase_proportionality(a, phase_product(t, b, CycNum.one(1)))
+        assert got is not None and exact([[got]]) == exact([[want]])
+        for bad in _tampered(a):
+            assert fused(bad, t, b) is None
+            assert phase_proportionality(
+                bad, phase_product(t, b, CycNum.one(1))) is None
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(intertwine, "product_proportionality", checked)
+    sys = solve_canonical_system(standard_module(blocks), verify="none")
+    assert len(seen) >= sys.count - 1
 
 
 def test_doubled_delta_fails_transitivity():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from dense_oracle import proportionality_full
+from dense_oracle import phase_proportionality, proportionality_full
 from helpers import conj_transpose, shared_zeros
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +14,10 @@ from heisenrep.kmat import (
     kron,
     mat_eq,
     mat_mul,
+    mat_to_json,
     neg,
     phase_product,
-    phase_proportionality,
+    product_proportionality,
     proportionality,
     scalar_mul,
 )
@@ -297,6 +298,92 @@ def test_phase_proportionality_matches_the_dense_one(data):
         assert exact([[got]]) == exact([[want]])
     if kind in ("proportional", "one entry lifted") and any(a.rows):
         assert got * kappa == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_proportionality_matches_the_dense_guard(data):
+    """The fused guard against the oracle's dense product and guard, in
+    value and conductor, None included: a proportional to t @ b^H for a
+    monomial b (a = zeta^f0 * t @ b^H), the same with one entry tampered,
+    a zero a, and a random a."""
+    rows, inner = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    t = data.draw(phase_mats(rows, inner))
+    monomial = data.draw(st.booleans())
+    if monomial:
+        perm = data.draw(st.permutations(range(inner)))
+        expo = [data.draw(st.integers(0, 26)) for _ in range(inner)]
+        n = data.draw(st.sampled_from(PHASE_MODULI))
+        b = PhaseMat([[(k, y)] for k, y in zip(perm, expo)], inner, n)
+    else:
+        b = data.draw(phase_mats(data.draw(st.integers(1, 5)), inner))
+    cols = len(b.rows)
+    kind = data.draw(st.sampled_from(["proportional", "tampered", "zero a",
+                                      "random"]))
+    if monomial and kind in ("proportional", "tampered"):
+        adjoint = GenPerm(perm, [-y for y in expo], b.n)
+        a_n = data.draw(st.sampled_from(PHASE_MODULI))
+        shift = GenPerm(range(rows), [data.draw(st.integers(0, a_n))] * rows,
+                        a_n)
+        a = t.moved(shift, adjoint)
+        if kind == "tampered":
+            r = data.draw(st.integers(0, rows - 1))
+            row = dict(a.rows[r])
+            k = data.draw(st.integers(0, cols - 1))
+            if k in row and data.draw(st.booleans()):
+                del row[k]
+            else:
+                row[k] = row.get(k, 0) + 1
+            a = PhaseMat(a.rows[:r] + (tuple(row.items()),) + a.rows[r + 1:],
+                         cols, a.n)
+    elif kind == "zero a":
+        a = PhaseMat([[]] * rows, cols, data.draw(st.sampled_from(PHASE_MODULI)))
+    else:
+        a = data.draw(phase_mats(rows, cols))
+    got = product_proportionality(a, t, b)
+    want = phase_proportionality(a, phase_product(t, b, CycNum.one(1)))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert exact([[got]]) == exact([[want]])
+    if monomial and kind == "proportional" and any(t.rows):
+        assert got is not None
+
+
+def test_product_proportionality_checks_rows_above_the_first():
+    # b is the identity, so t @ b^H is t; a = zeta_3^2 * t, and the same a
+    # with row 0 cleared, where the product is nonzero
+    one = CycNum.one(1)
+    t = PhaseMat([[(0, 0)], [(1, 1)]], 2, 3)
+    b = PhaseMat([[(0, 0)], [(1, 0)]], 2, 3)
+    a = PhaseMat([[(0, 2)], [(1, 3)]], 2, 3)
+    assert product_proportionality(a, t, b) == root_of_unity(3, 2)
+    cleared = PhaseMat([[], a.rows[1]], 2, 3)
+    assert product_proportionality(cleared, t, b) is None
+    assert phase_proportionality(cleared, phase_product(t, b, one)) is None
+
+
+def test_product_proportionality_shape_mismatch():
+    a = PhaseMat([[(0, 0)]] * 2, 2, 3)
+    with pytest.raises(ValueError, match=r"2x2.*adjoint of a 2x3"):
+        product_proportionality(a, a, PhaseMat([[(0, 0)]] * 2, 3, 3))
+    with pytest.raises(ValueError, match=r"2x2.*3x2.*2x2"):
+        product_proportionality(a, PhaseMat([[(0, 0)]] * 3, 2, 3), a)
+    with pytest.raises(ValueError, match=r"2x2.*2x2.*3x2"):
+        product_proportionality(a, a, PhaseMat([[(0, 0)]] * 3, 2, 3))
+
+
+def test_mat_to_json_serializes_each_object_once():
+    from heisenrep.cli import dumps
+
+    z, x, y = CycNum.zero(9), root_of_unity(9, 2), root_of_unity(9, 2) / 3
+    twin = root_of_unity(9, 2)
+    a = [[z, x, z], [twin, z, x], [y, y, CycNum.zero(1)]]
+    plain = [[e.to_json() for e in row] for row in a]
+    got = mat_to_json(a)
+    assert got == plain and dumps(got) == dumps(plain)
+    assert got[0][0] is got[0][2] is got[1][1] and got[0][1] is got[1][2]
+    assert got[1][0] is not got[0][1] and got[2][0] is got[2][1]
+    assert mat_to_json([]) == [] and mat_to_json([[]]) == [[]]
 
 
 def test_mat_eq_shapes_and_conductors():

@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
+from math import isqrt
 
 import pytest
 from dense_oracle import hnf_inverse
+from helpers import lattice_only
 
+from heisenrep import intlin
 from heisenrep.abgroup import AbGroup, subgroup_from_gens, zero_subgroup
 from heisenrep.cyclo import root_of_unity
 from heisenrep.symplectic import (
@@ -22,6 +27,7 @@ from heisenrep.symplectic import (
     sp_enumerate,
     sp_sample,
     standard_module,
+    _isotropic_walk,
     transvection,
     transvections,
 )
@@ -137,6 +143,57 @@ def test_lagrangian_budget():
     with pytest.raises(BudgetError):
         enumerate_lagrangians(M, budget=10)
     assert len(enumerate_lagrangians(M, budget=81)) == 40
+
+
+# the elementary modules of the construct ladder, (Z/5)^4, and modules
+# with a non-standard gram
+FP_MODULES = [standard_module(b) for b in
+              ([(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)], [(3, 2)], [(5, 2)])] + [
+    SympMod(AbGroup([5, 5]), [[0, 2], [3, 0]]),
+    SympMod(AbGroup([3] * 4), [[0, 1, 2, 0], [2, 0, 0, 1], [1, 0, 0, 1],
+                               [0, 2, 2, 0]]),
+]
+
+
+@pytest.mark.parametrize("M", FP_MODULES, ids=repr)
+def test_fp_walk_matches_the_lattice_walk(M):
+    """The F_p walk lists the lagrangians of the lattice walk, in the same
+    order, when the lattice walk computes every subgroup through HNF."""
+    got = [L.key() for L in enumerate_lagrangians(M)]
+    with lattice_only():
+        want = sorted(_isotropic_walk(M, isqrt(M.group.order())))
+    assert got == want
+
+
+def test_rank6_lagrangian_keys_pinned():
+    """(Z/3)^6: 1,120 lagrangians, their key list pinned by SHA-256 as the
+    lattice walk listed it at 31c8883."""
+    keys = [[list(r) for r in L.key()]
+            for L in enumerate_lagrangians(standard_module([(3, 3)]))]
+    assert len(keys) == 1120
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == (
+        "f0d5560e70493b0edb2b43a9ca84c5875aaf7088b08c356d9af3063413b191b6")
+
+
+def test_fp_path_makes_no_hnf_call(monkeypatch):
+    """Enumerating the lagrangians of an elementary module and moving them
+    by symplectic automorphisms runs no HNF; a non-elementary module does."""
+    real, calls = intlin.hnf, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intlin, "hnf", counted)
+    for M in FP_MODULES[:-3]:
+        lags = enumerate_lagrangians(M)
+        for g in sp_sample(M, 1, 3):
+            for L in lags:
+                act_enhanced(g, EnhLag(L, 1))
+                g.on_subgroup(L.sub)
+    assert calls == []
+    enumerate_lagrangians(standard_module([(9, 1)]))
+    assert calls
 
 
 def test_induced_form_examples():
