@@ -3,25 +3,42 @@
 The standard (unnormalized) intertwiner averages over the target lagrangian;
 the canonical system is the unique normalization of these satisfying the
 identity, transitivity, genuineness, and symplectic-equivariance axioms on
-enhanced lagrangians.  It is found by anchoring at a basepoint and applying
-one rule: each transvection relation is a monomial in the unknown scalars,
-and a relation with a single unknown of exponent +1 or -1 determines it.
-The image of a lagrangian under a transvection is computed only when a
-relation needs it, and the solve stops once every scalar is pinned.
+enhanced lagrangians.  Anchored at a basepoint B, it is F_{L,B} = c_L T_{L,B}
+with each scalar in closed form, a function of the pair (L, B) alone: with
+I = L cap B, k = dim L/I, and bases (I, x) of L and (I, y) of B,
+
+    c_L = legendre(2^k * a_L * a_B * det[omega(x_a, y_b)], p) * G_p^(-k),
+
+where a_L and a_B are the determinants of (I, x) and (I, y) over the
+echelon bases of L and B, and G_p is the quadratic Gauss sum.  This is the
+normalization of the canonical Weil representation on oriented lagrangians
+(Gurevich-Hadani, "Quantization of symplectic vector spaces over finite
+fields", J. Symplectic Geom. 2009; Lion-Vergne, "The Weil representation,
+Maslov index and theta series", 1980), the echelon basis of each lagrangian
+being its orientation.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from . import intlin
 from .abgroup import subgroup_intersect
-from .cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
-from .heisenberg import HeisGrp, g_transport, induce
+from .cyclo import (
+    CycNum,
+    gauss_sum_quadratic,
+    in_subfield,
+    legendre,
+    root_of_unity,
+    sqrt_prime,
+)
+from .heisenberg import HeisGrp, induce
 from .kmat import (
     PhaseMat,
     identity as kmat_identity,
     mat_to_json,
     neg,
     phase_product,
-    product_proportionality,
 )
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
@@ -29,7 +46,7 @@ from .symplectic import (
     SymplecticError,
     act_enhanced,
     enumerate_lagrangians,
-    transvections,
+    fp_basis,
 )
 
 
@@ -128,8 +145,9 @@ class CanonicalSystem:
     e * f * (c_i / (c_j * delta_j)) * T_{i,B} @ T_{B,j}, where T_{B,j} is
     the conjugate transpose of T_{j,B} (see ``standard_pairs``) and each
     T_{i,B} is held as a phase matrix, ``T_LB[i]``.  Identity and
-    transitivity hold by construction; genuineness and equivariance are what
-    the solver's propagation enforces.
+    transitivity hold by construction; genuineness and equivariance hold
+    because each c_i is the closed form of ``canonical_scalar``,
+    +-G_p^(-k) for k = dim L_i / (L_i cap L_B).
 
     For a reduced module the same structure holds with the enhanced points
     living on the elementary quotient while the operators act upstairs; the
@@ -195,11 +213,11 @@ class CanonicalSystem:
         trivial).
 
         The anchored entries are +-c_i * t over the entries t of T_LB[i].
-        Each c_i is nonzero (the solver pins it as a product and quotient
-        of nonzero values), and ``standard_T`` gives T_LB[i] a nonzero
-        entry t0, a root of unity of order dividing n, so t0 lies in K.
-        Then every c_i * t lies in K if and only if c_i (= c_i t0 / t0) and
-        every t (= c_i t / c_i) lie in K.  Each t is 0 or zeta_m^e, m the
+        Each c_i = +-G_p^(-k) is nonzero (``canonical_scalar``; a lifted
+        system reuses the scalars of M_c), and ``standard_T`` gives T_LB[i]
+        a nonzero entry t0, a root of unity of order dividing n, so t0 lies
+        in K.  Then every c_i * t lies in K if and only if c_i
+        (= c_i t0 / t0) and every t (= c_i t / c_i) lie in K.  Each t is 0 or zeta_m^e, m the
         modulus of T_LB[i].  So the test is one Galois test per c_i, and
         one per exponent e that occurs only when m does not divide n.
         """
@@ -288,19 +306,55 @@ def standard_pairs(mods, B):
     return T_LB, delta
 
 
+def canonical_scalar(Mc, L, B):
+    """The anchored scalar c_L of the canonical system on the elementary
+    module Mc = F_p^2r with basepoint B, in closed form (see the module
+    notes).
+
+    I = L cap B has the echelon basis of ``fp_basis``.  Its pivots are
+    leading positions of vectors of L, so they are pivots of L, and the
+    echelon rows x of L at the other pivots extend I to a basis of L, as
+    their leading positions differ from those of I; likewise y for B.  The
+    coordinates of a vector of L over the echelon rows of L are its entries
+    at their pivot columns, so a_L is the determinant of (I, x) read there.
+    omega pairs L/I with B/I perfectly (a vector of L orthogonal to B lies
+    in B^perp = B, so in I), and a_L, a_B are nonzero: the Legendre symbol
+    is +-1.
+    """
+    p = Mc.n
+    rows_L, rows_B = fp_basis(L.sub, p), fp_basis(B.sub, p)
+    inter = fp_basis(subgroup_intersect(L.sub, B.sub), p)
+    shared = {row.index(1) for row in inter}
+    x = [row for row in rows_L if row.index(1) not in shared]
+    y = [row for row in rows_B if row.index(1) not in shared]
+
+    def orientation(rows, echelon):
+        cols = [row.index(1) for row in echelon]
+        return intlin.det_mod([[v[j] for j in cols] for v in rows], p)
+
+    k = len(x)
+    u = (2 ** k * orientation(inter + x, rows_L)
+         * orientation(inter + y, rows_B)
+         * intlin.det_mod([[Mc.pair(a, b) for b in y] for a in x], p))
+    return legendre(u, p) * _inverse_gauss_power(p, k)
+
+
+@lru_cache(maxsize=None)
+def _inverse_gauss_power(p, k):
+    """G_p^(-k) at conductor p, made once per prime and k: G_p^(-1) is
+    G_p / G_p^2, and G_p^2 = legendre(-1, p) * p."""
+    return (gauss_sum_quadratic(p) / (legendre(-1, p) * p)) ** k
+
+
 def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
                            budget=DEFAULT_LAGRANGIAN_BUDGET):
     """Normalize the averaging intertwiners into the canonical system.
 
-    Anchors the basepoint scalar at 1, then reads every transvection g and
-    lagrangian j as the relation c_t / (c_j * c_b) = sign * mu * delta_b
-    (t = g j, b = g B) and solves it for its one unknown scalar, pass after
-    pass, until every lift scalar is pinned.  Raises SymplecticError, an
-    input error, for a non-elementary module or a basepoint index outside
-    the lagrangians; BudgetError when |Mc| exceeds ``budget``, the
-    lagrangian enumeration budget; SolveError when a relation is not a proportionality
-    (convention bug) or when the relations leave a scalar undetermined
-    (should not happen).
+    Anchors the basepoint scalar at 1 and takes every other scalar from
+    ``canonical_scalar``.  Raises SymplecticError, an input error, for a
+    non-elementary module or a basepoint index outside the lagrangians;
+    BudgetError when |Mc| exceeds ``budget``, the lagrangian enumeration
+    budget; SolveError when the system fails the ``verify`` check.
     """
     if not Mc.is_elementary():
         raise SymplecticError("canonical system needs an elementary module")
@@ -313,8 +367,8 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     conductor = Mc.n if Mc.group.rank else 1
     B = base_index
     T_LB, delta = standard_pairs(mods, B)
-    c = {B: CycNum.one(conductor)}
-    _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c)
+    c = {i: CycNum.one(conductor) if i == B else
+         canonical_scalar(Mc, L, lags[B]) for i, L in enumerate(lags)}
     sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, delta,
                           c, conductor)
     if verify != "none":
@@ -325,74 +379,3 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
             raise SolveError("canonical system failed verification:\n%s"
                              % report.text())
     return sys
-
-
-def _propagate_scalars(Mc, lags, mods, B, T_LB, delta, c):
-    """Fill ``c`` from the equivariance relations of the transvections.
-
-    For g and j, with t = g j and b = g B, equivariance of the system reads
-    c_t = sign * mu * delta_b * c_j * c_b, where mu is the proportionality
-    of the transported and the standard operator and sign the lift change.
-    As a monomial c_t * c_j^(-1) * c_b^(-1) its exponents are summed per
-    index (t == j cancels, j == b gives -2); a relation with exactly one
-    unknown scalar, of exponent +1 or -1, determines it.
-
-    The relations are scanned pass after pass, transvection by transvection
-    and lagrangian by lagrangian; each image g L_j is computed the first
-    time a relation needs it, and the scan stops as soon as every scalar is
-    known.  A transvection fixing every lagrangian has t = j and b = B, so
-    its relations hold no unknown and scanning it changes nothing.
-    """
-    nlag = len(lags)
-    key_index = {L.key(): i for i, L in enumerate(lags)}
-    images = {}
-
-    def image(k, g, j):
-        t = images.get((k, j))
-        if t is None:
-            t = key_index.get(g.on_subgroup(lags[j].sub).key())
-            if t is None:
-                raise SolveError("transvection %r maps lagrangian %d outside "
-                                 "the enumeration" % (g.mat, j))
-            images[(k, j)] = t
-        return t
-
-    gs = transvections(Mc)[1:]
-    progress = len(c) < nlag
-    while progress:
-        progress = False
-        for k, g in enumerate(gs):
-            b = image(k, g, B)
-            for j in range(nlag):
-                t = image(k, g, j)
-                expo = {t: 1}
-                expo[j] = expo.get(j, 0) - 1
-                expo[b] = expo.get(b, 0) - 1
-                unknown = [i for i, e in expo.items() if e and i not in c]
-                if len(unknown) != 1 or abs(expo[unknown[0]]) != 1:
-                    continue
-                u = unknown[0]
-                # transport is composition-compatible, so the transport
-                # of g^(-1) from b back to B is the GenPerm inverse
-                GP = g_transport(g, mods[j], mods[t])
-                GPBinv = g_transport(g, mods[B], mods[b]).inverse()
-                mu = product_proportionality(T_LB[j].moved(GP, GPBinv),
-                                             T_LB[t], T_LB[b])
-                if mu is None:
-                    raise SolveError("equivariance constraint is not proportional; "
-                                     "convention bug at transvection %r" % (g.mat,))
-                sign = (act_enhanced(g, EnhLag(lags[j], 1)).eps
-                        * act_enhanced(g, EnhLag(lags[B], 1)).eps)
-                val = sign * mu * delta[b]
-                for i, e in expo.items():
-                    if i != u and e:
-                        val = val * c[i] ** -e
-                c[u] = val ** expo[u]
-                if len(c) == nlag:
-                    return
-                progress = True
-    if len(c) < nlag:
-        missing = [i for i in range(nlag) if i not in c]
-        raise SolveError(
-            "axioms do not pin the system: %d of %d scalars undetermined, "
-            "first at lagrangian %d" % (len(missing), nlag, missing[0]))

@@ -325,3 +325,26 @@ def kernel_mod(a_rows, p):
     aug = [list(row) + [1 if j == i else 0 for j in range(k)]
            for i, row in enumerate(a_rows)]
     return [row[m:] for row in echelon_mod(aug, p) if not any(row[:m])]
+
+
+def det_mod(mat, p):
+    """The determinant of the square matrix ``mat`` mod p, p prime, in
+    [0, p), by elimination over F_p; 1 for the 0 x 0 matrix."""
+    d = len(mat)
+    a = [[x % p for x in row] for row in mat]
+    det = 1
+    for col in range(d):
+        piv = next((i for i in range(col, d) if a[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col] % p
+        inv = pow(a[col][col], -1, p)
+        for i in range(col + 1, d):
+            if a[i][col]:
+                f = a[i][col] * inv % p
+                for j in range(col, d):
+                    a[i][j] = (a[i][j] - f * a[col][j]) % p
+    return det % p

@@ -591,32 +591,11 @@ def act_enhanced(g, point):
         if any(x % p for x in vec):
             raise SymplecticError("image basis solve failed")
         coord.append(cs)
-    u = _det_mod(coord, p)
+    u = intlin.det_mod(coord, p)
     if u == 0:
         raise SymplecticError("degenerate basis transport")
     sign = legendre(u, p)
     return EnhLag(Lagrangian(M, new_sub, validate=False), point.eps * sign)
-
-
-def _det_mod(mat, p):
-    d = len(mat)
-    a = [[x % p for x in row] for row in mat]
-    det = 1
-    for col in range(d):
-        piv = next((i for i in range(col, d) if a[i][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for i in range(col + 1, d):
-            if a[i][col]:
-                f = (a[i][col] * inv) % p
-                for j in range(col, d):
-                    a[i][j] = (a[i][j] - f * a[col][j]) % p
-    return det % p
 
 
 # -- Gauss sums -----------------------------------------------------------

@@ -23,11 +23,13 @@ b in a proportionality; the oracle multiplies every entry.
 The library holds each standard intertwiner as a phase matrix, one
 root of unity per entry from one coset; the oracle counts the exponents of
 every entry in a dim x dim x n cube and reduces each entry through
-``from_powers``.  The library compares a transported intertwiner with the
-product t @ b^H entry by entry on packed integers; the oracle forms the
-product densely and compares ``CycNum`` entries.
+``from_powers``.  The library takes each anchored scalar of the canonical
+system from its closed form; the oracle solves for it through the
+equivariance relations of the transvections, moving each intertwiner as a
+dense matrix.
 """
 
+from functools import lru_cache
 from math import lcm
 
 from heisenrep import intlin
@@ -40,10 +42,16 @@ from heisenrep.cyclo import (
     root_of_unity,
     sqrt_prime,
 )
-from heisenrep.heisenberg import HeisGrp, induce
-from heisenrep.intertwine import SolveError
-from heisenrep.kmat import GenPerm, mat_mul, proportionality
-from heisenrep.symplectic import SympAut, SymplecticError
+from heisenrep.heisenberg import HeisGrp, g_transport, induce
+from heisenrep.intertwine import SolveError, standard_pairs
+from heisenrep.kmat import GenPerm, mat_mul, phase_product, proportionality
+from heisenrep.symplectic import (
+    EnhLag,
+    SympAut,
+    SymplecticError,
+    act_enhanced,
+    transvections,
+)
 
 
 def hnf_inverse(g):
@@ -424,3 +432,82 @@ def phase_proportionality(a, b):
         if any(row_b[k] != rots[f] for k, f in row):
             return None
     return kappa.inverse()
+
+
+def propagated_scalars(mods, basepoints=(0,)):
+    """The anchored scalars c of the canonical system on an elementary
+    module Mc, one dict per basepoint, solved from the equivariance
+    relations of the transvections; ``mods`` are the models of the
+    lagrangians in the order of ``enumerate_lagrangians``.
+
+    For g and j, with t = g j and b = g B, equivariance reads
+    c_t = sign * mu * delta_b * c_j * c_b: mu is the proportionality of the
+    transport of T_LB[j] along g, GP_j @ T_LB[j] @ GP_B^(-1), and the
+    product T_LB[t] @ T_LB[b]^H, and sign the change of the two lifts.  As
+    a monomial c_t * c_j^(-1) * c_b^(-1) its exponents are summed per index
+    (t == j cancels, j == b gives -2); a relation with exactly one unknown,
+    of exponent +1 or -1, determines it.  The relations are scanned pass
+    after pass, transvection by transvection, until every scalar is known.
+    The images, transports and lift signs, which do not depend on the
+    basepoint, are computed once for all basepoints.
+    """
+    Mc = mods[0].H.base
+    lags = [V.lag for V in mods]
+    key_index = {L.key(): i for i, L in enumerate(lags)}
+    gs = transvections(Mc)[1:]
+
+    @lru_cache(maxsize=None)
+    def image(k, j):
+        return key_index[gs[k].on_subgroup(lags[j].sub).key()]
+
+    @lru_cache(maxsize=None)
+    def transport(k, j):
+        """GP_j along g_k, and the lift sign of g_k on lagrangian j."""
+        g = gs[k]
+        return (g_transport(g, mods[j], mods[image(k, j)]),
+                act_enhanced(g, EnhLag(lags[j], 1)).eps)
+
+    return [_propagate(mods, B, len(gs), image, transport) for B in basepoints]
+
+
+def _propagate(mods, B, count, image, transport):
+    """The scalars of ``propagated_scalars`` at basepoint B, from ``count``
+    transvections."""
+    T_LB, delta = standard_pairs(mods, B)
+    Mc = mods[0].H.base
+    c = {B: CycNum.one(Mc.n if Mc.group.rank else 1)}
+    one = CycNum.one(1)
+    while len(c) < len(mods):
+        known = len(c)
+        for k in range(count):
+            b = image(k, B)
+            GPB, sign_B = transport(k, B)
+            for j in range(len(mods)):
+                t = image(k, j)
+                expo = {t: 1}
+                expo[j] = expo.get(j, 0) - 1
+                expo[b] = expo.get(b, 0) - 1
+                unknown = [i for i, e in expo.items() if e and i not in c]
+                if len(unknown) != 1 or abs(expo[unknown[0]]) != 1:
+                    continue
+                u = unknown[0]
+                GP, sign = transport(k, j)
+                moved = GP.apply_left(GPB.inverse().apply_right(
+                    T_LB[j].to_dense()))
+                mu = proportionality(moved,
+                                     phase_product(T_LB[t], T_LB[b], one))
+                if mu is None:
+                    raise SolveError("equivariance relation of transvection "
+                                     "%d on lagrangian %d is not a "
+                                     "proportionality" % (k, j))
+                val = sign * sign_B * mu * delta[b]
+                for i, e in expo.items():
+                    if i != u and e:
+                        val = val * c[i] ** -e
+                c[u] = val ** expo[u]
+                if len(c) == len(mods):
+                    return c
+        if len(c) == known:
+            raise SolveError("the relations leave %d scalars undetermined"
+                             % (len(mods) - len(c)))
+    return c

@@ -247,6 +247,39 @@ def test_kernel_mod_prime_is_the_lattice_kernel(pmg, k):
     assert subgroup_from_gens(G, got) == want
 
 
+@st.composite
+def square_matrices_mod(draw):
+    """(p, d x d matrix) for d from 0 to 6: entries negative and out of
+    range, and often one row a multiple of another (singular mod p)."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    d = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-3 * p, 3 * p), min_size=d, max_size=d)
+    mat = draw(st.lists(row, min_size=d, max_size=d))
+    if d >= 2 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(d)))[:2]
+        c = draw(st.integers(-2 * p, 2 * p))
+        mat[k] = [c * x for x in mat[i]]
+    return p, mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices_mod())
+def test_det_mod_matches_sympy(pm):
+    import sympy
+
+    p, mat = pm
+    d = len(mat)
+    want = int(sympy.Matrix(d, d, [x for row in mat for x in row]).det()) % p
+    assert intlin.det_mod(mat, p) == want
+
+
+def test_det_mod_examples():
+    assert [intlin.det_mod([], p) for p in (3, 5, 7, 11)] == [1] * 4
+    assert intlin.det_mod([[0, 1], [1, 0]], 5) == 4
+    assert intlin.det_mod([[2, 4], [1, 2]], 7) == 0
+    assert intlin.det_mod([[-1]], 11) == 10
+
+
 def test_elementary_prime():
     assert elementary_prime(AbGroup([5, 5, 5])) == 5
     for orders in ([], [1], [9, 9], [3, 5], [3, 3, 9], [15]):

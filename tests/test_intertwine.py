@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 
+import dense_oracle
 import pytest
 from dense_oracle import (
     anchored_entries_in_field,
@@ -9,7 +11,8 @@ from dense_oracle import (
     hom_dim_union_find,
     kernel_of,
     operator_from_kernel,
-    phase_proportionality,
+    propagated_scalars,
+    proportionality_full,
     scalar_of,
 )
 from helpers import (
@@ -18,23 +21,23 @@ from helpers import (
     conj_transpose,
     shared_zeros,
 )
+from test_symplectic import FP_MODULES
 
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from heisenrep.heisenberg import HeisGrp, g_transport, induce
 from heisenrep.intertwine import (
     SolveError,
+    canonical_scalar,
     hom_dim,
     solve_canonical_system,
     standard_T,
     standard_pairs,
 )
 from heisenrep.kmat import (
-    PhaseMat,
     identity,
     mat_eq,
     mat_mul,
     phase_product,
-    product_proportionality,
     proportionality,
     scalar_mul,
 )
@@ -283,13 +286,12 @@ def test_phase_products_match_the_dense_products(blocks, basepoints):
 
 @pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)
 def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
-    """The solver's relation on phase matrices, against apply_left and
-    apply_right on the dense matrix and the dense proportionality (the
-    fused ``product_proportionality`` and the oracle's
-    ``phase_proportionality`` of the dense product too): for g
-    and j with t = g j and b = g B, the transport of T_LB[j] is mu times
+    """The equivariance relation on dense matrices: for g and j with
+    t = g j and b = g B, the transport of T_LB[j] along g (the
+    ``g_transport`` GenPerms applied on each side) is mu times
     T_LB[t] T_LB[b]^H, and not proportional to T_LB[t'] T_LB[b]^H for the
-    other lagrangians t'."""
+    other lagrangians t'; the guard gives the value and conductor of the
+    every-entry one."""
     refused = 0
     for mods, B, T_LB in _phase_family(blocks, basepoints):
         keys = {V.lag.sub.key(): i for i, V in enumerate(mods)}
@@ -300,67 +302,60 @@ def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
             for j, T in enumerate(T_LB):
                 t = keys[g.on_subgroup(mods[j].lag.sub).key()]
                 GP = g_transport(g, mods[j], mods[t])
-                moved = T.moved(GP, GPBinv)
-                dense = moved.to_dense()
-                assert exact(dense) == exact(
-                    GP.apply_left(GPBinv.apply_right(T.to_dense())))
+                dense = GP.apply_left(GPBinv.apply_right(T.to_dense()))
                 for u in (t, (t + 1) % len(mods)):
                     prod = phase_product(T_LB[u], T_LB[b], one)
-                    got = phase_proportionality(moved, prod)
-                    want = proportionality(dense, prod)
-                    fused = product_proportionality(moved, T_LB[u], T_LB[b])
-                    assert (got is None) == (want is None) == (fused is None)
+                    got = proportionality(dense, prod)
+                    want = proportionality_full(dense, prod)
+                    assert (got is None) == (want is None)
                     if u == t:
                         assert got is not None
                         assert exact([[got]]) == exact([[want]])
-                        assert exact([[fused]]) == exact([[want]])
                     refused += got is None
     assert refused or len(mods) == 1
 
 
 def _tampered(a):
-    """Phase matrices near a: one exponent moved, one entry dropped, one
-    entry added where a is zero, and one row's entries moved to the next
+    """Dense matrices near a: its first nonzero entry x negated, x
+    dropped, x copied to a zero entry of its row, and its row rotated by one
     column where that changes the row."""
-    rows = [list(row) for row in a.rows]
-    r = next(r for r, row in enumerate(rows) if row)
-    (k, e), rest = rows[r][0], rows[r][1:]
-    free = next((c for c in range(a.cols) if c not in dict(rows[r])), None)
-    out = [[[(k, e + 1)] + rest], [rest]]
+    r, k = next((r, k) for r, row in enumerate(a)
+                for k, x in enumerate(row) if not x.is_zero())
+    row = a[r]
+    x = row[k]
+    changes = [row[:k] + [-x] + row[k + 1:],
+               row[:k] + [CycNum.zero(x.n)] + row[k + 1:]]
+    free = next((c for c, y in enumerate(row) if y.is_zero()), None)
     if free is not None:
-        out.append([rows[r] + [(free, 0)]])
-    shifted = [((c + 1) % a.cols, f) for c, f in rows[r]]
-    if set(shifted) != set(rows[r]):
-        out.append([shifted])
-    return [PhaseMat(rows[:r] + change + rows[r + 1:], a.cols, a.n)
-            for change in out]
+        changes.append(row[:free] + [x] + row[free + 1:])
+    rotated = row[-1:] + row[:-1]
+    if rotated != row:
+        changes.append(rotated)
+    return [a[:r] + [change] + a[r + 1:] for change in changes]
 
 
 @pytest.mark.parametrize("blocks", [[(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)],
                                     [(3, 2)]])
 def test_solver_relations_match_the_dense_guard(monkeypatch, blocks):
-    """Every relation the solver reads on the elementary ladder modules
-    gives the scalar (value and conductor) of the oracle's dense product
-    and guard, and every tampered transport is refused by both."""
-    import heisenrep.intertwine as intertwine
-
-    fused = intertwine.product_proportionality
+    """Every relation the oracle solver reads on the elementary ladder
+    modules gives the scalar (value and conductor) of the every-entry
+    guard, and every tampered transport is refused by both."""
+    guard = dense_oracle.proportionality
     seen = []
 
-    def checked(a, t, b):
-        got = fused(a, t, b)
-        want = phase_proportionality(a, phase_product(t, b, CycNum.one(1)))
+    def checked(a, b):
+        got = guard(a, b)
+        want = proportionality_full(a, b)
         assert got is not None and exact([[got]]) == exact([[want]])
         for bad in _tampered(a):
-            assert fused(bad, t, b) is None
-            assert phase_proportionality(
-                bad, phase_product(t, b, CycNum.one(1))) is None
+            assert guard(bad, b) is None
+            assert proportionality_full(bad, b) is None
         seen.append(got)
         return got
 
-    monkeypatch.setattr(intertwine, "product_proportionality", checked)
-    sys = solve_canonical_system(standard_module(blocks), verify="none")
-    assert len(seen) >= sys.count - 1
+    monkeypatch.setattr(dense_oracle, "proportionality", checked)
+    [c] = propagated_scalars(_lagrangian_models(standard_module(blocks)))
+    assert len(seen) >= len(c) - 1
 
 
 def test_doubled_delta_fails_transitivity():
@@ -505,36 +500,9 @@ def test_solver_bad_basepoint():
             solve_canonical_system(M, base_index=base)
 
 
-def test_solver_underdetermined_error_path(monkeypatch):
-    # starve the propagation of constraints: it must report rather than
-    # guess the missing scalars
-    import heisenrep.intertwine as iw
-    from heisenrep.symplectic import identity_aut
-
-    M = standard_module([(3, 1)])
-    monkeypatch.setattr(iw, "transvections", lambda Mc: [identity_aut(Mc)])
-    with pytest.raises(SolveError, match="axioms do not pin") as exc:
-        iw.solve_canonical_system(M, verify="none")
-    assert "lagrangian 1" in str(exc.value)
-
-
-def test_solver_image_outside_enumeration_names_witness(monkeypatch):
-    # a lagrangian missing from the enumeration: the first relation that
-    # needs its image reports the transvection and the lagrangian
-    import heisenrep.intertwine as iw
-
-    M = standard_module([(3, 1)])
-    full = enumerate_lagrangians(M)
-    monkeypatch.setattr(iw, "enumerate_lagrangians",
-                        lambda Mc, budget: full[:-1])
-    with pytest.raises(SolveError, match=r"transvection \(\(.*\)\) maps "
-                       r"lagrangian \d+ outside the enumeration"):
-        iw.solve_canonical_system(M, verify="none")
-
-
-def scalar_digest(sys):
+def scalar_digest(c):
     blob = json.dumps([[i, x.n, list(x.num), x.den]
-                       for i, x in sorted(sys.c.items())],
+                       for i, x in sorted(c.items())],
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -561,7 +529,49 @@ SCALAR_DIGESTS = [
 def test_solved_scalars_pinned(blocks, base, digest):
     sys = solve_canonical_system(standard_module(blocks), base_index=base,
                                  verify="none")
-    assert scalar_digest(sys) == digest
+    assert scalar_digest(sys.c) == digest
+
+
+def test_rank6_scalars_pinned():
+    """(Z/3)^6 at basepoint 0, where k = dim L / (L cap B) reaches 3: the
+    closed form over the 1,120 lagrangians, with no intertwiner built,
+    gives the scalars that the propagation solver gave at 4a36dc2."""
+    M = standard_module([(3, 3)])
+    lags = enumerate_lagrangians(M)
+    c = {i: CycNum.one(3) if i == 0 else canonical_scalar(M, L, lags[0])
+         for i, L in enumerate(lags)}
+    assert scalar_digest(c) == (
+        "802716ef1b5ba6f51b87d5805cf10261837cae1c7f21e2e6bab5d3219abab669")
+
+
+# (module, basepoints): every basepoint, or two seeded ones of (Z/5)^4
+DIFFERENTIAL = {
+    "Z3^2": (standard_module([(3, 1)]), None),
+    "Z5^2": (standard_module([(5, 1)]), None),
+    "Z7^2": (standard_module([(7, 1)]), None),
+    "Z11^2": (standard_module([(11, 1)]), None),
+    "Z3^4": (standard_module([(3, 2)]), None),
+    "Z5^2-gram": (FP_MODULES[-2], None),
+    "Z3^4-gram": (FP_MODULES[-1], None),
+    "Z5^4": (standard_module([(5, 2)]), random.Random(0).sample(range(156), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_closed_form_matches_the_propagation_solver(name):
+    """``canonical_scalar`` gives the scalars that the oracle propagates
+    through the transvection relations, in value and conductor."""
+    M, basepoints = DIFFERENTIAL[name]
+    mods = _lagrangian_models(M)
+    lags = [V.lag for V in mods]
+    if basepoints is None:
+        basepoints = range(len(mods))
+    for B, want in zip(basepoints, propagated_scalars(mods, basepoints)):
+        assert sorted(want) == list(range(len(mods)))
+        assert exact([[want[B]]]) == exact([[CycNum.one(M.n)]])
+        assert [exact([[canonical_scalar(M, L, lags[B])]])
+                for i, L in enumerate(lags) if i != B] == \
+            [exact([[want[i]]]) for i in range(len(mods)) if i != B], B
 
 
 def test_solver_rejects_non_elementary():
