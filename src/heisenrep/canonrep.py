@@ -53,14 +53,14 @@ class CanonicalRep:
 
     def act_g(self, g):
         """Matrix of g from the collection action: transport after the
-        coherence operator at g^(-1) of the basepoint."""
+        coherence operator at g^(-1) of the basepoint.  That operator,
+        F_{src,B} = c_src T_LB[src] T_LB[B]^H / (c_B delta_B), is the
+        anchored map of src: T_LB[B] is the identity and c_B = delta_B = 1."""
         gc = g_to_gc(self.red, g)
         src = self.system.act_point(gc.inverse(), (self.base_index, 1))
-        F = self.system.operator(src, (self.base_index, 1))
-        i2 = src[0]
-        GP = g_transport(g, self.system.modules[i2],
+        GP = g_transport(g, self.system.modules[src[0]],
                          self.system.modules[self.base_index])
-        return GP.apply_left(F)
+        return GP.apply_left(self.system.anchored(*src))
 
     def act(self, x):
         """Matrix of an element of H, of Sp(M), or of the semidirect

@@ -21,6 +21,7 @@ being its orientation.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from . import intlin
 from .abgroup import subgroup_intersect
@@ -29,17 +30,12 @@ from .cyclo import (
     gauss_sum_quadratic,
     in_subfield,
     legendre,
+    mul_root,
     root_of_unity,
     sqrt_prime,
 )
 from .heisenberg import HeisGrp, induce
-from .kmat import (
-    PhaseMat,
-    identity as kmat_identity,
-    mat_to_json,
-    neg,
-    phase_product,
-)
+from .kmat import Packed, PhaseMat, mat_to_json, phase_product
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
     EnhLag,
@@ -153,6 +149,11 @@ class CanonicalSystem:
     living on the elementary quotient while the operators act upstairs; the
     ``lag_of`` table maps enhanced-point indices to operator-level
     lagrangians.
+
+    ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
+    matrices, all at the digit width of ``pair_width``, and is the only
+    store of pairs: ``pair`` gives the signed packed pair and ``operator``
+    its dense view.  ``anchored`` reads the phase matrices directly.
     """
 
     def __init__(self, module, enh_module, lags, enh_lags, base_index,
@@ -169,6 +170,7 @@ class CanonicalSystem:
         self.c = c
         self.conductor = conductor
         self._pair_cache = {}
+        self._pair_width = None
 
     @property
     def count(self):
@@ -181,19 +183,48 @@ class CanonicalSystem:
         """F_{(i,e), basepoint} as a dense matrix."""
         return self.T_LB[i].scaled(self.c[i] if e == 1 else -self.c[i])
 
-    def operator(self, n0, l0):
-        """F_{n0, l0}: modules[j] -> modules[i] for n0=(i,e), l0=(j,f)."""
+    def pair(self, n0, l0):
+        """F_{n0, l0}: modules[j] -> modules[i] for n0=(i,e), l0=(j,f), as
+        a ``Packed`` matrix: the cached pair of (i, j), negated when
+        e * f = -1."""
         i, e = n0
         j, f = l0
         base = self._pair_cache.get((i, j))
         if base is None:
-            if i == j:
-                base = kmat_identity(self.modules[j].dim, self.conductor)
-            else:
-                coef = self.c[i] / (self.c[j] * self.delta[j])
-                base = phase_product(self.T_LB[i], self.T_LB[j], coef)
+            w = self.pair_width()
+            base = Packed.identity(self.modules[i].dim, self.conductor, w) \
+                if i == j else phase_product(self.T_LB[i], self.T_LB[j], (
+                    self.c[i] / (self.c[j] * self.delta[j])), w)
             self._pair_cache[(i, j)] = base
-        return base if e * f == 1 else neg(base)
+        return base if e * f == 1 else -base
+
+    def operator(self, n0, l0):
+        """F_{n0, l0} as a dense matrix: ``pair(n0, l0).to_dense()``."""
+        return self.pair(n0, l0).to_dense()
+
+    def pair_width(self):
+        """The digit width of every pair, made once, covering the products
+        and comparisons of any two pairs (``kmat`` module notes).  A pair is
+        the identity or s * T_LB[i] T_LB[j]^H with s = c_i / (c_j delta_j),
+        of height dim * h (h the largest coefficient of a rotation of s)
+        over s.den, and s = 1 at i = j = B.  So the largest height H and
+        denominator D come from the distinct c_i and c_j delta_j alone, and
+        with N the lcm of the conductors, a product of two pairs compared
+        with a third has digits at most dim N H^2 D + H D^2."""
+        if self._pair_width is None:
+            n = lcm(*(T.n for T in self.T_LB))
+            dim = self.modules[0].dim
+            tops = {(x.n, x.num, x.den): x for x in self.c.values()}
+            bottoms = {(x.n, x.num, x.den): x for x in
+                       (self.c[j] * d for j, d in enumerate(self.delta))}
+            scales = [a / b for a in tops.values() for b in bottoms.values()]
+            N = lcm(n, *(s.n for s in scales))
+            D = max(s.den for s in scales)
+            H = dim * max(abs(x) for s in scales for d in range(n)
+                          for x in mul_root(s, n, d).num)
+            self._pair_width = (dim * N * H * H * D + H * D * D
+                                ).bit_length() + 1
+        return self._pair_width
 
     def enhanced_index(self, point):
         i = self._enh_index.get(point.lag.key())

@@ -1,5 +1,5 @@
-"""Dense matrices over cyclotomic scalars, generalized permutations and
-phase matrices.
+"""Dense matrices over cyclotomic scalars, generalized permutations,
+phase matrices and packed matrices.
 
 Group-element actions on induced modules are monomial (one nonzero entry
 per column, a root of unity), so they get a compact GenPerm form: a
@@ -8,24 +8,61 @@ exponents and ``inverse`` negates them.  Applying a GenPerm to a dense
 matrix multiplies each entry x by its root zeta_n^e with
 ``cyclo.mul_root``: one walk over the coefficients of x at shifted
 exponents of zeta_N, N = lcm(n, x.n), with no polynomial product.
-``apply_both`` places each entry of left @ x @ right once and rotates it
-once, by the sum of its row's and its column's exponents.
+
+Packed integers (Kronecker substitution).  An element of Q(zeta_N) over a
+denominator is a vector v in Z[x]/(x^N - 1), x for zeta_N and the
+coefficient of zeta_m^t at exponent t * N / m, packed into one int
+P = sum of v_t 2^(w t).  While every digit lies in [-2^(w-1), 2^(w-1)),
+adding 2^(w-1) to each leaves them in [0, 2^w) with no carry, so the
+digits are unique and each is read with a shift and a mask (``_digits``).
+
+``mat_mul`` packs each row of ``a`` and each column of ``b`` over one
+common denominator, N the lcm of the conductors of the nonzero entries.
+With L one more than the highest exponent (phi(n) - 1) * N / n over their
+conductors n, each of the 2L - 1 digits of sum over k of P(a_ik) P(b_kj)
+is at most inner * L * max|a coefficient| * max|b coefficient|, and w is
+the bit length of that bound + 2.  Each output entry is unpacked and
+reduced once, through ``cyclo.from_powers``: zero at conductor 1 when no
+k has a_ik and b_kj nonzero, else at n = lcm over those k of
+lcm(a_ik.n, b_kj.n), even when the sum cancels, read off at n directly.
+The zero entries of one conductor are one object, so ``mat_eq`` passes
+them by identity.
 
 The standard intertwiners are phase matrices (``PhaseMat``): every entry
 is 0 or one root zeta_n^e, kept per row as (column, exponent) pairs at
-modulus n.  ``phase_product(a, b, c)`` is c * (a @ b^H), b^H the conjugate
-transpose of b: entry (r, s) is the sum of c * zeta_n^(x - y) over the
-columns k where a_rk = zeta_n^x and b_sk = zeta_n^y are both nonzero (n
-the lcm of the two moduli).  The n rotations c * zeta_n^d are made once
-per product with ``cyclo.mul_root``, at N = lcm(c.n, n), and their
-power-basis coefficients are packed as signed w-bit digits of one int
-each; an entry adds one packed rotation per shared column and is unpacked
-once.  No digit exceeds inner * h in absolute value, h the largest
-coefficient of a rotation, so w = bit_length(inner * h) + 2.  Each entry
-has the value and conductor of ``scalar_mul(c, mat_mul(a, b^H))`` on the
-dense factors: zero at conductor c.n where no column is shared, zero at N
-where the sum cancels, each of them one object per product.  ``scaled``
-multiplies a phase matrix by a scalar with one ``mul_root`` per exponent.
+modulus n; ``scaled`` multiplies one by a scalar, one ``mul_root`` per
+exponent.  ``phase_product(a, b, c)`` is c * (a @ b^H) as a ``Packed``
+matrix at N = lcm(c.n, n), n the lcm of the moduli: entry (r, s) adds the
+packed rotation c * zeta_n^(x - y) (made once per product) over the
+columns k where a_rk = zeta_n^x and b_sk = zeta_n^y, so its height is
+inner times the largest coefficient of a rotation.  Its dense view is
+``scalar_mul(c, mat_mul(a, b^H))``, zero at c.n where no column is shared
+and at N where the sum cancels.
+
+A ``Packed`` matrix holds one int per entry at one conductor N, width w
+and denominator, its height h (no digit exceeds it, h < 2^(w-1)) and per
+row a mask of the entries that may be nonzero.  ``to_dense`` gives a zero
+entry inside the mask the zero of N and one outside the zero of
+conductor ``zero``.  Negation negates the ints; ``moved`` applies a
+GenPerm on each side, rotating each entry's digits once (x^N = 1).
+
+The kernel test.  For N = p^a, x^N - 1 = (x^(N/p) - 1) Phi_N with
+Phi_N = sum over j < p of x^(j N/p), the minimal polynomial of zeta_N.  So
+v is 0 in Q(zeta_N) exactly when v = q Phi_N, deg q < N - phi(N) = N/p:
+the p copies of q do not overlap, so every block of N/p digits of v equals
+the lowest, and equal blocks give v = q Phi_N.  With in-range digits this
+is v == low(v) * sum over j < p of 2^(w j N/p), low(v) the signed lowest
+block.  At N = 1 it is v == 0; any other N raises ValueError.
+
+Widths.  ``a @ b`` adds the products of the ints of row i of a and
+column j of b where the masks allow entry (i, j), and folds digit t + N
+onto t.  A digit, folded or not, sums a_ik[u] b_kj[v] over k and at most N
+pairs (u, v): the product has height inner * N * h_a * h_b over d_a d_b.
+a == b tests x * d_b - y * d_a, with digits at most h_a d_b + h_b d_a.
+Both first bring their operands to the lcm of the conductors and to a
+width covering the bound, repacking any narrower one, so a narrow width
+costs time, never a wrong answer; ``CanonicalSystem.pair_width`` covers
+the widest pairs of a system, so its checks never repack.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
@@ -36,34 +73,11 @@ x and b_t of y, counted per exponent mod N and reduced once through
 ``cyclo.from_powers`` over x.den * y.den, so no polynomial product or lift
 is formed.  Each factor's shifted terms are made once per conductor it
 meets.
-
-``mat_mul`` works on packed integers (Kronecker substitution).  N is the
-lcm of the conductors of the nonzero entries of both factors; each row of
-``a`` and each column of ``b`` is put over one common denominator, and each
-entry becomes an integer polynomial in zeta_N, unreduced: the coefficient
-of zeta_n^t sits at exponent t * N / n.  The polynomial is packed into one
-Python int with signed digits of w bits, P = sum of c_e * 2^(w e): the
-coefficients of x are shifted to their digits once, and the packed int is
-multiplied by den / x.den, which multiplies every digit.  With L one more
-than the highest exponent (phi(n) - 1) * N / n over the conductors n of
-the entries (phi(N) when every entry has conductor N), each of the 2L - 1
-digits of sum over k of P(a_ik) P(b_kj) is at most
-inner * L * max|a coefficient| * max|b coefficient| in absolute value, so
-w = bit_length of that bound + 2 leaves every digit clear of its
-neighbours whatever the heights.  Each output entry is unpacked once and
-reduced once, through ``cyclo.from_powers``.
-
-An output entry with no k where both a_ik and b_kj are nonzero is zero at
-conductor 1; any other entry has conductor n = lcm of lcm(a_ik.n, b_kj.n)
-over those k, even when the sum cancels.
-Every exponent in such an entry's product is a multiple of N / n, so it is
-read off at conductor n directly.  The zero entries of one conductor in
-the output are one shared object, so ``neg`` keeps them and ``mat_eq``
-passes them by identity.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from operator import lshift, mul
 
@@ -129,13 +143,7 @@ def mat_mul(a, b):
     # conductor pairs with the rows and columns in which they meet
     pairs = [(lcm(c, d), ma, mb) for c, ma in masks_a.items()
              for d, mb in masks_b.items()]
-    # adding half to every digit makes them all nonnegative, so each digit
-    # is read with a shift and a mask, with no borrow from its neighbour
     digits = 2 * length - 1
-    half = 1 << (w - 1)
-    low = (1 << w) - 1
-    offset = sum(half << (w * e) for e in range(digits))
-    shifts = range(0, w * digits, w)
     # one zero per conductor, shared by every zero entry of the output
     zeros = {1: CycNum.zero(1)}
     out = []
@@ -152,8 +160,7 @@ def mat_mul(a, b):
             if not acc:
                 new.append(zeros.get(n) or zeros.setdefault(n, CycNum.zero(n)))
                 continue
-            acc += offset
-            conv = [((acc >> s) & low) - half for s in shifts]
+            conv = _digits(acc, w, digits)
             x = from_powers(n, enumerate(conv[::N // n]), den_a[i] * den_b[j])
             new.append(x if any(x.num) else zeros.setdefault(n, x))
         out.append(new)
@@ -166,11 +173,6 @@ def scalar_mul(c, a):
     zero = {m: CycNum.zero(lcm(c.n, m))
             for m in {x.n for row in a for x in row if not any(x.num)}}
     return [[c * x if any(x.num) else zero[x.n] for x in row] for row in a]
-
-
-def neg(a):
-    """-a.  A zero entry is its own negative and is kept as it is."""
-    return [[-x if any(x.num) else x for x in row] for row in a]
 
 
 def mat_eq(a, b):
@@ -334,19 +336,6 @@ class GenPerm:
         return [[mul_root(row[i], n, e) for i, e in zip(self.perm, self.expo)]
                 for row in dense]
 
-    def apply_both(self, dense, right):
-        """self @ dense @ right: entry (r, c) of dense goes once to row
-        self.perm[r] and to the column j with right.perm[j] = c, rotated
-        once by the sum of the two exponents."""
-        n = lcm(self.n, right.n)
-        s, t = n // self.n, n // right.n
-        cols = [(c, t * f) for c, f in zip(right.perm, right.expo)]
-        rows = [None] * len(dense)
-        for i, e, row in zip(self.perm, self.expo, dense):
-            e *= s
-            rows[i] = [mul_root(row[c], n, e + f) for c, f in cols]
-        return rows
-
     def __eq__(self, other):
         if not isinstance(other, GenPerm) or self.perm != other.perm:
             return False
@@ -388,12 +377,9 @@ class PhaseMat:
         return out
 
 
-def phase_product(a, b, scale):
-    """scale * (a @ b^H) for phase matrices a and b, as a dense matrix; see
-    the module notes.  Each entry is the sum of the packed rotations of
-    scale over the columns its two rows share, read back digit by digit:
-    adding half to every digit makes them all nonnegative, so each is read
-    with a shift and a mask, with no borrow from its neighbour."""
+def phase_product(a, b, scale, width=0):
+    """scale * (a @ b^H) for phase matrices a and b, as a ``Packed`` matrix
+    of digit width at least ``width``; see the module notes."""
     if a.cols != b.cols:
         raise ValueError("cannot multiply a %dx%d matrix by the adjoint of a "
                          "%dx%d matrix" % (len(a.rows), a.cols, len(b.rows),
@@ -401,34 +387,176 @@ def phase_product(a, b, scale):
     n = lcm(a.n, b.n)
     s, t = n // a.n, n // b.n
     rots = [mul_root(scale, n, d).num for d in range(n)]
-    w = (a.cols * max(abs(c) for rot in rots for c in rot)).bit_length() + 2
+    height = a.cols * max(abs(c) for rot in rots for c in rot)
+    w = max(width, height.bit_length() + 1)
     places = range(0, w * len(rots[0]), w)
-    half, low = 1 << (w - 1), (1 << w) - 1
-    offset = sum(half << q for q in places)
     # indexed by x - y in (-n, n): a negative index is the rotation x - y + n
     packed = [sum(map(lshift, rot, places)) for rot in rots]
     rows_b = [[(k, t * y) for k, y in row] for row in b.rows]
-    N = lcm(scale.n, n)
-    missed = CycNum.zero(scale.n)
-    cancelled = missed if N == scale.n else CycNum.zero(N)
     xs = [None] * a.cols
-    out = []
+    rows, masks = [], []
     for row in a.rows:
         for k, x in row:
             xs[k] = s * x
-        new = []
-        for row_b in rows_b:
+        new, mask = [], 0
+        for col, row_b in enumerate(rows_b):
             terms = [packed[x - y] for k, y in row_b
                      if (x := xs[k]) is not None]
-            if not terms:
-                new.append(missed)
-            elif acc := sum(terms):
-                acc += offset
-                new.append(CycNum(N, [((acc >> q) & low) - half
-                                      for q in places], scale.den))
-            else:
-                new.append(cancelled)
-        out.append(new)
+            new.append(sum(terms))
+            mask |= bool(terms) << col
+        rows.append(new)
+        masks.append(mask)
         for k, _x in row:
             xs[k] = None
-    return out
+    return Packed(rows, masks, lcm(scale.n, n), scale.den, w, height,
+                  scale.n)
+
+
+@lru_cache(maxsize=None)
+def _offset(w, count):
+    """2^(w-1) in each of ``count`` w-bit digits."""
+    return sum(1 << (w * e + w - 1) for e in range(count))
+
+
+def _digits(x, w, count):
+    """The ``count`` signed w-bit digits of x, lowest first; see the module
+    notes."""
+    x += _offset(w, count)
+    half, low = 1 << (w - 1), (1 << w) - 1
+    return [((x >> q) & low) - half for q in range(0, w * count, w)]
+
+
+@lru_cache(maxsize=None)
+def _blocks(n, w):
+    """(block length N/p, sum over j < p of 2^(w j N/p)) for the kernel
+    test at conductor n = p^a, and (0, 0) at n = 1; see the module notes."""
+    if n == 1:
+        return 0, 0
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    if pow(p, n.bit_length(), n):  # n | p^k, k > log2 n, only for n = p^a
+        raise ValueError("the packed kernel test needs a prime-power "
+                         "conductor, not %d" % n)
+    block = n // p
+    return block, sum(1 << (w * j * block) for j in range(p))
+
+
+def _vanishes(v, n, w):
+    """Whether the packed vector v is 0 in Q(zeta_n): every block of n/p
+    digits equals the lowest one."""
+    block, repeat = _blocks(n, w)
+    off = _offset(w, block)
+    return v == (((v + off) & ((1 << w * block) - 1)) - off) * repeat
+
+
+def _aligned(mats, need):
+    """``mats`` at the lcm of their conductors and at one width, the
+    largest of theirs and ``need``."""
+    n = lcm(*(m.n for m in mats))
+    w = max(need, *(m.width for m in mats))
+    return [m if (m.n, m.width) == (n, w) else m.recast(n, w) for m in mats]
+
+
+class Packed:
+    """A matrix over Q(zeta_n) as one int per entry over one denominator,
+    with its digit width, height and row masks; see the module notes."""
+
+    __slots__ = ("rows", "masks", "n", "den", "width", "height", "zero")
+
+    def __init__(self, rows, masks, n, den, width, height, zero):
+        self.rows, self.masks, self.n, self.den = rows, masks, n, den
+        self.width, self.height, self.zero = width, height, zero
+
+    @staticmethod
+    def identity(dim, n, width):
+        """The identity at conductor n, its zeros of conductor n too."""
+        return Packed([[int(i == j) for j in range(dim)] for i in range(dim)],
+                      [1 << i for i in range(dim)], n, 1, width, 1, n)
+
+    def recast(self, n, width):
+        """self at conductor n, a multiple of self.n, and digit width
+        ``width``: digit t moves to digit t * n / self.n."""
+        places = range(0, width * n, width * (n // self.n))
+        rows = [[sum(map(lshift, _digits(x, self.width, self.n), places))
+                 for x in row] for row in self.rows]
+        return Packed(rows, self.masks, n, self.den, width, self.height,
+                      self.zero)
+
+    def to_dense(self):
+        """The dense matrix, each entry reduced once by ``from_powers``."""
+        n, w, den = self.n, self.width, self.den
+        missed = CycNum.zero(self.zero)
+        cancelled = missed if n == self.zero else CycNum.zero(n)
+        out = []
+        for row, mask in zip(self.rows, self.masks):
+            new = []
+            for j, x in enumerate(row):
+                new.append(from_powers(n, enumerate(_digits(x, w, n)), den)
+                           if x else cancelled if mask >> j & 1 else missed)
+            out.append(new)
+        return out
+
+    def __neg__(self):
+        return Packed([[-x for x in row] for row in self.rows], self.masks,
+                      self.n, self.den, self.width, self.height, self.zero)
+
+    def moved(self, left, right):
+        """left @ self @ right for GenPerms left and right: entry (r, c)
+        goes to row left.perm[r] and to the column j with
+        right.perm[j] = c, rotated once by the sum of the two exponents."""
+        n = lcm(self.n, left.n, right.n)
+        a = self if n == self.n else self.recast(n, self.width)
+        w, s, t = a.width, n // left.n, n // right.n
+        off, full = _offset(w, n), (1 << w * n) - 1
+        cols = [(c, t * f) for c, f in zip(right.perm, right.expo)]
+        rows, masks = [None] * len(a.rows), [0] * len(a.rows)
+        for i, e, row, mask in zip(left.perm, left.expo, a.rows, a.masks):
+            new = []
+            for j, (c, f) in enumerate(cols):
+                x = row[c]
+                if x:
+                    d, x = (s * e + f) % n, x + off
+                    x = ((x << w * d) & full | x >> w * (n - d)) - off
+                new.append(x)
+                masks[i] |= (mask >> c & 1) << j
+            rows[i] = new
+        return Packed(rows, masks, n, a.den, w, a.height, a.zero)
+
+    def __matmul__(self, other):
+        """self @ other, folded mod x^N - 1, over self.den * other.den."""
+        inner = len(other.rows)
+        n = lcm(self.n, other.n)
+        height = inner * n * self.height * other.height
+        a, b = _aligned([self, other], height.bit_length() + 1)
+        w = a.width
+        cols = list(zip(*b.rows))
+        off = _offset(w, 2 * n - 1)
+        low, off_low, off_high = (1 << w * n) - 1, _offset(w, n), \
+            _offset(w, n - 1)
+        rows, masks = [], []
+        for row, mask in zip(a.rows, a.masks):
+            reach = 0
+            for k, m in enumerate(b.masks):
+                if mask >> k & 1:
+                    reach |= m
+            new = [0] * len(cols)
+            for j, col in enumerate(cols):
+                if reach >> j & 1:
+                    acc = sum(map(mul, row, col)) + off
+                    new[j] = (acc & low) - off_low + (acc >> w * n) - off_high
+            rows.append(new)
+            masks.append(reach)
+        return Packed(rows, masks, n, a.den * b.den, w, height, 1)
+
+    def __eq__(self, other):
+        """Exact equality of values, entry by entry through the kernel test;
+        matrices of different shapes are unequal."""
+        if not isinstance(other, Packed):
+            return NotImplemented
+        if list(map(len, self.rows)) != list(map(len, other.rows)):
+            return False
+        need = self.height * other.den + other.height * self.den
+        a, b = _aligned([self, other], need.bit_length() + 1)
+        n, w, da, db = a.n, a.width, a.den, b.den
+        _blocks(n, w)
+        return all(_vanishes(v, n, w) for ra, rb in zip(a.rows, b.rows)
+                   for x, y in zip(ra, rb) if (v := x * db - y * da))

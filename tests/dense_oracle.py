@@ -26,11 +26,14 @@ every entry in a dim x dim x n cube and reduces each entry through
 ``from_powers``.  The library takes each anchored scalar of the canonical
 system from its closed form; the oracle solves for it through the
 equivariance relations of the transvections, moving each intertwiner as a
-dense matrix.
+dense matrix.  The library keeps a pair product c * (a @ b^H) of phase
+matrices as packed integers; the oracle unpacks every entry into one
+CycNum, as the library did before its pairs were packed.
 """
 
 from functools import lru_cache
 from math import lcm
+from operator import lshift
 
 from heisenrep import intlin
 from heisenrep.abgroup import subgroup_intersect
@@ -495,7 +498,8 @@ def _propagate(mods, B, count, image, transport):
                 moved = GP.apply_left(GPB.inverse().apply_right(
                     T_LB[j].to_dense()))
                 mu = proportionality(moved,
-                                     phase_product(T_LB[t], T_LB[b], one))
+                                     phase_product(T_LB[t], T_LB[b],
+                                                   one).to_dense())
                 if mu is None:
                     raise SolveError("equivariance relation of transvection "
                                      "%d on lagrangian %d is not a "
@@ -511,3 +515,38 @@ def _propagate(mods, B, count, image, transport):
             raise SolveError("the relations leave %d scalars undetermined"
                              % (len(mods) - len(c)))
     return c
+
+
+def dense_phase_product(a, b, scale):
+    """scale * (a @ b^H) for phase matrices a and b as a dense matrix: each
+    entry's sum of packed rotations unpacked into one CycNum at
+    N = lcm(scale.n, n); the zero of conductor scale.n where the two rows
+    share no column and the zero of N where the sum cancels, one object
+    each."""
+    n = lcm(a.n, b.n)
+    s, t = n // a.n, n // b.n
+    rots = [mul_root(scale, n, d).num for d in range(n)]
+    w = (a.cols * max(abs(c) for rot in rots for c in rot)).bit_length() + 2
+    places = range(0, w * len(rots[0]), w)
+    half, low = 1 << (w - 1), (1 << w) - 1
+    offset = sum(half << q for q in places)
+    packed = [sum(map(lshift, rot, places)) for rot in rots]
+    N = lcm(scale.n, n)
+    missed = CycNum.zero(scale.n)
+    cancelled = missed if N == scale.n else CycNum.zero(N)
+    out = []
+    for row in a.rows:
+        xs = {k: s * x for k, x in row}
+        new = []
+        for row_b in b.rows:
+            terms = [packed[xs[k] - t * y] for k, y in row_b if k in xs]
+            if not terms:
+                new.append(missed)
+            elif acc := sum(terms):
+                acc += offset
+                new.append(CycNum(N, [((acc >> q) & low) - half
+                                      for q in places], scale.den))
+            else:
+                new.append(cancelled)
+        out.append(new)
+    return out

@@ -2,12 +2,12 @@
 
 import random
 from contextlib import contextmanager
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 from heisenrep import intlin
 from heisenrep.abgroup import subgroup_from_gens
-from heisenrep.kmat import identity, mat_eq, mat_mul
+from heisenrep.kmat import Packed, identity, mat_eq, mat_mul
 from heisenrep.symplectic import SympAut
 
 
@@ -42,6 +42,45 @@ def shared_zeros(mat):
     seen = {}
     return all(seen.setdefault(x.n, x) is x
                for row in mat for x in row if not any(x.num))
+
+
+def zero_sharing(mat):
+    """Each zero entry replaced by the position of the first entry that is
+    the same object, each nonzero entry by None."""
+    first = {}
+    return [[first.setdefault(id(x), (i, j)) if not any(x.num) else None
+             for j, x in enumerate(row)] for i, row in enumerate(mat)]
+
+
+def packed_rows(vectors, n, den=1):
+    """A ``Packed`` matrix at conductor n from rows of digit vectors (each
+    a list of n ints), its masks on the nonzero vectors, at the least width
+    its height allows."""
+    height = max((abs(c) for row in vectors for v in row for c in v),
+                 default=0)
+    w = height.bit_length() + 1
+    rows = [[sum(c << (w * t) for t, c in enumerate(v)) for v in row]
+            for row in vectors]
+    masks = [sum(1 << j for j, v in enumerate(row) if any(v))
+             for row in vectors]
+    return Packed(rows, masks, n, den, w, height, n)
+
+
+def packed_of(dense, n):
+    """``dense`` as a ``Packed`` matrix at conductor n, a multiple of the
+    conductor of every entry: the coefficient of zeta_m^t at digit
+    t * n / m, over the lcm of the denominators."""
+    den = lcm(1, *(x.den for row in dense for x in row))
+    vectors = []
+    for row in dense:
+        new = []
+        for x in row:
+            v = [0] * n
+            for t, c in enumerate(x.num):
+                v[t * n // x.n] = c * (den // x.den)
+            new.append(v)
+        vectors.append(new)
+    return packed_rows(vectors, n, den)
 
 
 def conj_transpose(b, inner):

@@ -350,3 +350,28 @@ def test_symplectic_inverses_counted_on_the_action_and_the_check(monkeypatch):
     calls.clear()
     assert check_system_axioms(pi.system_c, level="light").ok()
     assert calls == []
+
+
+def test_act_g_reads_the_anchored_map():
+    """act_g transports the anchored map of its source point, which is the
+    pair F_{src,B} entry for entry (value, conductor and denominator), with
+    the pair cache left empty; the sampled sources have both lifts."""
+    from heisenrep.heisenberg import g_transport
+    from heisenrep.reduction import g_to_gc
+
+    lifts = set()
+    for blocks in ([(3, 1)], [(3, 2)], [(27, 1)], [(9, 1), (3, 1)]):
+        M = standard_module(blocks)
+        pi = build_pi(M, system_verify="none")
+        sys, B = pi.system, pi.base_index
+        for g in sp_sample(M, 5, 30):
+            src = sys.act_point(g_to_gc(pi.red, g).inverse(), (B, 1))
+            lifts.add(src[1])
+            GP = g_transport(g, sys.modules[src[0]], sys.modules[B])
+            got = pi.act_g(g)
+            assert sys._pair_cache == {}
+            want = GP.apply_left(sys.operator(src, (B, 1)))
+            assert [[(x.n, x.num, x.den) for x in row] for row in got] == \
+                [[(x.n, x.num, x.den) for x in row] for row in want], blocks
+            sys._pair_cache.clear()
+    assert lifts == {1, -1}

@@ -7,6 +7,7 @@ import pytest
 from dense_oracle import (
     anchored_entries_in_field,
     composition_scalar,
+    dense_phase_product,
     dense_standard_T,
     hom_dim_union_find,
     kernel_of,
@@ -20,6 +21,7 @@ from helpers import (
     check_inverse_symmetry,
     conj_transpose,
     shared_zeros,
+    zero_sharing,
 )
 from test_symplectic import FP_MODULES
 
@@ -275,11 +277,14 @@ def test_phase_products_match_the_dense_products(blocks, basepoints):
             for i in range(count):
                 pairs = {i, B, (i + 1) % count} if scale == 1 else {i + 1}
                 for j in (j % count for j in pairs):
-                    got = phase_product(T_LB[i], T_LB[j], scale)
+                    got = phase_product(T_LB[i], T_LB[j], scale).to_dense()
                     want = scalar_mul(scale, mat_mul(
                         dense[i], conj_transpose(dense[j], len(dense[j][0]))))
                     assert exact(got) == exact(want), (B, i, j)
                     assert shared_zeros(got)
+                    old = dense_phase_product(T_LB[i], T_LB[j], scale)
+                    assert exact(got) == exact(old)
+                    assert zero_sharing(got) == zero_sharing(old)
             for T, D in list(zip(T_LB, dense))[B:B + 2]:
                 assert exact(T.scaled(scale)) == exact(scalar_mul(scale, D))
 
@@ -304,7 +309,7 @@ def test_transport_and_proportionality_match_the_dense_ones(blocks, basepoints):
                 GP = g_transport(g, mods[j], mods[t])
                 dense = GP.apply_left(GPBinv.apply_right(T.to_dense()))
                 for u in (t, (t + 1) % len(mods)):
-                    prod = phase_product(T_LB[u], T_LB[b], one)
+                    prod = phase_product(T_LB[u], T_LB[b], one).to_dense()
                     got = proportionality(dense, prod)
                     want = proportionality_full(dense, prod)
                     assert (got is None) == (want is None)

@@ -2,20 +2,36 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from dense_oracle import phase_proportionality, proportionality_full
-from helpers import conj_transpose, shared_zeros
+from dense_oracle import (
+    dense_phase_product,
+    phase_proportionality,
+    proportionality_full,
+)
+from helpers import (
+    conj_transpose,
+    packed_of,
+    packed_rows,
+    shared_zeros,
+    zero_sharing,
+)
 from hypothesis import given, settings, strategies as st
 
-from heisenrep.cyclo import CycNum, euler_phi, mul_root, root_of_unity
+from heisenrep.cyclo import (
+    CycNum,
+    cyclotomic_poly,
+    euler_phi,
+    mul_root,
+    root_of_unity,
+)
 from heisenrep.kmat import (
     GenPerm,
+    Packed,
     PhaseMat,
     identity,
     kron,
     mat_eq,
     mat_mul,
     mat_to_json,
-    neg,
     phase_product,
     proportionality,
     scalar_mul,
@@ -171,7 +187,10 @@ def test_phase_to_dense_holds_roots_and_one_zero():
 @given(phase_pairs())
 def test_scaled_product_is_scalar_mul_of_product(abc):
     a, b, c = abc
-    got = phase_product(a, b, c)
+    got = phase_product(a, b, c).to_dense()
+    old = dense_phase_product(a, b, c)
+    assert exact(got) == exact(old)
+    assert zero_sharing(got) == zero_sharing(old)
     if not a.cols:
         assert exact(got) == exact([[CycNum.zero(c.n)] * len(b.rows)
                                     for _ in a.rows])
@@ -189,7 +208,8 @@ def test_scaled_product_shares_cancelled_zeros():
     a = PhaseMat([[(0, 0), (1, 0), (2, 0)], []], 3, 3)
     b = PhaseMat([[(0, 0), (1, 1), (2, 2)], [(1, 2)]], 3, 3)
     c = root_of_unity(9, 4) / 7
-    out = phase_product(a, b, c)
+    out = phase_product(a, b, c).to_dense()
+    assert zero_sharing(out) == zero_sharing(dense_phase_product(a, b, c))
     assert exact(out) == exact(scalar_mul(c, mat_mul(
         a.to_dense(), conj_transpose(b.to_dense(), 3))))
     assert [[x.n for x in row] for row in out] == [[9, 9], [9, 9]]
@@ -198,7 +218,9 @@ def test_scaled_product_shares_cancelled_zeros():
     # with c rational, the cancelled zero has conductor 3 and a missed
     # entry conductor 1, one object each
     c = CycNum.rational(Fraction(2, 7))
-    out = phase_product(PhaseMat(a.rows * 2, 3, 3), b, c)
+    a = PhaseMat(a.rows * 2, 3, 3)
+    out = phase_product(a, b, c).to_dense()
+    assert zero_sharing(out) == zero_sharing(dense_phase_product(a, b, c))
     assert [[x.n for x in row] for row in out] == [[3, 3], [1, 1]] * 2
     assert out[0][0] is out[2][0] and out[1][0] is out[1][1] is out[3][0]
     assert out[0][1] == c * root_of_unity(3, 1)
@@ -231,7 +253,10 @@ def test_product_shares_cancelled_zeros():
 @given(phase_pairs())
 def test_adjoint_product_matches_product_with_conjugate_transpose(abc):
     a, b, _c = abc
-    got = phase_product(a, b, CycNum.one(1))
+    got = phase_product(a, b, CycNum.one(1)).to_dense()
+    old = dense_phase_product(a, b, CycNum.one(1))
+    assert exact(got) == exact(old)
+    assert zero_sharing(got) == zero_sharing(old)
     if not a.cols:
         assert exact(got) == [[(1, (0,), 1)] * len(b.rows)] * len(a.rows)
         return
@@ -248,7 +273,7 @@ def test_adjoint_product_shape_mismatch():
         phase_product(a23, a22, one)
     with pytest.raises(ValueError, match=r"2x2.*2x3"):
         phase_product(a22, a23, one)
-    assert phase_product(a23, PhaseMat([], 3, 3), one) == [[], []]
+    assert phase_product(a23, PhaseMat([], 3, 3), one).to_dense() == [[], []]
 
 
 def _moved(a, left, right):
@@ -268,17 +293,18 @@ def _moved(a, left, right):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_phase_moved_matches_genperm_products(data):
-    """A phase matrix moved along two GenPerms, as the equivariance check
-    moves an operator: ``apply_both``, and ``apply_left`` after
-    ``apply_right``, give the phase matrix with its rows and columns
-    permuted and its exponents shifted, zeros at the lcm of the moduli."""
+    """A phase matrix moved along two GenPerms: ``apply_left`` after
+    ``apply_right`` gives the phase matrix with its rows and columns
+    permuted and its exponents shifted, zeros at the lcm of the moduli, and
+    ``Packed.moved``, as the equivariance check moves a pair, the same
+    values."""
     rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
     a = data.draw(phase_mats(rows, cols))
     left, right = data.draw(genperms(rows)), data.draw(genperms(cols))
-    want = exact(_moved(a, left, right).to_dense())
+    moved = _moved(a, left, right).to_dense()
     dense = a.to_dense()
-    assert exact(left.apply_both(dense, right)) == want
-    assert exact(left.apply_left(right.apply_right(dense))) == want
+    assert exact(left.apply_left(right.apply_right(dense))) == exact(moved)
+    assert mat_eq(packed_of(dense, a.n).moved(left, right).to_dense(), moved)
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,13 +516,12 @@ def test_scalar_mul_zeros_are_shared_products():
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(5))
-def test_neg_is_entrywise_and_keeps_zeros(a):
-    out = neg(a)
-    assert mat_eq(out, [[-x for x in row] for row in a])
-    assert exact(out) == exact([[-x for x in row] for row in a])
-    for row, new_row in zip(a, out):
-        for x, y in zip(row, new_row):
-            assert (y is x) == x.is_zero()
+def test_packed_neg_is_entrywise_and_keeps_masks(a):
+    packed = packed_of(a, lcm(1, *(x.n for row in a for x in row)))
+    out = -packed
+    assert mat_eq(out.to_dense(), [[-x for x in row] for row in a])
+    assert out.masks == packed.masks
+    assert [[-x for x in row] for row in out.rows] == packed.rows
 
 
 def test_kron_empty_factors():
@@ -542,14 +567,20 @@ def test_genperm_apply_matches_products(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_genperm_apply_both_rotates_once(data):
+def test_packed_moved_rotates_once(data):
+    """``Packed.moved`` rotates each packed entry once, by the sum of its
+    row's and its column's exponents: the values of ``apply_left`` after
+    ``apply_right``, at any conductor, with the masks moved along."""
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     height = data.draw(st.sampled_from([1, 2 ** 31, 2 ** 300]))
     left, right = data.draw(genperms(rows)), data.draw(genperms(cols))
     dense = [[data.draw(entries(height)) for _ in range(cols)]
              for _ in range(rows)]
-    assert exact(left.apply_both(dense, right)) == \
-        exact(left.apply_left(right.apply_right(dense)))
+    packed = packed_of(dense, lcm(1, *(x.n for row in dense for x in row)))
+    moved = packed.moved(left, right)
+    want = left.apply_left(right.apply_right(dense))
+    assert mat_eq(moved.to_dense(), want)
+    assert moved.masks == packed_of(want, moved.n).masks
 
 
 @settings(max_examples=100, deadline=None)
@@ -566,3 +597,105 @@ def test_genperm_equality_across_conductors():
     assert GenPerm([1, 0], [2, 0], 3) == GenPerm([1, 0], [6, 9], 9)
     assert GenPerm([1, 0], [2, 0], 3) != GenPerm([1, 0], [2, 1], 9)
     assert GenPerm([1, 0], [0, 0], 3) != GenPerm([0, 1], [0, 0], 3)
+
+
+PACKED_CONDUCTORS = [3, 5, 7, 9, 25, 27]
+
+
+def _divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+def _vector(x, n):
+    """The digit vector of x at conductor n, over x.den."""
+    v = [0] * n
+    for t, c in enumerate(x.num):
+        v[t * (n // x.n)] = c
+    return v
+
+
+@st.composite
+def packed_values(draw):
+    """(n, u, du, v, dv): digit vectors u/du and v/dv at conductor n = p^a,
+    often equal values whose vectors differ by a multiple of Phi_n."""
+    n = draw(st.sampled_from(PACKED_CONDUCTORS))
+    height = draw(st.sampled_from([1, 9, 2 ** 40]))
+    x = draw(entries(height, _divisors(n)))
+    u, du = _vector(x, n), x.den
+    kind = draw(st.sampled_from(["same", "rescaled", "other", "near"]))
+    if kind == "other":
+        y = draw(entries(height, _divisors(n)))
+        v, dv = _vector(y, n), y.den
+    else:
+        scale = draw(st.integers(1, 5)) if kind == "rescaled" else 1
+        v, dv = [c * scale for c in u], du * scale
+        if kind == "near":
+            t = draw(st.integers(0, n - 1))
+            v[t] += draw(st.sampled_from([-1, 1]))
+    # add q * Phi_n: Phi_n is 1 at every multiple of n / p
+    phi = cyclotomic_poly(n)
+    q = draw(st.lists(st.integers(-height, height), min_size=n - len(phi) + 1,
+                      max_size=n - len(phi) + 1))
+    for s, c in enumerate(q):
+        for e, f in enumerate(phi):
+            v[s + e] += c * f
+    return n, u, du, v, dv
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_values())
+def test_packed_equality_matches_cyclotomic_equality(values):
+    """The kernel test agrees with CycNum equality of the values the
+    vectors reduce to, also when the vectors differ by a multiple of
+    Phi_n and when the two are packed at different widths."""
+    from heisenrep.cyclo import from_powers
+
+    n, u, du, v, dv = values
+    a, b = packed_rows([[u]], n, du), packed_rows([[v]], n, dv)
+    want = from_powers(n, enumerate(u), du) == from_powers(n, enumerate(v), dv)
+    assert (a == b) is want
+    assert (b == a) is want
+    assert (-a == -b) is want
+
+
+def test_packed_kernel_test_needs_a_prime_power():
+    a = packed_rows([[[1] + [0] * 14]], 15)
+    b = packed_rows([[[0] * 5 + [1] + [0] * 9]], 15)
+    with pytest.raises(ValueError, match=r"\b15\b"):
+        a == b
+    with pytest.raises(ValueError, match=r"\b15\b"):
+        a == a
+    # conductor 1 is Q: a vector of one digit vanishes only when it is 0
+    one, two = packed_rows([[[1]]], 1), packed_rows([[[2]]], 1, 2)
+    assert one == two and not one == -two
+
+
+@st.composite
+def packed_products(draw):
+    """(n, a, b): dense matrices whose entries have conductors dividing
+    n = p^a, with conforming shapes."""
+    n = draw(st.sampled_from([3, 9, 25, 27]))
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    height = draw(st.sampled_from([1, 5, 2 ** 31]))
+    conds = _divisors(n)
+    a = [[draw(entries(height, conds)) for _ in range(inner)]
+         for _ in range(rows)]
+    b = [[draw(entries(height, conds)) for _ in range(cols)]
+         for _ in range(inner)]
+    return n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_products())
+def test_packed_product_matches_mat_mul(nab):
+    n, a, b = nab
+    got = packed_of(a, n) @ packed_of(b, n)
+    want = mat_mul(a, b)
+    assert mat_eq(got.to_dense(), want)
+    assert got == packed_of(want, n)
+    i, j = next(((i, j) for i, row in enumerate(want)
+                 for j, x in enumerate(row) if any(x.num)), (None, None))
+    if i is not None:
+        bad = [list(row) for row in want]
+        bad[i][j] = -bad[i][j]
+        assert not got == packed_of(bad, n)

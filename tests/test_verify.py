@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -10,8 +11,9 @@ from dense_oracle import anchored_entries_in_field
 from heisenrep import canonrep, verify
 from heisenrep.cyclo import root_of_unity
 from heisenrep.intertwine import CanonicalSystem, solve_canonical_system
-from heisenrep.kmat import PhaseMat
-from heisenrep.symplectic import SympMod, standard_module
+from heisenrep.kmat import Packed, PhaseMat, _digits
+from heisenrep.reduction import g_to_gc
+from heisenrep.symplectic import SympMod, sp_sample, standard_module
 from heisenrep.verify import check_system_axioms, run_verify
 
 
@@ -175,3 +177,125 @@ def test_standard_entry_outside_the_field_fails(solved_z3):
     T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
     good = _tampered(sys, T_LB=T_LB)
     assert good.entries_in_field() is anchored_entries_in_field(good) is True
+
+
+def _witness(report, name):
+    """The first failure that the check ``name`` of ``report`` names."""
+    detail = dict((n, d) for (n, _p, d) in report.checks)[name]
+    return ast.literal_eval(detail.split("; first failure ")[1])
+
+
+@pytest.fixture(scope="module", params=["3^2", "5^2", "9^2+3^2"])
+def checked_system(request):
+    """A system with the keyword arguments its check needs: the lifted one
+    acts through g_to_gc."""
+    blocks = {"3^2": [(3, 1)], "5^2": [(5, 1)],
+              "9^2+3^2": [(9, 1), (3, 1)]}[request.param]
+    pi = canonrep.build_pi(standard_module(blocks), system_verify="none")
+    if pi.system is pi.system_c:
+        return pi.system, {}
+    gs = sp_sample(pi.M, 3, 4)
+    return pi.system, {"equivariance_pairs": [(g, g_to_gc(pi.red, g))
+                                              for g in gs]}
+
+
+def _entry_times_root(P, i, j):
+    """P with entry (i, j) multiplied by zeta_N: its digits rotated by one."""
+    n, w = P.n, P.width
+    digits = _digits(P.rows[i][j], w, n)
+    rows = [list(row) for row in P.rows]
+    rows[i][j] = sum(c << (w * t) for t, c in
+                     enumerate(digits[-1:] + digits[:-1]))
+    return Packed(rows, P.masks, n, P.den, w, P.height, P.zero)
+
+
+def _tamper(P, how):
+    """P changed one way, in its format: every change keeps the masks over
+    the nonzero entries and the digits within the height."""
+    rows, masks, den = [list(row) for row in P.rows], list(P.masks), P.den
+    i, j = next((i, j) for i, row in enumerate(rows)
+                for j, x in enumerate(row) if x)
+    if how == "negate an entry":
+        rows[i][j] = -rows[i][j]
+    elif how == "times zeta_N":
+        return _entry_times_root(P, i, j)
+    elif how == "double the denominator":
+        den *= 2
+    elif how == "zero made nonzero":
+        i, k = next((i, k) for i, row in enumerate(rows)
+                    for k, x in enumerate(row) if not x)
+        j = next(j for j, x in enumerate(rows[i]) if x)
+        rows[i][k] = rows[i][j]
+        masks[i] |= 1 << k
+    elif how == "rotate a row":
+        rows[i] = rows[i][-1:] + rows[i][:-1]
+        cols = len(rows[i])
+        masks[i] = (masks[i] << 1 | masks[i] >> (cols - 1)) & ((1 << cols) - 1)
+    return Packed(rows, masks, P.n, den, P.width, P.height, P.zero)
+
+
+TAMPERS = ["negate an entry", "times zeta_N", "double the denominator",
+           "zero made nonzero", "rotate a row"]
+
+
+@pytest.mark.parametrize("how", TAMPERS)
+def test_a_tampered_cached_pair_fails_with_its_witness(checked_system, how):
+    """One cached pair changed in place fails the packed sweep, and the
+    failed check names a triple through that pair (transitivity) or its
+    point (identity).  A pair off the diagonal is tampered unless the change
+    needs a zero entry that only the identity pairs have."""
+    sys, kwargs = checked_system
+    sys._pair_cache.clear()
+    assert check_system_axioms(sys, level="light", seed=1, **kwargs).ok()
+    key = (1, 0)
+    if how == "zero made nonzero" and all(
+            all(row) for row in sys.pair((1, 1), (0, 1)).rows):
+        key = (1, 1)
+    sys._pair_cache[key] = _tamper(sys.pair((key[0], 1), (key[1], 1)), how)
+    try:
+        report = check_system_axioms(sys, level="light", seed=1,
+                                     transitivity_samples=10 ** 6, **kwargs)
+    finally:
+        sys._pair_cache.clear()
+    assert not report.ok()
+    if key[0] == key[1]:
+        assert _witness(report, "identity on every enhanced point")[0] == 1
+    else:
+        triple = _witness(report, "transitivity over enhanced triples")
+        assert key in {(triple[0][0], triple[1][0]), (triple[1][0], triple[2][0]),
+                       (triple[0][0], triple[2][0])}, triple
+
+
+def test_a_wrong_sign_fails_genuineness_with_its_pair(checked_system,
+                                                      monkeypatch):
+    """A pair that does not negate under one lift flip fails genuineness,
+    and the check names a pair through it; the passing report has no
+    witness."""
+    sys, kwargs = checked_system
+    kwargs = dict(kwargs, equivariance_pairs=[])
+    passing = check_system_axioms(sys, level="full", **kwargs)
+    assert passing.ok() and "first failure" not in passing.text()
+    pair = sys.pair
+
+    def unflipped(n0, l0):
+        out = pair(n0, l0)
+        return -out if (n0, l0) == ((1, -1), (0, 1)) else out
+
+    monkeypatch.setattr(sys, "pair", unflipped)
+    report = check_system_axioms(sys, level="full", **kwargs)
+    assert _failed(report) == ["transitivity over enhanced triples",
+                               "genuineness under lift flips"]
+    n0, l0 = _witness(report, "genuineness under lift flips")
+    assert (n0[0], l0[0]) == (1, 0)
+
+
+def test_pair_conductor_that_is_not_a_prime_power_fails(solved_z3):
+    """A scale outside Q(zeta_3) puts some pairs at conductor 21: the
+    packed sweep refuses it as a failure that names the conductor."""
+    sys, i = solved_z3
+    c = dict(sys.c)
+    c[i] = c[i] * root_of_unity(7)
+    report = check_system_axioms(_tampered(sys, c=c), level="light")
+    detail = dict((n, d) for (n, _p, d) in report.checks)[
+        "transitivity over enhanced triples"]
+    assert "not 21" in detail
