@@ -9,10 +9,11 @@ genuinely multiplicative rather than projective.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 from .abgroup import prime_factors
-from .cyclo import CycNum, from_powers, root_of_unity
+from .cyclo import CycNum, from_powers, mul_root, root_of_unity
 from .heisenberg import (
     HeisGrp,
     g_transport,
@@ -101,9 +102,12 @@ class CanonicalRep:
                 for ((m, a), v) in chars
             ],
             "field_diagnostics": {
+                # each anchored entry is c_i zeta_m^e, e an exponent of
+                # T_LB[i] and m its modulus, so no anchored map is built
                 "system_entry_min_conductors": _min_conductors(
-                    x for i in range(self.system.count)
-                    for row in self.system.anchored(i) for x in row),
+                    mul_root(self.system.c[i], T.n, e)
+                    for i, T in enumerate(self.system.T_LB)
+                    for e in {e for row in T.rows for _, e in row}),
                 "character_min_conductors": _min_conductors(
                     v for (_h, v) in chars),
             },
@@ -266,28 +270,23 @@ def class_representatives(H):
     return out
 
 
-def character_inner(H, chiA, chiB):
-    """(1 / |H|) sum over h of chiA(h) conj(chiB(h)) for character dicts."""
+def support_counts(V):
+    """The nonzero (exponent, count) pairs of ``char_exponent_counts((l, 0))``
+    per l in L: chi((l, a)) = zeta_n^a chi((l, 0)) on the support."""
+    return {l: [(e, c) for e, c in enumerate(V.char_exponent_counts((l, 0)))
+                if c] for l in V.lag.sub.elements()}
+
+
+def counts_inner(H, a, b):
+    """(1 / |H|) sum over h of chi_a(h) conj(chi_b(h)) for two
+    ``support_counts``, where each shared l stands for its n elements."""
     n = H.n
-    acc = CycNum.zero(n)
-    for h, va in chiA.items():
-        vb = chiB.get(h)
-        if vb is None or va.is_zero() or vb.is_zero():
-            continue
-        acc = acc + va * vb.conj()
-    return acc / H.order()
-
-
-def module_character(V):
-    """Character of an induced module as a dict over its support."""
-    H = V.H
-    out = {}
-    for l in V.lag.sub.elements():
-        for a in range(H.n):
-            val = V.character((l, a))
-            if not val.is_zero():
-                out[(l, a)] = val
-    return out
+    corr = [0] * n
+    for l, terms_a in a.items():
+        for e2, c2 in b.get(l, ()):
+            for e1, c1 in terms_a:
+                corr[(e1 - e2) % n] += c1 * c2
+    return from_powers(n, ((e, n * c) for e, c in enumerate(corr)), H.order())
 
 
 class Report:
@@ -341,36 +340,23 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     commutants = [hom_dim(V, V) for V in mods]
     report.add("every model has scalar commutant",
                all(d == 1 for d in commutants), "dims %r" % sorted(set(commutants)))
-    pair_ok = True
-    char_ok = True
-    chars = [module_character(V) for V in mods]
+    pairs = list(combinations(range(len(mods)), 2))
+    pair_ok = all(hom_dim(mods[i], mods[j]) == 1 for i, j in pairs)
+    chars = [support_counts(V) for V in mods]
     one = CycNum.one(1)
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if hom_dim(mods[i], mods[j]) != 1:
-                pair_ok = False
-            if character_inner(H, chars[i], chars[j]) != one:
-                char_ok = False
+    char_ok = all(counts_inner(H, chars[i], chars[j]) == one for i, j in pairs)
     report.add("pairwise intertwiner spaces are one-dimensional", pair_ok,
-               "%d pairs (linear solver)" % (len(mods) * (len(mods) - 1) // 2))
+               "%d pairs (linear solver)" % len(pairs))
     report.add("pairwise character inner products equal one", char_ok,
                "independent oracle")
     if pi is None:
         pi = build_pi(M)
     report.add("dim pi = sqrt(|M|)", pi.dim == root, "dim %d" % pi.dim)
-    # honest full-domain orthogonality sweep for pi; traces accumulate as
-    # zeta-exponent multiplicities so the loop is integer arithmetic
+    # the character of the realization vanishes off L x mu_n, so its sum
+    # over all of H is the one over the support
     if isinstance(pi, CanonicalRep):
-        V = pi.realization
-        n = V.H.n
-        corr = [0] * n
-        for h in H.elements():
-            counts = V.char_exponent_counts(h)
-            nz = [(e, cv) for e, cv in enumerate(counts) if cv]
-            for (e1, c1) in nz:
-                for (e2, c2) in nz:
-                    corr[(e1 - e2) % n] += c1 * c2
-        orth = from_powers(n, enumerate(corr)) / H.order()
+        counts = support_counts(pi.realization)
+        orth = counts_inner(H, counts, counts)
     else:
         ssum = CycNum.zero(1)
         for h in H.elements():

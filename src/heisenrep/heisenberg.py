@@ -256,16 +256,17 @@ class InducedModule:
         point exactly when r_j - m lies in r_j + L, that is when m lies in L:
         for m outside L the trace is zero, and for m in L every coset is
         fixed with l = m in ``locate``, contributing
-        zeta_n^(a + beta(r_j, m) - beta(m, r_j)).
+        zeta_n^(a + beta(r_j, m) - beta(m, r_j)) = zeta_n^(a + <r_j, m>), as
+        2 beta = <,> is alternating.
         """
         n = self.H.n
         counts = [0] * n
         m, a = h
         if not self.lag.sub.contains(m):
             return counts
-        beta = self.H.base.beta
+        pair = self.H.base.pair
         for rj in self.reps:
-            counts[(a + beta(rj, m) - beta(m, rj)) % n] += 1
+            counts[(a + pair(rj, m)) % n] += 1
         return counts
 
     def character(self, h):

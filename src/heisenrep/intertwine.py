@@ -20,8 +20,10 @@ being its orientation.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import lcm
+from operator import add as plus, mul, sub
 
 from . import intlin
 from .abgroup import subgroup_intersect
@@ -327,14 +329,98 @@ def standard_pairs(mods, B):
     delta[i] is the subgroup index [L_i : L_i cap L_B], so no composite is
     formed; the transitivity check of ``check_system_axioms`` multiplies
     the operators densely and catches a wrong delta.
+
+    On an elementary module F_p^2r the T_LB[i] are read off echelon bases,
+    elsewhere each is ``standard_T``.  With E_j the echelon rows of L_B at
+    pivots j, rep_B(y) = R y = y - sum_j y_j E_j is linear, so entry
+    (r_i, n) of ``standard_T``, y = n + r_i, lies in the column of
+    R n + R r_i, a digit-wise sum, with the exponent
+    beta(n, r_i) - beta(y - R y, R y) = -Q(n) - Q(r_i) + n^T C r_i, where
+    beta(y - R y, R y) = h <y - R y, y> = y^T A y = Q(y) for h = (p+1)/2
+    (the pairing is alternating), A is zero but for the rows h <E_j, e_c>,
+    and C = h G - A - A^T for the gram G.  The cosets are sum c_a x_a over
+    the echelon rows x of L_i at the pivots L_i cap L_B lacks
+    (``canonical_scalar``), ordered by c as their least representatives
+    are; two in one column raise SolveError.  So a column, n^T C and Q are
+    read once per coset and per row, and an entry is two table reads.
     """
-    T_LB = [standard_T(V, mods[B]) for V in mods]
-    L_B = mods[B].lag.sub
-    delta = []
-    for V in mods:
-        index = V.lag.order() // subgroup_intersect(V.lag.sub, L_B).order()
-        delta.append(CycNum.rational(index, mods[B].H.n))
+    source = mods[B]
+    M = source.H.base
+    inters = [subgroup_intersect(V.lag.sub, source.lag.sub) for V in mods]
+    delta = [CycNum.rational(V.lag.order() // inter.order(), source.H.n)
+             for V, inter in zip(mods, inters)]
+    if not M.is_elementary():
+        return [standard_T(V, source) for V in mods], delta
+    p, m, basis = M.n, M.group.rank, M.group.basis()
+    add, scale, dot, number = _box_tables(p, m // 2)
+    h = (p + 1) // 2
+    A = [[0] * m for _ in range(m)]
+    for row in fp_basis(source.lag.sub, p):
+        A[row.index(1)] = [h * M.pair(row, e) % p for e in basis]
+    C = [[(h * M.gram[a][b] - A[a][b] - A[b][a]) % p for b in range(m)]
+         for a in range(m)]
+
+    def times(x, mat):
+        return [sum(map(mul, x, col)) for col in zip(*mat)]
+
+    def span(gens):
+        """The number of sum c_a gens[a] per c in product order, for points
+        gens[a] given by number."""
+        out = [0]
+        for g in gens:
+            out = [add[w][u] for w in out for u in scale[g]]
+        return out
+
+    def box(zs, F):
+        """Per c in product order, for z = sum c_a zs[a]: the numbers of
+        R z and of z^T C read at F, and Q(z) = c . (S c) for
+        S_ab = zs[a]^T A zs[b]."""
+        S = [[sum(map(mul, u, y)) for y in zs] for u in (times(z, A)
+                                                        for z in zs)]
+        pad = (0,) * (m // 2 - len(zs))
+        return (span(source.index[source.lag.sub.coset_reduce(z)] for z in zs),
+                span(number[tuple(v[c] % p for c in F)]
+                     for v in (times(z, C) for z in zs)),
+                [dot[i][j] for i, j in enumerate(span(
+                    number[pad + tuple(x % p for x in v)] for v in zip(*S)))])
+
+    # entry e * dim + k is the pair (k, e), one object per pair; shift[q][x]
+    # is (x - q mod p) * dim for x in (-p, p), x < 0 read from the end
+    dim = source.dim
+    entries = [(k, e) for e in range(p) for k in range(dim)]
+    shift = [[(x - q) % p * dim for x in range(2 * p)] for q in range(p)]
+    rows_of, T_LB = {}, []
+    for i, (V, inter) in enumerate(zip(mods, inters)):
+        rows_N = fp_basis(V.lag.sub, p)
+        shared = {row.index(1) for row in fp_basis(inter, p)}
+        F = tuple(sorted(set(range(m)) - {x.index(1) for x in rows_N}))
+        offsets, funcs, quads = box(
+            [x for x in rows_N if x.index(1) not in shared], F)
+        if len(set(offsets)) < len(offsets):
+            raise SolveError("two cosets meet in a column of T_LB[%d] at "
+                             "basepoint %d; this is a bug" % (i, B))
+        cols, _, q_rows = rows_of.get(F) or rows_of.setdefault(
+            F, box([basis[c] for c in F], F))
+        rows = zip(*[map(entries.__getitem__, map(
+            plus, map(add[o].__getitem__, cols),
+            map(shift[q].__getitem__, map(sub, dot[f], q_rows))))
+            for o, f, q in zip(offsets, funcs, quads)])
+        T_LB.append(PhaseMat.reduced(tuple(rows), dim, p))
     return T_LB, delta
+
+
+@lru_cache(maxsize=None)
+def _box_tables(p, r):
+    """On the box F_p^r, its points numbered in product order: the numbers
+    of sums and multiples mod p, dot products mod p, and the numbers."""
+    points = list(itertools.product(range(p), repeat=r))
+    number = {v: i for i, v in enumerate(points)}
+    add = [[number[tuple((x + y) % p for x, y in zip(u, v))]
+            for v in points] for u in points]
+    scale = [[number[tuple(d * x % p for x in u)] for d in range(p)]
+             for u in points]
+    dot = [[sum(map(mul, u, v)) % p for v in points] for u in points]
+    return add, scale, dot, number
 
 
 def canonical_scalar(Mc, L, B):

@@ -357,6 +357,13 @@ class PhaseMat:
         self.cols = cols
         self.n = n
 
+    @classmethod
+    def reduced(cls, rows, cols, n):
+        """The phase matrix of rows in the stored form, exponents in [0, n)."""
+        self = cls.__new__(cls)
+        self.rows, self.cols, self.n = rows, cols, n
+        return self
+
     def to_dense(self):
         """The dense matrix: zeta_n^e at conductor n, and one shared zero of
         conductor n."""

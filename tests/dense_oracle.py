@@ -28,7 +28,13 @@ system from its closed form; the oracle solves for it through the
 equivariance relations of the transvections, moving each intertwiner as a
 dense matrix.  The library keeps a pair product c * (a @ b^H) of phase
 matrices as packed integers; the oracle unpacks every entry into one
-CycNum, as the library did before its pairs were packed.
+CycNum, as the library did before its pairs were packed.  The library
+builds each standard intertwiner on an elementary module from the echelon
+bases over F_p; the oracle is ``standard_T``, one coset decomposition per
+entry.  The library takes the character inner products of the models from
+exponent counts over the common support and reads the anchored field
+diagnostics off the exponent sets; the oracle sums CycNum products over
+the character dicts and reads every entry of every dense anchored map.
 """
 
 from functools import lru_cache
@@ -125,6 +131,38 @@ def dense_standard_T(target, source):
     zero = CycNum.zero(n)
     return [[from_powers(n, enumerate(c)) if any(c) else zero for c in row]
             for row in counts]
+
+
+def module_character(V):
+    """Character of an induced module as a dict over its support."""
+    H = V.H
+    out = {}
+    for l in V.lag.sub.elements():
+        for a in range(H.n):
+            val = V.character((l, a))
+            if not val.is_zero():
+                out[(l, a)] = val
+    return out
+
+
+def character_inner(H, chiA, chiB):
+    """(1 / |H|) sum over h of chiA(h) conj(chiB(h)) for character dicts."""
+    n = H.n
+    acc = CycNum.zero(n)
+    for h, va in chiA.items():
+        vb = chiB.get(h)
+        if vb is None or va.is_zero() or vb.is_zero():
+            continue
+        acc = acc + va * vb.conj()
+    return acc / H.order()
+
+
+def dense_min_conductors(sys):
+    """The sorted distinct min_conductor() of the nonzero entries of every
+    dense anchored map F_{(i,+), basepoint}."""
+    distinct = {(x.n, x.num, x.den): x for i in range(sys.count)
+                for row in sys.anchored(i) for x in row if not x.is_zero()}
+    return sorted({x.min_conductor() for x in distinct.values()})
 
 
 def composition_scalar(lag_a, lag_b, H=None):

@@ -4,10 +4,15 @@ import random
 import pytest
 
 from heisenrep.abgroup import AbGroup
+from dense_oracle import character_inner, dense_min_conductors, module_character
+
 from heisenrep.canonrep import (
+    CanonicalRep,
     TensorRep,
     build_pi,
     class_representatives,
+    counts_inner,
+    support_counts,
     uniqueness_probe,
     verify_svn,
 )
@@ -152,6 +157,41 @@ def test_verify_svn_rank4():
     M = standard_module([(3, 2)])
     rep = verify_svn(HeisGrp(M))
     assert rep.ok(), rep.text()
+
+
+@pytest.mark.parametrize("blocks", [[(3, 1)], [(5, 1)], [(3, 2)]])
+def test_counts_inner_matches_the_character_dicts(blocks):
+    """Every pairwise inner product of the lagrangian models, from the
+    exponent counts and from the CycNum character dicts, equal exactly."""
+    from heisenrep.heisenberg import induce
+    from heisenrep.symplectic import enumerate_lagrangians
+
+    H = HeisGrp(standard_module(blocks))
+    mods = [induce(H, L) for L in enumerate_lagrangians(H.base)]
+    counts = [support_counts(V) for V in mods]
+    chars = [module_character(V) for V in mods]
+    for i in range(len(mods)):
+        for j in range(len(mods)):
+            got = counts_inner(H, counts[i], counts[j])
+            want = character_inner(H, chars[i], chars[j])
+            assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+            assert got == 1
+
+
+# the construct ladder: elementary, lifted and tensor modules
+LADDER = [[(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)], [(3, 2)], [(27, 1)],
+          [(9, 1), (3, 1)], [(3, 1), (5, 1)]]
+
+
+@pytest.mark.parametrize("blocks", LADDER, ids=str)
+def test_system_min_conductors_match_the_dense_reading(blocks):
+    pi = build_pi(standard_module(blocks), system_verify="none")
+    reps = [pi] if isinstance(pi, CanonicalRep) else \
+        [rep for (*_, rep) in pi.parts]
+    for rep in reps:
+        diagnostics = rep.export(g_sample_count=0)["field_diagnostics"]
+        assert diagnostics["system_entry_min_conductors"] == \
+            dense_min_conductors(rep.system)
 
 
 def test_act_dispatcher(pi3):

@@ -579,6 +579,44 @@ def test_closed_form_matches_the_propagation_solver(name):
             [exact([[want[i]]]) for i in range(len(mods)) if i != B], B
 
 
+def _fp_matches_standard_T(mods, B, sample=None):
+    T_LB, _delta = standard_pairs(mods, B)
+    for i in (range(len(mods)) if sample is None else sample):
+        want = standard_T(mods[i], mods[B])
+        assert (T_LB[i].rows, T_LB[i].cols, T_LB[i].n) == \
+            (want.rows, want.cols, want.n), (B, i)
+
+
+@pytest.mark.parametrize("name", ["Z3^2", "Z5^2", "Z7^2", "Z11^2", "Z3^4",
+                                  "Z5^2-gram", "Z3^4-gram"])
+def test_fp_standard_pairs_match_standard_T(name):
+    """The F_p builder gives the rows of ``standard_T``, pair for pair and
+    in the same order, at every basepoint."""
+    mods = _lagrangian_models(DIFFERENTIAL[name][0])
+    for B in range(len(mods)):
+        _fp_matches_standard_T(mods, B)
+
+
+def test_fp_standard_pairs_match_standard_T_on_z5_4():
+    mods = _lagrangian_models(standard_module([(5, 2)]))
+    rng = random.Random(5)
+    for B in rng.sample(range(len(mods)), 2):
+        _fp_matches_standard_T(mods, B, rng.sample(range(len(mods)), 40))
+
+
+def test_fp_standard_pairs_refuse_two_cosets_in_one_column(monkeypatch):
+    import heisenrep.intertwine as intertwine
+    from heisenrep.abgroup import zero_subgroup
+
+    # with L_i cap L_B taken as 0, T_LB[B] sums over every element of L_B,
+    # and all of them share the column of 0
+    mods = _lagrangian_models(standard_module([(3, 1)]))
+    monkeypatch.setattr(intertwine, "subgroup_intersect",
+                        lambda a, b: zero_subgroup(a.ambient))
+    with pytest.raises(SolveError, match=r"T_LB\[2\] at basepoint 2"):
+        standard_pairs(mods, 2)
+
+
 def test_solver_rejects_non_elementary():
     from heisenrep.symplectic import SymplecticError
 
