@@ -105,9 +105,9 @@ class Subgroup:
     def __init__(self, ambient, hnf_rows):
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in hnf_rows)
-        self._pivots = tuple(
-            next(j for j, x in enumerate(row) if x != 0) for row in self.rows
-        )
+        # every entry before the first nonzero one is 0, so index finds it
+        self._pivots = tuple(row.index(next(filter(None, row)))
+                             for row in self.rows)
 
     def order(self):
         det = prod(self.rows[i][self._pivots[i]] for i in range(len(self.rows)))

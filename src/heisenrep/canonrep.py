@@ -10,7 +10,8 @@ genuinely multiplicative rather than projective.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .abgroup import prime_factors
 from .cyclo import CycNum, from_powers, mul_root, root_of_unity
@@ -72,11 +73,13 @@ class CanonicalRep:
         return self.realization.character(h)
 
     def character_table(self):
-        """Exact character on conjugacy class representatives."""
-        out = []
-        for m, a in class_representatives(self.H):
-            out.append(((m, a), self.character((m, a))))
-        return out
+        """Exact character on conjugacy class representatives, read off
+        ``support_counts``: chi((l, a)) = zeta_n^a chi((l, 0)) on L x mu_n,
+        and every other value is one shared zero of conductor n."""
+        values = _support_values(self.realization)
+        zero = CycNum.zero(self.H.n)
+        return [((m, a), mul_root(values[m], self.H.n, a) if m in values
+                 else zero) for m, a in class_representatives(self.H)]
 
     def export(self, g_sample_count=4):
         H_gens = self.realization.group_generators()
@@ -97,10 +100,7 @@ class CanonicalRep:
                  "action": mat_to_json(self.act_g(g))}
                 for g in gs
             ],
-            "character_table": [
-                {"element": [list(m), a], "value": v.to_json()}
-                for ((m, a), v) in chars
-            ],
+            "character_table": _table_json(chars),
             "field_diagnostics": {
                 # each anchored entry is c_i zeta_m^e, e an exponent of
                 # T_LB[i] and m its modulus, so no anchored map is built
@@ -112,6 +112,20 @@ class CanonicalRep:
                     v for (_h, v) in chars),
             },
         }
+
+
+def _support_values(V):
+    """chi((l, 0)) for every l in the lagrangian of the model V."""
+    return {l: from_powers(V.H.n, terms)
+            for l, terms in support_counts(V).items()}
+
+
+def _table_json(chars):
+    """The export's character table, each distinct value object serialized
+    once (``mat_to_json``)."""
+    values = mat_to_json([[v for (_h, v) in chars]])[0]
+    return [{"element": [list(m), a], "value": form}
+            for ((m, a), _v), form in zip(chars, values)]
 
 
 def _min_conductors(values):
@@ -215,11 +229,30 @@ class TensorRep:
         return value
 
     def character_table(self):
-        return [((m, a), self.character((m, a)))
-                for (m, a) in class_representatives(self.H)]
+        """``character`` on the class representatives, with each factor
+        read off the ``support_counts`` of its part.  The product up to
+        part k has conductor lcm(n_1, ..., n_k), so a component outside the
+        support of part k ends it with one shared zero of that conductor."""
+        parts, N = [], 1
+        for (_p, _hp, _e, _c, rep) in self.parts:
+            N = lcm(N, rep.H.n)
+            parts.append((_support_values(rep.realization), rep.H.n,
+                          CycNum.zero(N)))
+        out = []
+        for (m, a) in class_representatives(self.H):
+            value = CycNum.one(1)
+            for ((l, b), (values, n, zero)) in zip(self._components((m, a)),
+                                                   parts):
+                if l not in values:
+                    value = zero
+                    break
+                value = value * mul_root(values[l], n, b)
+                if value.is_zero():
+                    break
+            out.append(((m, a), value))
+        return out
 
     def export(self):
-        chars = self.character_table()
         return {
             "dim": self.dim,
             "module": self.M.to_json(),
@@ -227,10 +260,7 @@ class TensorRep:
                 {"p": p, "export": rep.export(g_sample_count=0)}
                 for (p, _hp, _e, _c, rep) in self.parts
             ],
-            "character_table": [
-                {"element": [list(m), a], "value": v.to_json()}
-                for ((m, a), v) in chars
-            ],
+            "character_table": _table_json(self.character_table()),
         }
 
 
@@ -255,19 +285,12 @@ def build_pi(M, base_index=0, system_verify="light", seed=0,
 
 def class_representatives(H):
     """Conjugacy class representatives of H: over each m, the central
-    coordinate runs over Z/n modulo the pairing image of m."""
+    coordinate runs over Z/n modulo the pairing image of m, generated by
+    n and the <e_i, m> = (G m)_i for the gram G."""
     M = H.base
     n = H.n
-    out = []
-    basis = M.group.basis()
-    for m in M.group.elements():
-        g = n
-        for b in basis:
-            g = gcd(g, M.pair(b, m))
-        step = g if g else n
-        for a in range(step):
-            out.append((m, a))
-    return out
+    return [(m, a) for m in M.group.elements()
+            for a in range(gcd(n, *(sum(map(mul, row, m)) for row in M.gram)))]
 
 
 def support_counts(V):

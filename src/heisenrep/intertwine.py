@@ -312,7 +312,9 @@ class CanonicalSystem:
 
 def standard_pairs(mods, B):
     """The averaging intertwiners T_LB[i]: mods[B] -> mods[i], with the
-    scalars delta[i] given by T_{B,i} o T_LB[i] = delta[i] * id.
+    scalars delta[i] given by T_{B,i} o T_LB[i] = delta[i] * id, and the
+    intersections L_i cap L_B that delta is read from, for
+    ``canonical_scalar``.
 
     The map back, T_{B,i}: mods[i] -> mods[B], is the conjugate transpose
     of T_LB[i], so it is not built; ``phase_product(a, T_LB[i], c)``
@@ -350,7 +352,7 @@ def standard_pairs(mods, B):
     delta = [CycNum.rational(V.lag.order() // inter.order(), source.H.n)
              for V, inter in zip(mods, inters)]
     if not M.is_elementary():
-        return [standard_T(V, source) for V in mods], delta
+        return [standard_T(V, source) for V in mods], delta, inters
     p, m, basis = M.n, M.group.rank, M.group.basis()
     add, scale, dot, number = _box_tables(p, m // 2)
     h = (p + 1) // 2
@@ -406,7 +408,7 @@ def standard_pairs(mods, B):
             map(shift[q].__getitem__, map(sub, dot[f], q_rows))))
             for o, f, q in zip(offsets, funcs, quads)])
         T_LB.append(PhaseMat.reduced(tuple(rows), dim, p))
-    return T_LB, delta
+    return T_LB, delta, inters
 
 
 @lru_cache(maxsize=None)
@@ -423,10 +425,11 @@ def _box_tables(p, r):
     return add, scale, dot, number
 
 
-def canonical_scalar(Mc, L, B):
+def canonical_scalar(Mc, L, B, inter=None):
     """The anchored scalar c_L of the canonical system on the elementary
     module Mc = F_p^2r with basepoint B, in closed form (see the module
-    notes).
+    notes).  ``inter`` is L cap B when the caller holds it already, as
+    ``standard_pairs`` gives it.
 
     I = L cap B has the echelon basis of ``fp_basis``.  Its pivots are
     leading positions of vectors of L, so they are pivots of L, and the
@@ -440,7 +443,9 @@ def canonical_scalar(Mc, L, B):
     """
     p = Mc.n
     rows_L, rows_B = fp_basis(L.sub, p), fp_basis(B.sub, p)
-    inter = fp_basis(subgroup_intersect(L.sub, B.sub), p)
+    if inter is None:
+        inter = subgroup_intersect(L.sub, B.sub)
+    inter = fp_basis(inter, p)
     shared = {row.index(1) for row in inter}
     x = [row for row in rows_L if row.index(1) not in shared]
     y = [row for row in rows_B if row.index(1) not in shared]
@@ -483,9 +488,10 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     mods = [induce(H, L) for L in lags]
     conductor = Mc.n if Mc.group.rank else 1
     B = base_index
-    T_LB, delta = standard_pairs(mods, B)
+    T_LB, delta, inters = standard_pairs(mods, B)
     c = {i: CycNum.one(conductor) if i == B else
-         canonical_scalar(Mc, L, lags[B]) for i, L in enumerate(lags)}
+         canonical_scalar(Mc, L, lags[B], inters[i])
+         for i, L in enumerate(lags)}
     sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, delta,
                           c, conductor)
     if verify != "none":

@@ -286,11 +286,12 @@ def echelon_mod(rows, p):
             c = v[j]
             if c:
                 v = [(x - c * y) % p for x, y in zip(v, b)]
-        j = next((j for j, x in enumerate(v) if x), None)
-        if j is None:
+        lead = next(filter(None, v), 0)
+        if not lead:
             continue
-        if v[j] != 1:
-            inv = pow(v[j], -1, p)
+        j = v.index(lead)
+        if lead != 1:
+            inv = pow(lead, -1, p)
             v = [x * inv % p for x in v]
         for i, b in basis.items():
             c = b[j]
@@ -312,8 +313,13 @@ def hnf_mod(echelon, p, m):
     its column, and an entry in [0, p) above p.  So they are what ``hnf``
     gives for the rows stacked with p e_1, ..., p e_m."""
     at = {next(j for j, x in enumerate(row) if x): row for row in echelon}
-    return [at.get(j) or tuple(p if k == j else 0 for k in range(m))
-            for j in range(m)]
+    return [at.get(j) or row for j, row in enumerate(_scaled_units(p, m))]
+
+
+@lru_cache(maxsize=None)
+def _scaled_units(p, m):
+    """p e_1, ..., p e_m, made once per (p, m) and shared by every HNF."""
+    return tuple(tuple(p if k == j else 0 for k in range(m)) for j in range(m))
 
 
 def kernel_mod(a_rows, p):

@@ -164,7 +164,7 @@ def lift_canonical_system(red, sys_c):
     lifted_lags = [red.lag_lift(L) for L in sys_c.lags]
     mods = [induce(red.H, L) for L in lifted_lags]
     B = sys_c.base_index
-    T_LB, delta = standard_pairs(mods, B)
+    T_LB, delta, _inters = standard_pairs(mods, B)
     return CanonicalSystem(red.M, sys_c.enh_module, lifted_lags,
                            sys_c.enh_lags, B, mods, T_LB, delta,
                            sys_c.c, conductor=red.M.n)

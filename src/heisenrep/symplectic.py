@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import isqrt, lcm
+from operator import add, mul
 
 from . import intlin
 from .abgroup import (
@@ -222,10 +223,23 @@ class Lagrangian:
 def enumerate_lagrangians(M, budget=DEFAULT_LAGRANGIAN_BUDGET):
     """All lagrangian subgroups, canonically ordered (by their HNF rows).
 
-    Walks the isotropic subgroups upward; any subgroup generated by an
-    isotropic subgroup and a vector of its orthogonal complement is again
-    isotropic, so the walk is complete.  An elementary module is walked
-    over F_p (``_isotropic_walk_fp``), any other through HNF.
+    An elementary module F_p^2r is listed cell by cell: in a symplectic
+    basis (e_1..e_r, f_1..f_r), read in the column order
+    (e_1, ..., e_r, f_r, ..., f_1), the reduced echelon basis of a
+    lagrangian L has exactly one of e_i, f_i as a pivot for each i.  (The
+    tails of that order form a flag W with W_k^perp = W_(2r+2-k), and
+    dim(L cap W_k) = r - k + 1 + dim(L cap W_k^perp) for L = L^perp, so
+    the pivot set jumps at k exactly when it does not at 2r + 1 - k.)  The
+    echelon basis is unique, so L lies in the one Schubert cell of its
+    e-pivots J, an affine space of p^(sum over i in J of r + 1 - i) points
+    (Fulton-Pragacz, "Schubert varieties and degeneracy loci", LNM 1689,
+    1998), and ``_lagrangian_cells`` writes each point down once.  Every
+    result is checked: r independent pairwise orthogonal echelon rows
+    span an isotropic subgroup of order sqrt(|M|), which is lagrangian.
+
+    Any other module is walked through HNF (``_isotropic_walk``): a
+    subgroup generated by an isotropic subgroup and a vector of its
+    orthogonal complement is again isotropic, so the walk is complete.
     """
     size = M.group.order()
     if size > budget:
@@ -233,11 +247,36 @@ def enumerate_lagrangians(M, budget=DEFAULT_LAGRANGIAN_BUDGET):
             "lagrangian enumeration budget exceeded (|M| = %d > %d); "
             "pass an explicit budget to override" % (size, budget)
         )
-    if M.is_elementary():
-        found = _isotropic_walk_fp(M)
-    else:
+    if not M.is_elementary():
         found = _isotropic_walk(M, isqrt(size))
-    return [Lagrangian(M, found[k]) for k in sorted(found.keys())]
+        return [Lagrangian(M, found[k]) for k in sorted(found.keys())]
+    p, m = M.n, M.group.rank
+    cols = list(zip(*M.gram))
+    known = {}
+
+    def held(a):
+        """One object per distinct echelon row a, with a G for the gram G:
+        <a, b> = (a G) . b."""
+        if a not in known:
+            known[a] = (a, [sum(map(mul, a, col)) for col in cols])
+        return known[a]
+
+    found, points = {}, 0
+    for rows in _lagrangian_cells(M):
+        echelon = [held(a) for a in intlin.echelon_mod(rows, p)]
+        if len(echelon) != m // 2 or any(
+                sum(map(mul, a_gram, b)) % p
+                for i, (_a, a_gram) in enumerate(echelon)
+                for b, _b_gram in echelon[i + 1:]):
+            raise SymplecticError("Schubert cell point %r is not lagrangian; "
+                                  "this is a bug" % ([a for a, _ in echelon],))
+        sub = Subgroup(M.group, intlin.hnf_mod([a for a, _ in echelon], p, m))
+        found[sub.key()] = sub
+        points += 1
+    if len(found) != points:
+        raise SymplecticError("two Schubert cell points give one lagrangian; "
+                              "this is a bug")
+    return [Lagrangian(M, found[k], validate=False) for k in sorted(found)]
 
 
 def _isotropic_walk(M, target):
@@ -271,48 +310,73 @@ def _isotropic_walk(M, target):
     return found
 
 
-def _isotropic_walk_fp(M):
-    """The lagrangians of M = F_p^2r keyed by HNF rows, walked level by
-    level over the isotropic subspaces, each held as its echelon basis.
+def symplectic_basis(M):
+    """(e_1..e_r, f_1..f_r) in M = F_p^2r with <e_i, f_j> = delta_ij and
+    <e_i, e_j> = <f_i, f_j> = 0, by Gram-Schmidt for the pairing: e is the
+    first vector left, f the first that pairs with it (the vectors left span
+    a nondegenerate subspace), scaled to <e, f> = 1, and every other v
+    becomes v - <v, f> e + <v, e> f.  A ``standard_module`` gets its
+    coordinate basis back."""
+    p = M.n
+    left = [tuple(v) for v in M.group.basis()]
+    es, fs = [], []
+    while left:
+        e = left.pop(0)
+        f = left.pop(next(j for j, v in enumerate(left) if M.pair(e, v)))
+        s = pow(M.pair(e, f), -1, p)
+        f = tuple(s * x % p for x in f)
+        left = [tuple((x - M.pair(v, f) * a + M.pair(v, e) * b) % p
+                      for x, a, b in zip(v, e, f)) for v in left]
+        es.append(e)
+        fs.append(f)
+    return es, fs
 
-    An isotropic S of dimension k < r is extended by one vector per line of
-    S^perp / S.  In the echelon basis of S^perp built from the rows of S
-    first, the pivots of S stay pivots, and the rows W at the other pivots
-    are zero at them; so span(W) meets S in 0 and is a complement of S in
-    S^perp.  Each line is one combination v of W whose first nonzero
-    coefficient, on row i of W, is 1.  Then v is 1 at the pivot j of that
-    row and zero at the pivots of S, so the rows of S cleared at column j,
-    with v, are the echelon basis of S + <v>.  Each subspace of dimension
-    k + 1 is reached from each of its hyperplanes and kept once.
+
+def _lagrangian_cells(M):
+    """A spanning set, in M's coordinates, of every lagrangian of
+    M = F_p^2r, one Schubert cell after the other (``enumerate_lagrangians``).
+
+    In the basis of ``symplectic_basis``, the columns read in the order
+    (e_1..e_r, f_r..f_1), an echelon basis with the pivots e_i (i in J) and
+    f_k (k not in J) is zero at the other pivots and free at every other
+    column after its own pivot: row e_i at e_k (k > i, k not in J) and at
+    f_j (j in J), row f_k at f_i (i in J, i < k).  Isotropy fixes the rest
+    of the cell, with free entries x_ik at e_k and y_ij at f_j of row e_i:
+
+        row e_i = e_i + sum_k x_ik e_k + sum_j y_ij f_j,
+        row f_k = f_k - sum over i in J, i < k of x_ik f_i,
+
+    as <row e_i, row f_k> = x_ik plus the f_i entry of row f_k, and
+    <row e_i, row e_j> = y_ji - y_ij; two rows f_k pair to zero.  So
+    row e_i has r - i + 1 free entries (y_ij = y_ji counted in the earlier
+    row), and the cell has p^(sum over i in J of r + 1 - i) points.
+
+    Each point is the base rows plus one multiple of a fixed step per free
+    entry, the r rows held as one flat vector, row i pivoting at e_i or
+    f_i; a cell is listed by adding the steps one free entry at a time,
+    entries taken mod p by ``echelon_mod``.
     """
     p, m = M.n, M.group.rank
-    level = [()]
-    for _ in range(m // 2):
-        nxt = set()
-        for S in level:
-            perp = orth_complement(
-                M, Subgroup(M.group, intlin.hnf_mod(S, p, m))).gens()
-            pivots = {row.index(1) for row in S}
-            W = [w for w in intlin.echelon_mod(list(S) + perp, p)
-                 if w.index(1) not in pivots]
-            for i, w in enumerate(W):
-                j = w.index(1)
-                for tail in itertools.product(range(p), repeat=len(W) - i - 1):
-                    v = w
-                    for c, u in zip(tail, W[i + 1:]):
-                        if c:
-                            v = tuple((x + c * y) % p for x, y in zip(v, u))
-                    rows = [tuple((x - row[j] * y) % p for x, y in zip(row, v))
-                            if row[j] else row for row in S]
-                    rows.append(v)
-                    # in order of pivots: an earlier pivot is the larger row
-                    nxt.add(tuple(sorted(rows, reverse=True)))
-        level = nxt
-    found = {}
-    for S in level:
-        sub = Subgroup(M.group, intlin.hnf_mod(S, p, m))
-        found[sub.key()] = sub
-    return found
+    r = m // 2
+    es, fs = symplectic_basis(M)
+    zero = (0,) * m
+    for J in itertools.chain.from_iterable(
+            itertools.combinations(range(r), k) for k in range(r + 1)):
+        steps = []
+        for i in J:
+            for k in range(i + 1, r):
+                steps.append([(i, fs[k]), (k, fs[i])] if k in J else
+                             [(i, es[k]), (k, [-x for x in fs[i]])])
+            steps.append([(i, fs[i])])
+        points = [[x for k in range(r) for x in (es[k] if k in J else fs[k])]]
+        for terms in steps:
+            placed = dict(terms)
+            step = [x for k in range(r) for x in placed.get(k, zero)]
+            multiples = [[c * x for x in step] for c in range(1, p)]
+            points += [list(map(add, point, mult)) for point in points
+                       for mult in multiples]
+        for point in points:
+            yield [point[k * m:k * m + m] for k in range(r)]
 
 
 def induced_form(M, S):

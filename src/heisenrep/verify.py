@@ -77,8 +77,15 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
 
     ``equivariance_pairs`` supplies (g at operator level, g at enhanced
     level); by default the enhanced-level transvections act on both sides,
-    which is the situation for an elementary module.
+    which is the situation for an elementary module.  A lifted system, whose
+    operators act on a module other than the enhanced one, has no such
+    default, and is refused with ValueError before any check runs.
     """
+    if equivariance_pairs is None and sys.module != sys.enh_module:
+        raise ValueError(
+            "the system's operators act on %r and its enhanced points on %r: "
+            "pass equivariance_pairs, as pairs (g on the first, g on the "
+            "second)" % (sys.module, sys.enh_module))
     rng = random.Random(seed)
     report = Report(report_title or "canonical system on %r" % (sys.module,))
     points = sys.enhanced()

@@ -35,14 +35,18 @@ entry.  The library takes the character inner products of the models from
 exponent counts over the common support and reads the anchored field
 diagnostics off the exponent sets; the oracle sums CycNum products over
 the character dicts and reads every entry of every dense anchored map.
+The library lists the lagrangians of an elementary module one Schubert
+cell at a time, each once; the oracle walks the isotropic subspaces level
+by level and meets each one again from every one of its hyperplanes.
 """
 
+import itertools
 from functools import lru_cache
 from math import lcm
 from operator import lshift
 
 from heisenrep import intlin
-from heisenrep.abgroup import subgroup_intersect
+from heisenrep.abgroup import Subgroup, subgroup_intersect
 from heisenrep.cyclo import (
     CycNum,
     from_powers,
@@ -59,8 +63,53 @@ from heisenrep.symplectic import (
     SympAut,
     SymplecticError,
     act_enhanced,
+    orth_complement,
     transvections,
 )
+
+
+def isotropic_walk_fp(M):
+    """The lagrangians of M = F_p^2r keyed by HNF rows, walked level by
+    level over the isotropic subspaces, each held as its echelon basis.
+
+    An isotropic S of dimension k < r is extended by one vector per line of
+    S^perp / S.  In the echelon basis of S^perp built from the rows of S
+    first, the pivots of S stay pivots, and the rows W at the other pivots
+    are zero at them; so span(W) meets S in 0 and is a complement of S in
+    S^perp.  Each line is one combination v of W whose first nonzero
+    coefficient, on row i of W, is 1.  Then v is 1 at the pivot j of that
+    row and zero at the pivots of S, so the rows of S cleared at column j,
+    with v, are the echelon basis of S + <v>.  Each subspace of dimension
+    k + 1 is reached from each of its hyperplanes and kept once.
+    """
+    p, m = M.n, M.group.rank
+    level = [()]
+    for _ in range(m // 2):
+        nxt = set()
+        for S in level:
+            perp = orth_complement(
+                M, Subgroup(M.group, intlin.hnf_mod(S, p, m))).gens()
+            pivots = {row.index(1) for row in S}
+            W = [w for w in intlin.echelon_mod(list(S) + perp, p)
+                 if w.index(1) not in pivots]
+            for i, w in enumerate(W):
+                j = w.index(1)
+                for tail in itertools.product(range(p), repeat=len(W) - i - 1):
+                    v = w
+                    for c, u in zip(tail, W[i + 1:]):
+                        if c:
+                            v = tuple((x + c * y) % p for x, y in zip(v, u))
+                    rows = [tuple((x - row[j] * y) % p for x, y in zip(row, v))
+                            if row[j] else row for row in S]
+                    rows.append(v)
+                    # in order of pivots: an earlier pivot is the larger row
+                    nxt.add(tuple(sorted(rows, reverse=True)))
+        level = nxt
+    found = {}
+    for S in level:
+        sub = Subgroup(M.group, intlin.hnf_mod(S, p, m))
+        found[sub.key()] = sub
+    return found
 
 
 def hnf_inverse(g):
@@ -514,7 +563,7 @@ def propagated_scalars(mods, basepoints=(0,)):
 def _propagate(mods, B, count, image, transport):
     """The scalars of ``propagated_scalars`` at basepoint B, from ``count``
     transvections."""
-    T_LB, delta = standard_pairs(mods, B)
+    T_LB, delta, _inters = standard_pairs(mods, B)
     Mc = mods[0].H.base
     c = {B: CycNum.one(Mc.n if Mc.group.rank else 1)}
     one = CycNum.one(1)

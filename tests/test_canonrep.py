@@ -122,6 +122,24 @@ def test_character_support_and_central_values(pi3):
             assert v.is_zero()
 
 
+# the modules of the construct benchmark, the tensor (Z/3)^2+(Z/5)^2 last
+CONSTRUCT_BLOCKS = [[(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)], [(3, 2)],
+                    [(27, 1)], [(9, 1), (3, 1)], [(3, 1), (5, 1)]]
+
+
+@pytest.mark.parametrize("blocks", CONSTRUCT_BLOCKS, ids=repr)
+def test_character_table_matches_character(blocks):
+    """The table read off the support gives ``character`` on every class
+    representative, conductor, coefficients and denominator alike."""
+    pi = build_pi(standard_module(blocks), system_verify="none")
+
+    def exact(v):
+        return (v.n, v.num, v.den)
+
+    assert [(h, exact(v)) for h, v in pi.character_table()] == [
+        (h, exact(pi.character(h))) for h in class_representatives(pi.H)]
+
+
 def test_character_descends_to_Kprime(pi3):
     for (_h, v) in pi3.character_table():
         assert v.descend(3) is not None
@@ -329,6 +347,21 @@ def test_class_representatives_count():
     # 3 central classes + 8 noncentral classes of m != 0
     assert len(reps) == 11
     assert sum(1 for (m, _a) in reps if m == (0, 0)) == 3
+
+
+@pytest.mark.parametrize("M", [
+    standard_module([(9, 1)]), standard_module([(3, 1), (5, 1)]),
+    SympMod.from_json({"orders": [3, 3, 1],
+                       "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]})], ids=repr)
+def test_class_representatives_by_brute_force(M):
+    """Over each m the classes are the cosets of the image of x -> <x, m>
+    in Z/n, so their representatives are 0 .. n / |image| - 1."""
+    H = HeisGrp(M)
+    want = []
+    for m in M.group.elements():
+        image = {M.pair(x, m) for x in M.group.elements()}
+        want += [(m, a) for a in range(H.n // len(image))]
+    assert class_representatives(H) == want
 
 
 def test_export_shape(pi3):

@@ -211,7 +211,7 @@ def test_composition_scalar(setup3):
 def test_delta_is_dense_composite_at_every_basepoint(blocks):
     mods = _system_models(blocks)
     for B in range(len(mods)):
-        T_LB, delta = standard_pairs(mods, B)
+        T_LB, delta, _inters = standard_pairs(mods, B)
         for i, V in enumerate(mods):
             # the map back, built by averaging, not as the adjoint
             T_BL = standard_T(mods[B], V)
@@ -579,8 +579,26 @@ def test_closed_form_matches_the_propagation_solver(name):
             [exact([[want[i]]]) for i in range(len(mods)) if i != B], B
 
 
+def test_solver_intersects_each_lagrangian_with_the_basepoint_once(
+        monkeypatch):
+    """The scalars take L cap B from ``standard_pairs``, which computes it
+    once per lagrangian for delta."""
+    import heisenrep.intertwine as intertwine
+
+    calls, real = [], intertwine.subgroup_intersect
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(intertwine, "subgroup_intersect", counted)
+    sys = solve_canonical_system(standard_module([(3, 2)]), base_index=3,
+                                 verify="none")
+    assert len(calls) == sys.count == 40
+
+
 def _fp_matches_standard_T(mods, B, sample=None):
-    T_LB, _delta = standard_pairs(mods, B)
+    T_LB, _delta, _inters = standard_pairs(mods, B)
     for i in (range(len(mods)) if sample is None else sample):
         want = standard_T(mods[i], mods[B])
         assert (T_LB[i].rows, T_LB[i].cols, T_LB[i].n) == \

@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from math import isqrt
 
 import pytest
-from dense_oracle import hnf_inverse
+from dense_oracle import hnf_inverse, isotropic_walk_fp
 from helpers import lattice_only
 
-from heisenrep import intlin
+from heisenrep import intlin, symplectic
 from heisenrep.abgroup import AbGroup, subgroup_from_gens, zero_subgroup
 from heisenrep.cyclo import root_of_unity
 from heisenrep.symplectic import (
@@ -20,6 +21,7 @@ from heisenrep.symplectic import (
     act_enhanced,
     enhanced_points,
     enumerate_lagrangians,
+    fp_basis,
     gauss_sum,
     identity_aut,
     induced_form,
@@ -27,6 +29,7 @@ from heisenrep.symplectic import (
     sp_enumerate,
     sp_sample,
     standard_module,
+    symplectic_basis,
     _isotropic_walk,
     transvection,
     transvections,
@@ -165,6 +168,65 @@ def test_fp_walk_matches_the_lattice_walk(M):
     assert got == want
 
 
+@pytest.mark.parametrize("M", FP_MODULES, ids=repr)
+def test_cells_match_the_walk_oracle(M):
+    """The Schubert cells give the lagrangians of the isotropic walk, as
+    the same subgroups in the same order."""
+    found = isotropic_walk_fp(M)
+    assert [L.sub for L in enumerate_lagrangians(M)] == [
+        found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("M", FP_MODULES, ids=repr)
+def test_symplectic_basis(M):
+    es, fs = symplectic_basis(M)
+    vectors = es + fs
+    r = len(es)
+    assert len(vectors) == M.group.rank
+    for a, u in enumerate(vectors):
+        for b, v in enumerate(vectors):
+            want = 1 if b == a + r else (-1 if a == b + r else 0)
+            assert M.pair(u, v) == want % M.n
+    if M == standard_module([(M.n, r)]):
+        basis = M.group.basis()
+        assert (es, fs) == (list(basis[0::2]), list(basis[1::2]))
+
+
+@pytest.mark.parametrize("blocks, sizes", [
+    ([(3, 2)], [27, 9, 3, 1]),
+    ([(3, 3)], [729, 243, 81, 27, 27, 9, 3, 1]),
+    ([(5, 2)], [125, 25, 5, 1]),
+])
+def test_schubert_cell_sizes(blocks, sizes):
+    """Read in the columns (e_1..e_r, f_r..f_1) of the standard basis, every
+    lagrangian has one of e_i, f_i as a pivot for each i, and the e-pivots
+    J number p^(sum over i in J of r + 1 - i) lagrangians."""
+    M = standard_module(blocks)
+    p, r = M.n, M.group.rank // 2
+    order = list(range(0, 2 * r, 2)) + list(range(2 * r - 1, 0, -2))
+    cells = Counter()
+    for L in enumerate_lagrangians(M):
+        rows = [[row[c] for c in order] for row in fp_basis(L.sub, p)]
+        pivots = [row.index(1) for row in intlin.echelon_mod(rows, p)]
+        assert sorted(min(j, 2 * r - 1 - j) for j in pivots) == list(range(r))
+        cells[frozenset(j for j in pivots if j < r)] += 1
+    assert all(count == p ** sum(r - i for i in J)
+               for J, count in cells.items())
+    assert sorted(cells.values(), reverse=True) == sizes
+
+
+def test_cell_points_are_checked(monkeypatch):
+    """A cell point that is not lagrangian, or a lagrangian met twice, is
+    refused."""
+    M = standard_module([(3, 2)])
+    e1, f1, e2, _f2 = M.group.basis()
+    for points in ([[e1, f1]], [[e1, e1]], [[e1, e2], [e2, e1]]):
+        monkeypatch.setattr(symplectic, "_lagrangian_cells",
+                            lambda M, points=points: iter(points))
+        with pytest.raises(SymplecticError):
+            enumerate_lagrangians(M)
+
+
 def test_rank6_lagrangian_keys_pinned():
     """(Z/3)^6: 1,120 lagrangians, their key list pinned by SHA-256 as the
     lattice walk listed it at 31c8883."""
@@ -173,6 +235,17 @@ def test_rank6_lagrangian_keys_pinned():
     assert len(keys) == 1120
     assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == (
         "f0d5560e70493b0edb2b43a9ca84c5875aaf7088b08c356d9af3063413b191b6")
+
+
+def test_rank8_lagrangian_keys_pinned():
+    """(Z/3)^8: 91,840 lagrangians, their key list pinned by SHA-256 as the
+    isotropic walk listed it at 419c949 (in minutes there; the cells take
+    seconds).  json.dumps writes a key tuple as it writes the lists of
+    the rank-6 pin."""
+    keys = [L.key() for L in enumerate_lagrangians(standard_module([(3, 4)]))]
+    assert len(keys) == 91840
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == (
+        "f72e11e0ac615b5d3610086c524898a18012b64833bbd310510b8a1da37549da")
 
 
 def test_fp_path_makes_no_hnf_call(monkeypatch):

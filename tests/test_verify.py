@@ -43,6 +43,23 @@ def test_run_verify_checks_lift_with_trivial_S():
     assert len(lifted) == 1 and lifted[0].ok(), lifted[0].text()
 
 
+@pytest.mark.parametrize("blocks", [[(9, 1), (3, 1)], [(25, 1), (5, 1)],
+                                    [(9, 2)]])
+def test_lifted_system_without_equivariance_pairs_is_refused(blocks,
+                                                              monkeypatch):
+    """The transvections of M_c do not act on the operator module of a
+    lifted system, so check_system_axioms refuses the default pairs with
+    an error naming the argument, before any sweep runs."""
+    pi = canonrep.build_pi(standard_module(blocks), system_verify="none")
+    sweeps = []
+    monkeypatch.setattr(verify, "_sweep", lambda *args: sweeps.append(args))
+    with pytest.raises(ValueError, match="equivariance_pairs"):
+        check_system_axioms(pi.system)
+    assert sweeps == []
+    check_system_axioms(pi.system_c)
+    assert sweeps
+
+
 def test_run_verify_builds_composite_once(monkeypatch):
     calls = []
     build_pi = canonrep.build_pi
