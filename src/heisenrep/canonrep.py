@@ -9,6 +9,7 @@ genuinely multiplicative rather than projective.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -295,9 +296,15 @@ def class_representatives(H):
 
 def support_counts(V):
     """The nonzero (exponent, count) pairs of ``char_exponent_counts((l, 0))``
-    per l in L: chi((l, a)) = zeta_n^a chi((l, 0)) on the support."""
-    return {l: [(e, c) for e, c in enumerate(V.char_exponent_counts((l, 0)))
-                if c] for l in V.lag.sub.elements()}
+    per l in L: chi((l, a)) = zeta_n^a chi((l, 0)) on the support.  The
+    exponent of r_j at l is <r_j, l> = (r_j G) . l, linear in l, so each
+    row r_j G (G the gram) is made once."""
+    n = V.H.n
+    cols = list(zip(*V.H.base.gram))
+    rows = [[sum(map(mul, r, col)) for col in cols] for r in V.reps]
+    return {l: sorted(Counter(sum(map(mul, row, l)) % n
+                              for row in rows).items())
+            for l in V.lag.sub.elements()}
 
 
 def counts_inner(H, a, b):

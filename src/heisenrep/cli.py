@@ -1,7 +1,8 @@
 """Command-line interface: construction, inspection, and verification.
 
 All outputs are canonical JSON (sorted keys, fixed separators) so identical
-invocations produce identical bytes.  Exit codes: 0 success, 1 verification
+invocations produce identical bytes; ``write_json`` streams them to stdout
+or ``--out`` piece by piece.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input error.
 """
 
@@ -10,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as encode_str
 
 from .abgroup import AbGroup, GroupError, prime_factors
 from .canonrep import CanonicalRep, build_pi
 from .cyclo import CycloError
 from .intertwine import SolveError
+from .kmat import Form
 from .reduction import ReductionData, ReductionError
 from .symplectic import (
     BudgetError,
@@ -30,17 +33,79 @@ class UsageError(ValueError):
     pass
 
 
+def write_json(obj, put):
+    """Write the text of ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))`` and a newline through ``put``, piece by
+    piece, for a tree of dicts with str keys, lists, tuples, str, int,
+    bool and None (the program writes no floats; anything else raises
+    TypeError).  The text of each entry form (``kmat.Form``) is made once
+    per call, and a list that starts with a form (a matrix row) is one
+    piece; each piece carries the separator or key that comes before it."""
+    texts = {}
+    get = texts.get
+
+    def text(x):
+        pieces = []
+        (write_dict if type(x) is Form else write)(x, pieces.append, "")
+        t = texts[id(x)] = "".join(pieces)
+        return t
+
+    def write_dict(d, put, head):
+        put(head + "{")
+        sep = ""
+        for k in sorted(d):
+            write(d[k], put, sep + encode_str(k) + ":")
+            sep = ","
+        put("}")
+
+    def write(v, put, head):
+        kind = type(v)
+        if kind is Form:
+            put(head + (get(id(v)) or text(v)))
+        elif kind is int:
+            put(head + int.__repr__(v))
+        elif isinstance(v, (list, tuple)):
+            if v and type(v[0]) is Form:
+                put(head + "[" + ",".join([get(id(x)) or text(x) for x in v])
+                    + "]")
+            else:
+                put(head + "[")
+                sep = ""
+                for x in v:
+                    write(x, put, sep)
+                    sep = ","
+                put("]")
+        elif isinstance(v, dict):
+            write_dict(v, put, head)
+        elif isinstance(v, str):
+            put(head + encode_str(v))
+        elif v is None:
+            put(head + "null")
+        elif v is True:
+            put(head + "true")
+        elif v is False:
+            put(head + "false")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % kind.__name__)
+
+    write(obj, put, "")
+    put("\n")
+
+
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The text ``write_json`` writes, as one string."""
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
 
 
 def emit(args, obj):
-    text = dumps(obj)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text)
+            write_json(obj, fh.write)
     else:
-        sys.stdout.write(text)
+        write_json(obj, sys.stdout.write)
 
 
 def parse_standard_spec(spec):

@@ -289,6 +289,10 @@ class CanonicalSystem:
         import json
 
         mod_json = json.dumps(self.module.to_json(), sort_keys=True)
+        # anchored(i, e) at the conductor: with c_i lifted to it, every
+        # entry of the scaled T_LB[i], the shared zero included, is made
+        # there, so no entry is lifted
+        c = [self.c[i].lift(self.conductor) for i in range(self.count)]
         out = {
             "module": self.module.to_json(),
             "module_sha256": hashlib.sha256(mod_json.encode()).hexdigest(),
@@ -298,8 +302,7 @@ class CanonicalSystem:
             "operator_lagrangians": [[list(r) for r in L.sub.rows] for L in self.lags],
             "anchored": {
                 "L%d:%s" % (i, "+" if e > 0 else "-"): mat_to_json(
-                    [[x.lift(self.conductor) if x.n != self.conductor else x
-                      for x in row] for row in self.anchored(i, e)])
+                    self.T_LB[i].scaled(c[i] if e > 0 else -c[i]))
                 for i in range(self.count)
                 for e in (1, -1)
             },

@@ -264,18 +264,30 @@ def mat_inverse(a):
     return [row[dim:] for row in aug]
 
 
+class Form(dict):
+    """The JSON form of a matrix entry, as ``mat_to_json`` makes it: the
+    writer in ``cli`` makes the text of each such object once."""
+
+    __slots__ = ()
+
+
 def mat_to_json(a):
-    """The JSON form of each entry.  An entry object met again in the
-    matrix (a shared zero, most often) gets the form made for it the first
-    time, so each distinct object is serialized once."""
-    forms = {}
+    """The JSON form of each entry, one ``Form`` per distinct value.  An
+    entry object met again (a shared zero, most often) is found by its id,
+    with no tuple hash; another object of the same value (n, num, den)
+    gets the form made for that value."""
+    by_id, by_value = {}, {}
     out = []
     for row in a:
         new = []
         for x in row:
-            form = forms.get(id(x))
+            form = by_id.get(id(x))
             if form is None:
-                form = forms[id(x)] = x.to_json()
+                key = (x.n, x.num, x.den)
+                form = by_value.get(key)
+                if form is None:
+                    form = by_value[key] = Form(x.to_json())
+                by_id[id(x)] = form
             new.append(form)
         out.append(new)
     return out

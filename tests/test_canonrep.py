@@ -140,6 +140,19 @@ def test_character_table_matches_character(blocks):
         (h, exact(pi.character(h))) for h in class_representatives(pi.H)]
 
 
+@pytest.mark.parametrize("blocks", CONSTRUCT_BLOCKS + [[(5, 2)]], ids=repr)
+def test_support_counts_match_the_exponent_counts(blocks):
+    """The rows r_j G read each <r_j, l> as ``char_exponent_counts`` does
+    with ``pair``, for every l of L, on every primary part."""
+    pi = build_pi(standard_module(blocks), system_verify="none")
+    reps = [pi] if isinstance(pi, CanonicalRep) else \
+        [rep for (*_, rep) in pi.parts]
+    for V in (rep.realization for rep in reps):
+        assert support_counts(V) == {
+            l: [(e, c) for e, c in enumerate(V.char_exponent_counts((l, 0)))
+                if c] for l in V.lag.sub.elements()}
+
+
 def test_character_descends_to_Kprime(pi3):
     for (_h, v) in pi3.character_table():
         assert v.descend(3) is not None

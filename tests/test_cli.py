@@ -182,6 +182,10 @@ CLI_DIGESTS = [
      "f972878d25647560750548d3ce7bc932038bd62060ededb7e8fafeb55d1ff20a"),
     ("lagrangians", {"orders": [5, 5], "gram": [[0, 2], [3, 0]]},
      "8edc72ff13e3fe2ea08c08b048e500135d60db037b1836499d13db1e97fa5186"),
+    # 262 KB, many values repeated across the anchored maps, recorded at
+    # 15eb68c (written by ``json.dumps``)
+    ("system", "3^1:2",
+     "67012dc85aa53cddb03e22be1a6f8977894fe3c3ff3afe5d140eae5a6b2d527e"),
 ]
 
 
@@ -232,6 +236,97 @@ def test_system_export_omits_a_large_pair_table(tmp_path):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert "pairs" not in data and len(data["anchored"]) == 12
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _forms():
+    """Entry forms as ``mat_to_json`` makes them, and an equal form that is
+    a distinct object."""
+    from heisenrep.cyclo import CycNum, root_of_unity
+    from heisenrep.kmat import Form, mat_to_json
+
+    row = mat_to_json([[CycNum.zero(1), CycNum.zero(9), root_of_unity(9, 2),
+                        root_of_unity(5, 1) / -7, CycNum.one(3)]])[0]
+    return row + [Form(row[2])]
+
+
+FORMS = _forms()
+TEXTS = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\n\t", "\x7f", "\u00e9", "\u2028",
+     "\ud800", "\U0001f600", 'a"b\\c']))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(min_value=-2 ** 200, max_value=-2 ** 64),
+    TEXTS, st.sampled_from(FORMS))
+ROWS = st.lists(st.sampled_from(FORMS), min_size=1)
+TREES = st.recursive(
+    st.one_of(LEAVES, ROWS),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(TEXTS, children),
+        st.tuples(ROWS, st.lists(children)).map(lambda t: t[0] + t[1])),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(TREES)
+def test_writer_matches_json_dumps(tree):
+    from heisenrep.cli import dumps
+
+    assert dumps(tree) == reference_dumps(tree)
+
+
+def test_writer_refuses_what_the_program_never_writes():
+    from heisenrep.cli import dumps
+
+    with pytest.raises(TypeError):
+        dumps({"x": object()})
+    with pytest.raises(TypeError):
+        dumps({1: 2})
+
+
+CONSTRUCT_SPECS = ["3^1:1", "5^1:1", "7^1:1", "11^1:1", "3^1:2", "27^1:1",
+                   "3^2:1+3^1:1", "3^1:1+5^1:1"]
+
+
+@pytest.mark.parametrize("spec", CONSTRUCT_SPECS)
+def test_writer_matches_json_dumps_on_the_construct_exports(spec):
+    from heisenrep.canonrep import build_pi
+    from heisenrep.cli import dumps
+    from heisenrep.symplectic import standard_module
+
+    export = build_pi(standard_module(parse_standard_spec(spec)),
+                      system_verify="none").export()
+    assert dumps(export) == reference_dumps(export)
+
+
+@pytest.mark.parametrize("spec", ["3^1:1", "3^1:2", "3^2:1+3^1:1"])
+def test_writer_matches_json_dumps_on_system_exports(spec):
+    """The same bytes, in pieces each shorter than any one anchored map."""
+    from heisenrep.canonrep import CanonicalRep
+    from heisenrep.cli import write_json
+    from heisenrep.symplectic import standard_module
+
+    export = CanonicalRep(standard_module(parse_standard_spec(spec)),
+                          system_verify="none").system.export()
+    pieces = []
+    write_json(export, pieces.append)
+    assert "".join(pieces) == reference_dumps(export)
+    assert max(map(len, pieces)) < min(
+        len(reference_dumps(m)) for m in export["anchored"].values())
+
+
+def test_emit_writes_the_same_bytes_to_out_and_stdout(tmp_path):
+    mod = tmp_path / "m.json"
+    run_cli(["standard", "3^2:1+3^1:1", "--out", str(mod)])
+    out = tmp_path / "pi.json"
+    assert run_cli(["pi", str(mod), "--out", str(out)]) == (0, "", "")
+    code, text, _ = run_cli(["pi", str(mod)])
+    assert code == 0 and out.read_text() == text
 
 
 def test_pi_export_and_roundtrip(tmp_path):

@@ -345,7 +345,7 @@ def test_phase_proportionality_matches_the_dense_one(data):
         assert got * kappa == 1
 
 
-def test_mat_to_json_serializes_each_object_once():
+def test_mat_to_json_makes_one_form_per_value():
     from heisenrep.cli import dumps
 
     z, x, y = CycNum.zero(9), root_of_unity(9, 2), root_of_unity(9, 2) / 3
@@ -355,7 +355,8 @@ def test_mat_to_json_serializes_each_object_once():
     got = mat_to_json(a)
     assert got == plain and dumps(got) == dumps(plain)
     assert got[0][0] is got[0][2] is got[1][1] and got[0][1] is got[1][2]
-    assert got[1][0] is not got[0][1] and got[2][0] is got[2][1]
+    assert got[1][0] is got[0][1] and got[2][0] is got[2][1]
+    assert got[2][2] is not got[0][0]  # the zeros of conductors 1 and 9
     assert mat_to_json([]) == [] and mat_to_json([[]]) == [[]]
 
 
