@@ -137,6 +137,13 @@ class Subgroup:
                     v[k] -= q * row[k]
         return tuple(v)
 
+    def echelon(self):
+        """The F_p basis of a subgroup of (Z/p)^m: the HNF rows with pivot
+        1, which are the reduced row echelon basis that ``intlin.hnf_mod``
+        wrote the HNF from.  The coordinates of a vector of the subgroup
+        over it are the vector's entries at the pivots."""
+        return [row for row, j in zip(self.rows, self._pivots) if row[j] == 1]
+
     def gens(self):
         """Generators of the subgroup (nonzero reductions of HNF rows)."""
         out = []
@@ -310,10 +317,6 @@ def quotient(group, sub):
     return qm.group, qm.proj, qm.section
 
 
-def quotient_pair(over, sub):
-    return QuotientMap(over, sub)
-
-
 def torsion_and_scale(group, p, k):
     """(G[p^k], p^k G) as canonical subgroups."""
     m = group.rank
@@ -340,8 +343,7 @@ def rho_layer(group, p, k):
         group, [group.scale(p, g) for g in above.gens()]
     )
     bottom = subgroup_join(below, p_above)
-    qm = quotient_pair(top, bottom)
-    q = qm.group
+    q = QuotientMap(top, bottom).group
     assert all(d == p for d in q.orders), "layer is not elementary abelian"
     return q
 
@@ -351,9 +353,7 @@ def primary_component(group, p):
     m = group.rank
     gens = []
     for i, d in enumerate(group.orders):
-        v = d
-        while v % p == 0:
-            v //= p
+        v = d // p ** p_valuation(d, p)
         gens.append([v if j == i else 0 for j in range(m)])
     return subgroup_from_gens(group, gens)
 
@@ -370,3 +370,12 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def p_valuation(n, p):
+    """The exponent of the prime p in the positive integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

@@ -9,6 +9,7 @@ genuinely multiplicative rather than projective.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
@@ -23,13 +24,14 @@ from .heisenberg import (
     primary_split,
     primary_project,
 )
-from .intertwine import hom_dim, solve_canonical_system
+from .intertwine import CanonicalSystem, hom_dim, solve_canonical_system
 from .kmat import kron, mat_mul, mat_to_json
 from .reduction import ReductionData, g_to_gc, lift_canonical_system
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
     SympAut,
     SymplecticError,
+    enumerate_lagrangians,
     sp_sample,
 )
 
@@ -153,8 +155,6 @@ def flip_anchor(sys_c):
     All anchored scalars negate; the pair table is unchanged, which is the
     uniqueness statement at the level of the stored data.
     """
-    from .intertwine import CanonicalSystem
-
     c = {i: -v for i, v in sys_c.c.items()}
     return CanonicalSystem(sys_c.module, sys_c.enh_module, sys_c.lags,
                            sys_c.enh_lags, sys_c.base_index, sys_c.modules,
@@ -357,8 +357,6 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     and by exact character inner products), and the canonical representation
     matches them with orthogonality sum exactly one.
     """
-    from .symplectic import enumerate_lagrangians
-
     report = Report("stone-von-neumann on %r" % (H.base,))
     M = H.base
     lags = enumerate_lagrangians(M, budget=budget)
@@ -408,10 +406,6 @@ def uniqueness_probe(M, basepoints=None, pi=None):
     """Rebuilding the system from different basepoints yields identical
     tables, and the representation has scalar endomorphisms only.  ``pi``
     is the canonical representation of M when the caller already holds it."""
-    import json
-
-    from .symplectic import enumerate_lagrangians
-
     report = Report("uniqueness probe on %r" % (M,))
     red = ReductionData(M) if pi is None else pi.red
     count = len(enumerate_lagrangians(red.Mc))

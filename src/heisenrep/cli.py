@@ -13,7 +13,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as encode_str
 
-from .abgroup import AbGroup, GroupError, prime_factors
+from .abgroup import AbGroup, GroupError, primary_component, prime_factors
 from .canonrep import CanonicalRep, build_pi
 from .cyclo import CycloError
 from .intertwine import SolveError
@@ -25,8 +25,10 @@ from .symplectic import (
     SymplecticError,
     enumerate_lagrangians,
     gauss_sum,
+    standard_module,
     DEFAULT_LAGRANGIAN_BUDGET,
 )
+from .verify import run_verify
 
 
 class UsageError(ValueError):
@@ -147,8 +149,6 @@ def load_module(path):
 
 
 def cmd_standard(args):
-    from .symplectic import standard_module
-
     blocks = parse_standard_spec(args.spec)
     M = standard_module(blocks)
     emit(args, M.to_json())
@@ -159,8 +159,6 @@ def cmd_info(args):
     M = load_module(args.input)
     split = {}
     for p in prime_factors(M.n):
-        from .abgroup import primary_component
-
         split[str(p)] = primary_component(M.group, p).order()
     emit(args, {
         "orders": list(M.group.orders),
@@ -229,8 +227,6 @@ def cmd_gauss(args):
 
 def cmd_verify(args):
     M = load_module(args.input)
-    from .verify import run_verify
-
     reports = run_verify(M, level=args.level, seed=args.seed,
                          budget=args.budget)
     ok = all(r.ok() for r in reports)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from math import isqrt
 
-from .abgroup import AbGroup
+from .abgroup import AbGroup, p_valuation, prime_factors
 from .cyclo import from_powers
-from .kmat import GenPerm
+from .kmat import GenPerm, mat_to_json
 from .symplectic import SympMod, SymplecticError
 
 
@@ -75,11 +75,7 @@ def heis_primary(H, p):
     coordinates, together with the embedding of its generators into M."""
     M = H.base
     n = H.n
-    np_part = 1
-    nn = n
-    while nn % p == 0:
-        nn //= p
-        np_part *= p
+    np_part = p ** p_valuation(n, p)
     if np_part == 1:
         triv = SympMod(AbGroup(()), [])
         return HeisGrp(triv), []
@@ -87,11 +83,7 @@ def heis_primary(H, p):
     embed = []
     m = M.group.rank
     for i, d in enumerate(M.group.orders):
-        dp = 1
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            dp *= p
+        dp = p ** p_valuation(d, p)
         if dp > 1:
             orders.append(dp)
             embed.append(M.group.reduce(tuple((d // dp) if j == i else 0
@@ -130,8 +122,6 @@ def primary_split(H):
     an element (m, a) of H decomposes with m_p = crt * (n/p^r) * m and
     central part a_p = crt * a mod p^r.
     """
-    from .abgroup import prime_factors
-
     n = H.n
     out = []
     for p in prime_factors(n):
@@ -273,8 +263,6 @@ class InducedModule:
         return from_powers(self.H.n, enumerate(self.char_exponent_counts(h)))
 
     def to_json(self):
-        from .kmat import mat_to_json
-
         return {
             "lagrangian": self.lag.to_json(),
             "dim": self.dim,

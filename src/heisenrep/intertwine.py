@@ -20,7 +20,9 @@ being its orientation.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
 from math import lcm
 from operator import add as plus, mul, sub
@@ -44,7 +46,6 @@ from .symplectic import (
     SymplecticError,
     act_enhanced,
     enumerate_lagrangians,
-    fp_basis,
 )
 
 
@@ -285,9 +286,6 @@ class CanonicalSystem:
         }
 
     def export(self):
-        import hashlib
-        import json
-
         mod_json = json.dumps(self.module.to_json(), sort_keys=True)
         # anchored(i, e) at the conductor: with c_i lifted to it, every
         # entry of the scaled T_LB[i], the shared zero included, is made
@@ -360,7 +358,7 @@ def standard_pairs(mods, B):
     add, scale, dot, number = _box_tables(p, m // 2)
     h = (p + 1) // 2
     A = [[0] * m for _ in range(m)]
-    for row in fp_basis(source.lag.sub, p):
+    for row in source.lag.sub.echelon():
         A[row.index(1)] = [h * M.pair(row, e) % p for e in basis]
     C = [[(h * M.gram[a][b] - A[a][b] - A[b][a]) % p for b in range(m)]
          for a in range(m)]
@@ -396,8 +394,8 @@ def standard_pairs(mods, B):
     shift = [[(x - q) % p * dim for x in range(2 * p)] for q in range(p)]
     rows_of, T_LB = {}, []
     for i, (V, inter) in enumerate(zip(mods, inters)):
-        rows_N = fp_basis(V.lag.sub, p)
-        shared = {row.index(1) for row in fp_basis(inter, p)}
+        rows_N = V.lag.sub.echelon()
+        shared = {row.index(1) for row in inter.echelon()}
         F = tuple(sorted(set(range(m)) - {x.index(1) for x in rows_N}))
         offsets, funcs, quads = box(
             [x for x in rows_N if x.index(1) not in shared], F)
@@ -428,13 +426,12 @@ def _box_tables(p, r):
     return add, scale, dot, number
 
 
-def canonical_scalar(Mc, L, B, inter=None):
+def canonical_scalar(Mc, L, B, inter):
     """The anchored scalar c_L of the canonical system on the elementary
     module Mc = F_p^2r with basepoint B, in closed form (see the module
-    notes).  ``inter`` is L cap B when the caller holds it already, as
-    ``standard_pairs`` gives it.
+    notes).  ``inter`` is L cap B, as ``standard_pairs`` gives it.
 
-    I = L cap B has the echelon basis of ``fp_basis``.  Its pivots are
+    I = L cap B has the echelon basis ``inter.echelon()``.  Its pivots are
     leading positions of vectors of L, so they are pivots of L, and the
     echelon rows x of L at the other pivots extend I to a basis of L, as
     their leading positions differ from those of I; likewise y for B.  The
@@ -445,21 +442,14 @@ def canonical_scalar(Mc, L, B, inter=None):
     is +-1.
     """
     p = Mc.n
-    rows_L, rows_B = fp_basis(L.sub, p), fp_basis(B.sub, p)
-    if inter is None:
-        inter = subgroup_intersect(L.sub, B.sub)
-    inter = fp_basis(inter, p)
+    rows_L, rows_B = L.sub.echelon(), B.sub.echelon()
+    inter = inter.echelon()
     shared = {row.index(1) for row in inter}
     x = [row for row in rows_L if row.index(1) not in shared]
     y = [row for row in rows_B if row.index(1) not in shared]
-
-    def orientation(rows, echelon):
-        cols = [row.index(1) for row in echelon]
-        return intlin.det_mod([[v[j] for j in cols] for v in rows], p)
-
     k = len(x)
-    u = (2 ** k * orientation(inter + x, rows_L)
-         * orientation(inter + y, rows_B)
+    u = (2 ** k * intlin.orientation(inter + x, rows_L, p)
+         * intlin.orientation(inter + y, rows_B, p)
          * intlin.det_mod([[Mc.pair(a, b) for b in y] for a in x], p))
     return legendre(u, p) * _inverse_gauss_power(p, k)
 

@@ -354,3 +354,12 @@ def det_mod(mat, p):
                 for j in range(col, d):
                     a[i][j] = (a[i][j] - f * a[col][j]) % p
     return det % p
+
+
+def orientation(rows, echelon, p):
+    """The determinant mod p of ``rows`` over ``echelon``, a reduced row
+    echelon basis of their span: each row's coordinates over it are the
+    row's entries at its pivots, so this is ``det_mod`` of ``rows`` read
+    at those columns."""
+    cols = [row.index(1) for row in echelon]
+    return det_mod([[v[j] for j in cols] for v in rows], p)

@@ -10,7 +10,7 @@ scalars unchanged.
 
 from __future__ import annotations
 
-from .abgroup import prime_factors, subgroup_from_gens, zero_subgroup
+from .abgroup import p_valuation, prime_factors, subgroup_from_gens, zero_subgroup
 from .heisenberg import HeisGrp, induce
 from .intertwine import CanonicalSystem, standard_pairs
 from .symplectic import (
@@ -25,14 +25,6 @@ class ReductionError(ValueError):
     pass
 
 
-def _p_valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def canonical_isotropic(M):
     """The characteristic isotropic subgroup S with S^perp/S elementary.
 
@@ -45,7 +37,7 @@ def canonical_isotropic(M):
     p = primes[0] if primes else None
     if p is None:
         return zero_subgroup(M.group), [0]
-    r_s = _p_valuation(M.n, p)
+    r_s = p_valuation(M.n, p)
     if r_s <= 1:
         return zero_subgroup(M.group), [r_s]
     r_half = (r_s + 1) // 2

@@ -17,10 +17,10 @@ from operator import add, mul
 from . import intlin
 from .abgroup import (
     AbGroup,
+    QuotientMap,
     Subgroup,
     elementary_prime,
     prime_factors,
-    quotient_pair,
     strict_ints,
     subgroup_from_gens,
     zero_subgroup,
@@ -388,7 +388,7 @@ def induced_form(M, S):
     if not is_isotropic(M, S):
         raise SymplecticError("subgroup is not isotropic")
     perp = orth_complement(M, S)
-    qm = quotient_pair(perp, S)
+    qm = QuotientMap(perp, S)
     Q = qm.group
     nq = Q.exponent()
     scale_den = M.n // nq if nq else M.n
@@ -610,52 +610,23 @@ def enhanced_points(lag):
     return EnhLag(lag, 1), EnhLag(lag, -1)
 
 
-def fp_basis(sub, p):
-    """Canonical F_p basis of an elementary subgroup: the HNF rows with unit
-    pivot, which form a fully reduced echelon basis mod p."""
-    rows = []
-    for i, row in enumerate(sub.rows):
-        piv = row[sub._pivots[i]]
-        if piv == 1:
-            rows.append(tuple(x % p for x in row))
-        elif piv % p != 0:
-            raise SymplecticError("subgroup is not elementary")
-    return rows
-
-
 def act_enhanced(g, point):
     """Transport of an enhanced lagrangian along a symplectic automorphism.
 
-    The lift multiplies by the Legendre class of the determinant relating
-    the transported canonical basis to the canonical basis of the image.
+    The lift multiplies by the Legendre class of the determinant of the
+    transported echelon basis of L over the echelon basis of gL, which is
+    the span of the images by construction.
     """
     M = point.lag.module
     p = M.n
-    rows = fp_basis(point.lag.sub, p)
+    rows = point.lag.sub.echelon()
     if not rows:
         # zero lagrangian of the trivial or zero-dimensional case: the empty
         # wedge transports trivially
         return EnhLag(point.lag, point.eps)
     images = [g.apply(r) for r in rows]
-    new_sub = g.on_subgroup(point.lag.sub)
-    new_rows = fp_basis(new_sub, p)
-    # coordinates of each image over the echelon basis of the image subgroup
-    d = len(rows)
-    coord = []
-    for img in images:
-        vec = list(img)
-        cs = [0] * d
-        for idx, brow in enumerate(new_rows):
-            piv = next(j for j, x in enumerate(brow) if x % p == 1)
-            c = vec[piv] % p
-            cs[idx] = c
-            if c:
-                for j in range(len(vec)):
-                    vec[j] = (vec[j] - c * brow[j]) % p
-        if any(x % p for x in vec):
-            raise SymplecticError("image basis solve failed")
-        coord.append(cs)
-    u = intlin.det_mod(coord, p)
+    new_sub = subgroup_from_gens(M.group, images)
+    u = intlin.orientation(images, new_sub.echelon(), p)
     if u == 0:
         raise SymplecticError("degenerate basis transport")
     sign = legendre(u, p)

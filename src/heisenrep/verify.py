@@ -19,7 +19,13 @@ from .canonrep import (
     uniqueness_probe,
     verify_svn,
 )
-from .cyclo import CycNum, euler_phi, root_of_unity, sqrt_prime
+from .cyclo import (
+    CycNum,
+    euler_phi,
+    gauss_sum_quadratic,
+    root_of_unity,
+    sqrt_prime,
+)
 from .heisenberg import HeisGrp, g_transport, induce
 from .kmat import Packed, identity as kmat_identity
 from .kmat import mat_eq, scalar_mul
@@ -33,7 +39,7 @@ from .symplectic import (
     sp_sample,
     transvections,
 )
-from .abgroup import AbGroup, subgroup_from_gens
+from .abgroup import AbGroup, quotient, subgroup_from_gens
 
 
 def _sampled(items, count, rng):
@@ -181,7 +187,8 @@ def _cyclo_suite(seed, level):
     report.add("sqrt_prime squares to p for odd p <= 50",
                all(sqrt_prime(p) ** 2 == p for p in primes))
     report.add("quadratic Gauss sums have fourth power p^2",
-               all((CycNum.one(1) * _gauss4(p)) == p * p for p in primes))
+               all(CycNum.one(1) * gauss_sum_quadratic(p) ** 4 == p * p
+                   for p in primes))
     prim_ok = True
     top = 100 if level == "full" else 40
     for n in range(1, top + 1):
@@ -195,12 +202,6 @@ def _cyclo_suite(seed, level):
             acc = acc * z
     report.add("roots of unity are primitive up to N=%d" % top, prim_ok)
     return report
-
-
-def _gauss4(p):
-    from .cyclo import gauss_sum_quadratic
-
-    return gauss_sum_quadratic(p) ** 4
 
 
 def _group_suite(M, seed, level):
@@ -220,8 +221,6 @@ def _group_suite(M, seed, level):
             ok = False
     report.add("canonical forms stable under regeneration", ok,
                "%d trials" % trials)
-    from .abgroup import quotient
-
     ok = True
     for _ in range(trials):
         gens = [tuple(rng.randrange(d) for d in G.orders)]

@@ -38,6 +38,10 @@ the character dicts and reads every entry of every dense anchored map.
 The library lists the lagrangians of an elementary module one Schubert
 cell at a time, each once; the oracle walks the isotropic subspaces level
 by level and meets each one again from every one of its hyperplanes.
+The library reads the lift sign of an enhanced lagrangian off the entries
+of the transported echelon rows at the pivots of the image; the oracle
+solves for their coordinates by elimination over the echelon basis of
+the image, which it takes through ``SympAut.on_subgroup``.
 """
 
 import itertools
@@ -51,6 +55,7 @@ from heisenrep.cyclo import (
     CycNum,
     from_powers,
     in_subfield,
+    legendre,
     mul_root,
     root_of_unity,
     sqrt_prime,
@@ -60,6 +65,7 @@ from heisenrep.intertwine import SolveError, standard_pairs
 from heisenrep.kmat import GenPerm, mat_mul, phase_product, proportionality
 from heisenrep.symplectic import (
     EnhLag,
+    Lagrangian,
     SympAut,
     SymplecticError,
     act_enhanced,
@@ -522,6 +528,34 @@ def phase_proportionality(a, b):
         if any(row_b[k] != rots[f] for k, f in row):
             return None
     return kappa.inverse()
+
+
+def act_enhanced_by_elimination(g, point):
+    """``act_enhanced`` with the image subgroup from ``g.on_subgroup``,
+    both echelon bases from ``intlin.echelon_mod`` of the generators, and
+    the coordinates of each transported row solved by elimination."""
+    M = point.lag.module
+    p = M.n
+    rows = intlin.echelon_mod(point.lag.sub.gens(), p)
+    if not rows:
+        return EnhLag(point.lag, point.eps)
+    new_sub = g.on_subgroup(point.lag.sub)
+    new_rows = intlin.echelon_mod(new_sub.gens(), p)
+    coord = []
+    for vec in (g.apply(r) for r in rows):
+        cs = []
+        for brow in new_rows:
+            c = vec[next(j for j, x in enumerate(brow) if x)]
+            cs.append(c)
+            vec = [(x - c * y) % p for x, y in zip(vec, brow)]
+        if any(vec):
+            raise SymplecticError("image basis solve failed")
+        coord.append(cs)
+    u = intlin.det_mod(coord, p)
+    if u == 0:
+        raise SymplecticError("degenerate basis transport")
+    return EnhLag(Lagrangian(M, new_sub, validate=False),
+                  point.eps * legendre(u, p))
 
 
 def propagated_scalars(mods, basepoints=(0,)):

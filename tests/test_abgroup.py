@@ -8,10 +8,10 @@ from heisenrep import intlin
 from heisenrep.abgroup import (
     AbGroup,
     GroupError,
+    QuotientMap,
     elementary_prime,
     primary_component,
     quotient,
-    quotient_pair,
     rho_layer,
     subgroup_from_gens,
     subgroup_intersect,
@@ -163,10 +163,10 @@ def test_quotient_pair_nested():
     G = AbGroup([27])
     A = subgroup_from_gens(G, [[3]])
     B = subgroup_from_gens(G, [[9]])
-    qm = quotient_pair(A, B)
+    qm = QuotientMap(A, B)
     assert qm.group.order() == 3
     with pytest.raises(GroupError):
-        quotient_pair(B, A)
+        QuotientMap(B, A)
 
 
 def test_serialization():

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import of the library is used, and
-every module-level definition is referenced."""
+"""Source hygiene: every module-level import of the library is used,
+every module-level definition is referenced, and an import inside a
+function is there only to break an import cycle."""
 
 import ast
 import re
@@ -104,3 +105,62 @@ def test_every_definition_is_referenced():
             words, *(refs for other, refs in foreign.items() if other != path))
         found[path.name] = unreferenced(source, used)
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def library_modules(node):
+    """The library modules an import statement names: ``from .a import f``
+    names a and ``from . import a`` names a; absolute imports name none."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return set()
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
+def inner_imports(sources):
+    """The (module, line) of each import inside a function or class of the
+    sources {module name: source}, except those that break a cycle: an
+    import that names only library modules which already reach the
+    importer through module-level imports."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    edges = {name: set().union(*map(library_modules, tree.body))
+             for name, tree in trees.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(edges.get(name, ()))
+        return False
+
+    found = []
+    for name, tree in trees.items():
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and id(node) not in top):
+                named = library_modules(node)
+                if not named or not all(reaches(m, name) for m in named):
+                    found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_inner_imports_are_found():
+    sources = {
+        "a": "from .b import f\ndef g():\n    from .c import h\n"
+             "    import json\n",
+        "b": "def f():\n    from .a import g\n",
+        "c": "def h():\n    from . import b\n",
+    }
+    assert inner_imports(sources) == [("a", 3), ("a", 4), ("c", 2)]
+
+
+def test_function_level_imports_only_break_cycles():
+    """An import inside a function is kept only where the module it names
+    imports the importer, directly or not, at module level."""
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert inner_imports(sources) == []

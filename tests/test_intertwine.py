@@ -25,6 +25,7 @@ from helpers import (
 )
 from test_symplectic import FP_MODULES
 
+from heisenrep.abgroup import subgroup_intersect
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from heisenrep.heisenberg import HeisGrp, g_transport, induce
 from heisenrep.intertwine import (
@@ -543,7 +544,9 @@ def test_rank6_scalars_pinned():
     gives the scalars that the propagation solver gave at 4a36dc2."""
     M = standard_module([(3, 3)])
     lags = enumerate_lagrangians(M)
-    c = {i: CycNum.one(3) if i == 0 else canonical_scalar(M, L, lags[0])
+    B = lags[0]
+    c = {i: CycNum.one(3) if i == 0 else
+         canonical_scalar(M, L, B, subgroup_intersect(L.sub, B.sub))
          for i, L in enumerate(lags)}
     assert scalar_digest(c) == (
         "802716ef1b5ba6f51b87d5805cf10261837cae1c7f21e2e6bab5d3219abab669")
@@ -574,7 +577,8 @@ def test_closed_form_matches_the_propagation_solver(name):
     for B, want in zip(basepoints, propagated_scalars(mods, basepoints)):
         assert sorted(want) == list(range(len(mods)))
         assert exact([[want[B]]]) == exact([[CycNum.one(M.n)]])
-        assert [exact([[canonical_scalar(M, L, lags[B])]])
+        assert [exact([[canonical_scalar(
+                    M, L, lags[B], subgroup_intersect(L.sub, lags[B].sub))]])
                 for i, L in enumerate(lags) if i != B] == \
             [exact([[want[i]]]) for i in range(len(mods)) if i != B], B
 

@@ -6,12 +6,21 @@ from collections import Counter
 from math import isqrt
 
 import pytest
-from dense_oracle import hnf_inverse, isotropic_walk_fp
+from dense_oracle import (
+    act_enhanced_by_elimination,
+    hnf_inverse,
+    isotropic_walk_fp,
+)
 from helpers import lattice_only
 
 from heisenrep import intlin, symplectic
-from heisenrep.abgroup import AbGroup, subgroup_from_gens, zero_subgroup
-from heisenrep.cyclo import root_of_unity
+from heisenrep.abgroup import (
+    AbGroup,
+    subgroup_from_gens,
+    subgroup_intersect,
+    zero_subgroup,
+)
+from heisenrep.cyclo import gauss_sum_quadratic, root_of_unity
 from heisenrep.symplectic import (
     BudgetError,
     EnhLag,
@@ -21,7 +30,6 @@ from heisenrep.symplectic import (
     act_enhanced,
     enhanced_points,
     enumerate_lagrangians,
-    fp_basis,
     gauss_sum,
     identity_aut,
     induced_form,
@@ -206,13 +214,25 @@ def test_schubert_cell_sizes(blocks, sizes):
     order = list(range(0, 2 * r, 2)) + list(range(2 * r - 1, 0, -2))
     cells = Counter()
     for L in enumerate_lagrangians(M):
-        rows = [[row[c] for c in order] for row in fp_basis(L.sub, p)]
+        rows = [[row[c] for c in order] for row in L.sub.echelon()]
         pivots = [row.index(1) for row in intlin.echelon_mod(rows, p)]
         assert sorted(min(j, 2 * r - 1 - j) for j in pivots) == list(range(r))
         cells[frozenset(j for j in pivots if j < r)] += 1
     assert all(count == p ** sum(r - i for i in J)
                for J, count in cells.items())
     assert sorted(cells.values(), reverse=True) == sizes
+
+
+@pytest.mark.parametrize("M", FP_MODULES, ids=repr)
+def test_echelon_is_the_echelon_basis_of_the_span(M):
+    """``Subgroup.echelon`` gives the reduced echelon basis of the span of
+    the generators, for every lagrangian and its meet with basepoint 0."""
+    p = M.n
+    lags = enumerate_lagrangians(M)
+    subs = [L.sub for L in lags]
+    subs += [subgroup_intersect(L.sub, lags[0].sub) for L in lags]
+    for sub in subs:
+        assert sub.echelon() == intlin.echelon_mod(sub.gens(), p)
 
 
 def test_cell_points_are_checked(monkeypatch):
@@ -450,6 +470,18 @@ def test_act_enhanced_identity_and_flip_compat():
         assert act_enhanced(g, pt.flip()) == act_enhanced(g, pt).flip()
 
 
+@pytest.mark.parametrize("M", [FP_MODULES[i] for i in (0, 1, 4, -2, -1)],
+                         ids=repr)
+def test_act_enhanced_matches_elimination(M):
+    """The lift sign read off the pivots of the image equals the one the
+    oracle solves for by elimination, on every enhanced point."""
+    points = [pt for L in enumerate_lagrangians(M)
+              for pt in enhanced_points(L)]
+    for g in sp_sample(M, 11, 6):
+        for pt in points:
+            assert act_enhanced(g, pt) == act_enhanced_by_elimination(g, pt)
+
+
 def test_act_enhanced_is_group_action():
     M = standard_module([(3, 1)])
     sp = sp_enumerate(M)
@@ -473,6 +505,11 @@ def test_gauss_sum_examples():
     g33 = gauss_sum(AbGroup([3, 3]), [[1, 0], [0, 1]])
     assert g33 == (1 + 2 * z3) ** 2
     assert g33 ** 4 == 81
+
+
+def test_gauss_sum_rank_one_is_the_quadratic_gauss_sum():
+    for p in filter(intlin.is_prime, range(3, 48)):
+        assert gauss_sum(AbGroup([p]), [[1]]) == gauss_sum_quadratic(p)
 
 
 def test_gauss_sum_rejections():
