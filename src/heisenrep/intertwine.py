@@ -34,12 +34,11 @@ from .cyclo import (
     gauss_sum_quadratic,
     in_subfield,
     legendre,
-    mul_root,
     root_of_unity,
     sqrt_prime,
 )
 from .heisenberg import HeisGrp, induce
-from .kmat import Packed, PhaseMat, mat_to_json, phase_product
+from .kmat import Packed, PhaseMat, Rotations, mat_to_json
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
     EnhLag,
@@ -154,9 +153,11 @@ class CanonicalSystem:
     lagrangians.
 
     ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
-    matrices, all at the digit width of ``pair_width``, and is the only
-    store of pairs: ``pair`` gives the signed packed pair and ``operator``
-    its dense view.  ``anchored`` reads the phase matrices directly.
+    matrices, all at the digit width of ``pair_width``, and under None
+    that width with the rotations of the scales (``_scales``).  It is the
+    only store of pairs: ``pair`` gives the signed packed pair and
+    ``operator`` its dense view.  ``anchored`` reads the phase matrices
+    directly.
     """
 
     def __init__(self, module, enh_module, lags, enh_lags, base_index,
@@ -173,7 +174,6 @@ class CanonicalSystem:
         self.c = c
         self.conductor = conductor
         self._pair_cache = {}
-        self._pair_width = None
 
     @property
     def count(self):
@@ -194,10 +194,10 @@ class CanonicalSystem:
         j, f = l0
         base = self._pair_cache.get((i, j))
         if base is None:
-            w = self.pair_width()
+            w, top_of, bottom_of, scales = self._scales()
             base = Packed.identity(self.modules[i].dim, self.conductor, w) \
-                if i == j else phase_product(self.T_LB[i], self.T_LB[j], (
-                    self.c[i] / (self.c[j] * self.delta[j])), w)
+                if i == j else scales[top_of[i], bottom_of[j]].product(
+                    self.T_LB[i], self.T_LB[j], w)
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else -base
 
@@ -207,27 +207,39 @@ class CanonicalSystem:
 
     def pair_width(self):
         """The digit width of every pair, made once, covering the products
-        and comparisons of any two pairs (``kmat`` module notes).  A pair is
-        the identity or s * T_LB[i] T_LB[j]^H with s = c_i / (c_j delta_j),
-        of height dim * h (h the largest coefficient of a rotation of s)
-        over s.den, and s = 1 at i = j = B.  So the largest height H and
+        and comparisons of any two pairs (``kmat`` module notes: a row of a
+        pair is one int of 2N-digit slots, and the width bounds each digit
+        of a slot, so it does not depend on the slots).  A pair is the
+        identity or s * T_LB[i] T_LB[j]^H with s = c_i / (c_j delta_j), of
+        height dim * h (h the largest coefficient of a rotation of s) over
+        s.den, and s = 1 at i = j = B.  So the largest height H and
         denominator D come from the distinct c_i and c_j delta_j alone, and
         with N the lcm of the conductors, a product of two pairs compared
         with a third has digits at most dim N H^2 D + H D^2."""
-        if self._pair_width is None:
+        return self._scales()[0]
+
+    def _scales(self):
+        """(``pair_width``, the index of c_i among the distinct c for each
+        i, the index of c_j delta_j among the distinct c delta for each j,
+        the ``kmat.Rotations`` of each quotient of the two keyed by the two
+        indices).  Kept in ``_pair_cache`` under None, so that emptying the
+        cache drops them with the pairs."""
+        got = self._pair_cache.get(None)
+        if got is None:
             n = lcm(*(T.n for T in self.T_LB))
             dim = self.modules[0].dim
-            tops = {(x.n, x.num, x.den): x for x in self.c.values()}
-            bottoms = {(x.n, x.num, x.den): x for x in
-                       (self.c[j] * d for j, d in enumerate(self.delta))}
-            scales = [a / b for a in tops.values() for b in bottoms.values()]
-            N = lcm(n, *(s.n for s in scales))
-            D = max(s.den for s in scales)
-            H = dim * max(abs(x) for s in scales for d in range(n)
-                          for x in mul_root(s, n, d).num)
-            self._pair_width = (dim * N * H * H * D + H * D * D
-                                ).bit_length() + 1
-        return self._pair_width
+            tops, top_of = _distinct(self.c[i] for i in range(self.count))
+            bottoms, bottom_of = _distinct(self.c[j] * d
+                                           for j, d in enumerate(self.delta))
+            scales = {(t, b): Rotations(x / y, n)
+                      for t, x in enumerate(tops)
+                      for b, y in enumerate(bottoms)}
+            N = lcm(n, *(r.scale.n for r in scales.values()))
+            D = max(r.scale.den for r in scales.values())
+            H = dim * max(r.top for r in scales.values())
+            w = (dim * N * H * H * D + H * D * D).bit_length() + 1
+            got = self._pair_cache[None] = (w, top_of, bottom_of, scales)
+        return got
 
     def enhanced_index(self, point):
         i = self._enh_index.get(point.lag.key())
@@ -309,6 +321,19 @@ class CanonicalSystem:
         if 2 * self.count <= 16 and size * size <= PAIR_TABLE_ENTRIES:
             out["pairs"] = self.pair_table_json()["pairs"]
         return out
+
+
+def _distinct(values):
+    """The distinct values, by conductor, coefficients and denominator, in
+    order of first appearance, and the index among them of each value."""
+    index, out, of = {}, [], []
+    for x in values:
+        key = (x.n, x.num, x.den)
+        if key not in index:
+            index[key] = len(out)
+            out.append(x)
+        of.append(index[key])
+    return out, of
 
 
 def standard_pairs(mods, B):

@@ -32,19 +32,38 @@ The standard intertwiners are phase matrices (``PhaseMat``): every entry
 is 0 or one root zeta_n^e, kept per row as (column, exponent) pairs at
 modulus n; ``scaled`` multiplies one by a scalar, one ``mul_root`` per
 exponent.  ``phase_product(a, b, c)`` is c * (a @ b^H) as a ``Packed``
-matrix at N = lcm(c.n, n), n the lcm of the moduli: entry (r, s) adds the
-packed rotation c * zeta_n^(x - y) (made once per product) over the
-columns k where a_rk = zeta_n^x and b_sk = zeta_n^y, so its height is
-inner times the largest coefficient of a rotation.  Its dense view is
+matrix at N = lcm(c.n, n), n the lcm of the moduli.  ``Rotations`` packs
+c * zeta_n^x for each x < n once.  Column k of b is one int, with the
+monomial zeta_n^-y at digit (-y mod n) N / n of slot s for each row s of
+b with b_sk = zeta_n^y; row r of the product is the sum, over the
+columns k where a_rk = zeta_n^x, of the rotation by x times the column
+int of k, folded once.  Each digit then adds one coefficient of a
+rotation per column, so its height is inner times the largest
+coefficient of a rotation.  Its dense view is
 ``scalar_mul(c, mat_mul(a, b^H))``, zero at c.n where no column is shared
 and at N where the sum cancels.
 
-A ``Packed`` matrix holds one int per entry at one conductor N, width w
-and denominator, its height h (no digit exceeds it, h < 2^(w-1)) and per
-row a mask of the entries that may be nonzero.  ``to_dense`` gives a zero
-entry inside the mask the zero of N and one outside the zero of
-conductor ``zero``.  Negation negates the ints; ``moved`` applies a
-GenPerm on each side, rotating each entry's digits once (x^N = 1).
+A ``Packed`` matrix holds one int per row at one conductor N, width w and
+denominator, its column count, its height h (no digit exceeds it,
+h < 2^(w-1)) and per row a mask of the entries that may be nonzero.
+Entry c of a row sits in slot c, 2N digits from digit 2N c on; its
+vector fills the low N digits and the high N are 0.  The row is the
+integer sum of its entries shifted to their slots, so the signed-digit
+codec holds across the row: adding 2^(w-1) to the low N digits of every
+slot makes every digit of the row nonnegative, and an entry is read with
+a shift and a mask (``entry``).  ``to_dense`` gives a zero entry inside
+the mask the zero of N and one outside the zero of conductor ``zero``;
+it, ``moved`` and ``recast`` read the entries at the mask bits only.
+Negation negates each row; ``moved`` applies a GenPerm on each side,
+rotating each entry's digits once (x^N = 1) into its new slot.
+
+Folding.  A product of an entry (N digits) and a row puts a vector of
+2N - 1 digits into each slot, which 2N digits hold, and a sum of such
+products keeps that form while its digits stay in range.  With 2^(w-1)
+added to all 2N digits of every slot, the low N digits of each slot and
+the high N (shifted down by N digits) are read with one mask each, and
+their sum less twice the bias of the low digits is the row mod x^N - 1:
+digit t + N added onto digit t in every slot.
 
 The kernel test.  For N = p^a, x^N - 1 = (x^(N/p) - 1) Phi_N with
 Phi_N = sum over j < p of x^(j N/p), the minimal polynomial of zeta_N.  So
@@ -52,17 +71,26 @@ v is 0 in Q(zeta_N) exactly when v = q Phi_N, deg q < N - phi(N) = N/p:
 the p copies of q do not overlap, so every block of N/p digits of v equals
 the lowest, and equal blocks give v = q Phi_N.  With in-range digits this
 is v == low(v) * sum over j < p of 2^(w j N/p), low(v) the signed lowest
-block.  At N = 1 it is v == 0; any other N raises ValueError.
+block, and the same comparison tests every slot of a row at once: low(v)
+holds the lowest block of each slot, and the p copies of a slot's block
+stay inside its low N digits.  low(v) is read by adding 2^(w-1) to all N
+low digits of every slot, masking the lowest block of each slot and
+taking the bias of the block back off.  Biasing the block digits alone
+would not do: when the highest nonzero digit of a slot lies above its
+lowest block and is negative, all that lies below the next slot sums to
+a negative number, which borrows one from that slot's lowest block, so a
+vanishing slot there reads as nonzero.  At N = 1 it is v == 0; any other
+N raises ValueError.
 
-Widths.  ``a @ b`` adds the products of the ints of row i of a and
-column j of b where the masks allow entry (i, j), and folds digit t + N
-onto t.  A digit, folded or not, sums a_ik[u] b_kj[v] over k and at most N
-pairs (u, v): the product has height inner * N * h_a * h_b over d_a d_b.
-a == b tests x * d_b - y * d_a, with digits at most h_a d_b + h_b d_a.
-Both first bring their operands to the lcm of the conductors and to a
-width covering the bound, repacking any narrower one, so a narrow width
-costs time, never a wrong answer; ``CanonicalSystem.pair_width`` covers
-the widest pairs of a system, so its checks never repack.
+Widths.  ``a @ b`` adds, for each k in the mask of row i of a, entry
+(i, k) times row k of b, and folds the row.  A digit, folded or not, sums
+a_ik[u] b_kj[v] over k and at most N pairs (u, v): the product has height
+inner * N * h_a * h_b over d_a d_b.  a == b tests x * d_b - y * d_a for
+each pair of rows, with digits at most h_a d_b + h_b d_a.  Both first
+bring their operands to the lcm of the conductors and to a width
+covering the bound, repacking any narrower one, so a narrow width costs
+time, never a wrong answer; ``CanonicalSystem.pair_width`` covers the
+widest pairs of a system, so its checks never repack.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
@@ -399,36 +427,59 @@ class PhaseMat:
 def phase_product(a, b, scale, width=0):
     """scale * (a @ b^H) for phase matrices a and b, as a ``Packed`` matrix
     of digit width at least ``width``; see the module notes."""
-    if a.cols != b.cols:
-        raise ValueError("cannot multiply a %dx%d matrix by the adjoint of a "
-                         "%dx%d matrix" % (len(a.rows), a.cols, len(b.rows),
-                                           b.cols))
-    n = lcm(a.n, b.n)
-    s, t = n // a.n, n // b.n
-    rots = [mul_root(scale, n, d).num for d in range(n)]
-    height = a.cols * max(abs(c) for rot in rots for c in rot)
-    w = max(width, height.bit_length() + 1)
-    places = range(0, w * len(rots[0]), w)
-    # indexed by x - y in (-n, n): a negative index is the rotation x - y + n
-    packed = [sum(map(lshift, rot, places)) for rot in rots]
-    rows_b = [[(k, t * y) for k, y in row] for row in b.rows]
-    xs = [None] * a.cols
-    rows, masks = [], []
-    for row in a.rows:
-        for k, x in row:
-            xs[k] = s * x
-        new, mask = [], 0
-        for col, row_b in enumerate(rows_b):
-            terms = [packed[x - y] for k, y in row_b
-                     if (x := xs[k]) is not None]
-            new.append(sum(terms))
-            mask |= bool(terms) << col
-        rows.append(new)
-        masks.append(mask)
-        for k, _x in row:
-            xs[k] = None
-    return Packed(rows, masks, lcm(scale.n, n), scale.den, w, height,
-                  scale.n)
+    return Rotations(scale, lcm(a.n, b.n)).product(a, b, width)
+
+
+class Rotations:
+    """The factors of ``phase_product``: scale * zeta_n^d for each d < n,
+    as coefficient lists at conductor lcm(scale.n, n) over scale.den, and
+    ``top``, their largest coefficient.  ``product`` packs them at its
+    width and keeps the ints for the next product at that width."""
+
+    __slots__ = ("scale", "n", "nums", "top", "_width", "_ints")
+
+    def __init__(self, scale, n):
+        self.scale, self.n = scale, n
+        self.nums = [mul_root(scale, n, d).num for d in range(n)]
+        self.top = max(abs(c) for num in self.nums for c in num)
+        self._width = self._ints = None
+
+    def product(self, a, b, width=0):
+        """scale * (a @ b^H) for phase matrices a and b whose moduli divide
+        n, of digit width at least ``width``: row r sums, over the nonzero
+        columns k of row r of a, the packed rotation by a_rk times the
+        column int of b at k, then folds once."""
+        if a.cols != b.cols:
+            raise ValueError("cannot multiply a %dx%d matrix by the adjoint of "
+                             "a %dx%d matrix" % (len(a.rows), a.cols,
+                                                 len(b.rows), b.cols))
+        n, scale = self.n, self.scale
+        N = lcm(scale.n, n)
+        s, t, step = n // a.n, n // b.n, N // n
+        height = a.cols * self.top
+        w = max(width, height.bit_length() + 1)
+        if w != self._width:
+            places = range(0, w * len(self.nums[0]), w)
+            self._ints = [sum(map(lshift, num, places)) for num in self.nums]
+            self._width = w
+        rots, slot = self._ints, 2 * N * w
+        # column k of b: zeta_n^-y at digit (-y mod n) * N / n of slot c for
+        # each row c of b with b_ck = zeta_n^y
+        col_ints, col_masks = [0] * a.cols, [0] * a.cols
+        for c, row in enumerate(b.rows):
+            for k, y in row:
+                col_ints[k] += 1 << slot * c + w * step * (-t * y % n)
+                col_masks[k] |= 1 << c
+        cols = len(b.rows)
+        rows, masks = [], []
+        for row in a.rows:
+            acc = mask = 0
+            for k, x in row:
+                acc += rots[s * x] * col_ints[k]
+                mask |= col_masks[k]
+            rows.append(_fold(acc, N, w, cols) if acc else 0)
+            masks.append(mask)
+        return Packed(rows, cols, masks, N, scale.den, w, height, scale.n)
 
 
 @lru_cache(maxsize=None)
@@ -446,6 +497,31 @@ def _digits(x, w, count):
 
 
 @lru_cache(maxsize=None)
+def _row_form(n, w, cols):
+    """A row of ``cols`` slots of 2n digits of width w: (the slot width in
+    bits, the sum over the slots c of 2^(slot width * c), 2^(w-1) in the
+    low n digits of every slot, the mask of those digits); see the module
+    notes."""
+    slot = 2 * n * w
+    spread = sum(1 << slot * c for c in range(cols))
+    return slot, spread, _offset(w, n) * spread, ((1 << w * n) - 1) * spread
+
+
+def _fold(acc, n, w, cols):
+    """The row ``acc``, whose slots hold 2n digits, folded mod x^n - 1:
+    digit t + n of each slot added onto digit t."""
+    _slot, _spread, off, low = _row_form(n, w, cols)
+    acc += off + (off << w * n)
+    return (acc & low) + (acc >> w * n & low) - 2 * off
+
+
+@lru_cache(maxsize=4096)
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+@lru_cache(maxsize=None)
 def _blocks(n, w):
     """(block length N/p, sum over j < p of 2^(w j N/p)) for the kernel
     test at conductor n = p^a, and (0, 0) at n = 1; see the module notes."""
@@ -459,14 +535,6 @@ def _blocks(n, w):
     return block, sum(1 << (w * j * block) for j in range(p))
 
 
-def _vanishes(v, n, w):
-    """Whether the packed vector v is 0 in Q(zeta_n): every block of n/p
-    digits equals the lowest one."""
-    block, repeat = _blocks(n, w)
-    off = _offset(w, block)
-    return v == (((v + off) & ((1 << w * block) - 1)) - off) * repeat
-
-
 def _aligned(mats, need):
     """``mats`` at the lcm of their conductors and at one width, the
     largest of theirs and ``need``."""
@@ -476,47 +544,78 @@ def _aligned(mats, need):
 
 
 class Packed:
-    """A matrix over Q(zeta_n) as one int per entry over one denominator,
-    with its digit width, height and row masks; see the module notes."""
+    """A matrix over Q(zeta_n) as one int per row over one denominator,
+    with its column count, digit width, height and row masks; see the
+    module notes."""
 
-    __slots__ = ("rows", "masks", "n", "den", "width", "height", "zero")
+    __slots__ = ("rows", "cols", "masks", "n", "den", "width", "height",
+                 "zero")
 
-    def __init__(self, rows, masks, n, den, width, height, zero):
-        self.rows, self.masks, self.n, self.den = rows, masks, n, den
+    def __init__(self, rows, cols, masks, n, den, width, height, zero):
+        self.rows, self.cols, self.masks = rows, cols, masks
+        self.n, self.den = n, den
         self.width, self.height, self.zero = width, height, zero
+
+    @classmethod
+    def from_entries(cls, entries, masks, n, den, width, height, zero):
+        """The matrix whose entry (i, j) is the int ``entries[i][j]`` of n
+        signed digits of width ``width``, as ``entry`` reads it."""
+        slot = 2 * n * width
+        rows = [sum(x << slot * j for j, x in enumerate(row))
+                for row in entries]
+        return cls(rows, len(entries[0]) if entries else 0, masks, n, den,
+                   width, height, zero)
+
+    def entry(self, i, j):
+        """Entry (i, j) as one int: its n signed digits of width ``width``,
+        digit t the coefficient of x^t."""
+        return self._entries(self.rows[i], 1 << j)[0][1]
+
+    def _entries(self, row, mask):
+        """(j, entry j) of a row for each j in ``mask``."""
+        n, w = self.n, self.width
+        slot, _spread, off, _low = _row_form(n, w, self.cols)
+        row += off
+        full, half = (1 << w * n) - 1, _offset(w, n)
+        return [(j, (row >> slot * j & full) - half) for j in _bits(mask)]
 
     @staticmethod
     def identity(dim, n, width):
         """The identity at conductor n, its zeros of conductor n too."""
-        return Packed([[int(i == j) for j in range(dim)] for i in range(dim)],
+        slot = 2 * n * width
+        return Packed([1 << slot * i for i in range(dim)], dim,
                       [1 << i for i in range(dim)], n, 1, width, 1, n)
 
     def recast(self, n, width):
         """self at conductor n, a multiple of self.n, and digit width
         ``width``: digit t moves to digit t * n / self.n."""
         places = range(0, width * n, width * (n // self.n))
-        rows = [[sum(map(lshift, _digits(x, self.width, self.n), places))
-                 for x in row] for row in self.rows]
-        return Packed(rows, self.masks, n, self.den, width, self.height,
-                      self.zero)
+        slot = 2 * n * width
+        rows = [sum(sum(map(lshift, _digits(x, self.width, self.n), places))
+                    << slot * j for j, x in self._entries(row, mask))
+                for row, mask in zip(self.rows, self.masks)]
+        return Packed(rows, self.cols, self.masks, n, self.den, width,
+                      self.height, self.zero)
 
     def to_dense(self):
-        """The dense matrix, each entry reduced once by ``from_powers``."""
+        """The dense matrix, each entry reduced once by ``from_powers``; a
+        zero inside the mask is the one zero of conductor n."""
         n, w, den = self.n, self.width, self.den
         missed = CycNum.zero(self.zero)
         cancelled = missed if n == self.zero else CycNum.zero(n)
         out = []
         for row, mask in zip(self.rows, self.masks):
-            new = []
-            for j, x in enumerate(row):
-                new.append(from_powers(n, enumerate(_digits(x, w, n)), den)
-                           if x else cancelled if mask >> j & 1 else missed)
+            new = [missed] * self.cols
+            for j, x in self._entries(row, mask):
+                x = from_powers(n, enumerate(_digits(x, w, n)), den) if x \
+                    else cancelled
+                new[j] = x if any(x.num) else cancelled
             out.append(new)
         return out
 
     def __neg__(self):
-        return Packed([[-x for x in row] for row in self.rows], self.masks,
-                      self.n, self.den, self.width, self.height, self.zero)
+        return Packed([-x for x in self.rows], self.cols, self.masks, self.n,
+                      self.den, self.width, self.height, self.zero)
 
     def moved(self, left, right):
         """left @ self @ right for GenPerms left and right: entry (r, c)
@@ -525,57 +624,57 @@ class Packed:
         n = lcm(self.n, left.n, right.n)
         a = self if n == self.n else self.recast(n, self.width)
         w, s, t = a.width, n // left.n, n // right.n
+        slot = 2 * n * w
         off, full = _offset(w, n), (1 << w * n) - 1
-        cols = [(c, t * f) for c, f in zip(right.perm, right.expo)]
-        rows, masks = [None] * len(a.rows), [0] * len(a.rows)
+        to = [None] * right.dim
+        for j, (c, f) in enumerate(zip(right.perm, right.expo)):
+            to[c] = (j, t * f)
+        rows, masks = [0] * len(a.rows), [0] * len(a.rows)
         for i, e, row, mask in zip(left.perm, left.expo, a.rows, a.masks):
-            new = []
-            for j, (c, f) in enumerate(cols):
-                x = row[c]
+            acc = new = 0
+            for c, x in a._entries(row, mask):
+                j, f = to[c]
                 if x:
                     d, x = (s * e + f) % n, x + off
                     x = ((x << w * d) & full | x >> w * (n - d)) - off
-                new.append(x)
-                masks[i] |= (mask >> c & 1) << j
-            rows[i] = new
-        return Packed(rows, masks, n, a.den, w, a.height, a.zero)
+                    acc += x << slot * j
+                new |= 1 << j
+            rows[i], masks[i] = acc, new
+        return Packed(rows, right.dim, masks, n, a.den, w, a.height, a.zero)
 
     def __matmul__(self, other):
-        """self @ other, folded mod x^N - 1, over self.den * other.den."""
+        """self @ other, folded mod x^N - 1, over self.den * other.den: row
+        i adds entry (i, k) times row k of other for each k in row i's
+        mask."""
         inner = len(other.rows)
         n = lcm(self.n, other.n)
         height = inner * n * self.height * other.height
         a, b = _aligned([self, other], height.bit_length() + 1)
-        w = a.width
-        cols = list(zip(*b.rows))
-        off = _offset(w, 2 * n - 1)
-        low, off_low, off_high = (1 << w * n) - 1, _offset(w, n), \
-            _offset(w, n - 1)
+        w, b_rows, b_masks = a.width, b.rows, b.masks
         rows, masks = [], []
         for row, mask in zip(a.rows, a.masks):
-            reach = 0
-            for k, m in enumerate(b.masks):
-                if mask >> k & 1:
-                    reach |= m
-            new = [0] * len(cols)
-            for j, col in enumerate(cols):
-                if reach >> j & 1:
-                    acc = sum(map(mul, row, col)) + off
-                    new[j] = (acc & low) - off_low + (acc >> w * n) - off_high
-            rows.append(new)
+            acc = reach = 0
+            for k, x in a._entries(row, mask):
+                acc += x * b_rows[k]
+                reach |= b_masks[k]
+            rows.append(_fold(acc, n, w, b.cols) if acc else 0)
             masks.append(reach)
-        return Packed(rows, masks, n, a.den * b.den, w, height, 1)
+        return Packed(rows, b.cols, masks, n, a.den * b.den, w, height, 1)
 
     def __eq__(self, other):
-        """Exact equality of values, entry by entry through the kernel test;
-        matrices of different shapes are unequal."""
+        """Exact equality of values, a row at a time through the kernel
+        test; matrices of different shapes are unequal."""
         if not isinstance(other, Packed):
             return NotImplemented
-        if list(map(len, self.rows)) != list(map(len, other.rows)):
+        if (len(self.rows), self.cols) != (len(other.rows), other.cols):
             return False
         need = self.height * other.den + other.height * self.den
         a, b = _aligned([self, other], need.bit_length() + 1)
-        n, w, da, db = a.n, a.width, a.den, b.den
-        _blocks(n, w)
-        return all(_vanishes(v, n, w) for ra, rb in zip(a.rows, b.rows)
-                   for x, y in zip(ra, rb) if (v := x * db - y * da))
+        w, da, db = a.width, a.den, b.den
+        block, repeat = _blocks(a.n, w)
+        # the lowest block of every slot and 2^(w-1) in its digits
+        _slot, spread, off, _low = _row_form(a.n, w, a.cols)
+        low = ((1 << w * block) - 1) * spread
+        off_low = _offset(w, block) * spread
+        return all(v == (((v + off) & low) - off_low) * repeat
+                   for x, y in zip(a.rows, b.rows) if (v := x * db - y * da))

@@ -63,7 +63,12 @@ def packed_rows(vectors, n, den=1):
             for row in vectors]
     masks = [sum(1 << j for j, v in enumerate(row) if any(v))
              for row in vectors]
-    return Packed(rows, masks, n, den, w, height, n)
+    return Packed.from_entries(rows, masks, n, den, w, height, n)
+
+
+def packed_entries(P):
+    """The entries of ``P`` as ints, read one at a time by ``Packed.entry``."""
+    return [[P.entry(i, j) for j in range(P.cols)] for i in range(len(P.rows))]
 
 
 def packed_of(dense, n):

@@ -9,6 +9,7 @@ from dense_oracle import (
 )
 from helpers import (
     conj_transpose,
+    packed_entries,
     packed_of,
     packed_rows,
     shared_zeros,
@@ -522,7 +523,8 @@ def test_packed_neg_is_entrywise_and_keeps_masks(a):
     out = -packed
     assert mat_eq(out.to_dense(), [[-x for x in row] for row in a])
     assert out.masks == packed.masks
-    assert [[-x for x in row] for row in out.rows] == packed.rows
+    assert [[-x for x in row] for row in packed_entries(out)] == \
+        packed_entries(packed)
 
 
 def test_kron_empty_factors():
@@ -600,7 +602,7 @@ def test_genperm_equality_across_conductors():
     assert GenPerm([1, 0], [0, 0], 3) != GenPerm([0, 1], [0, 0], 3)
 
 
-PACKED_CONDUCTORS = [3, 5, 7, 9, 25, 27]
+PACKED_CONDUCTORS = [1, 3, 5, 7, 9, 25, 27]
 
 
 def _divisors(n):
@@ -617,46 +619,71 @@ def _vector(x, n):
 
 @st.composite
 def packed_values(draw):
-    """(n, u, du, v, dv): digit vectors u/du and v/dv at conductor n = p^a,
-    often equal values whose vectors differ by a multiple of Phi_n."""
+    """(n, us, du, vs, dv): two matrices of one shape, of digit vectors over
+    du and dv at conductor n = p^a or 1, entry for entry often equal values
+    whose vectors differ by a multiple of Phi_n, and often zero or
+    vanishing entries beside entries with negative digits."""
     n = draw(st.sampled_from(PACKED_CONDUCTORS))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     height = draw(st.sampled_from([1, 9, 2 ** 40]))
-    x = draw(entries(height, _divisors(n)))
-    u, du = _vector(x, n), x.den
-    kind = draw(st.sampled_from(["same", "rescaled", "other", "near"]))
-    if kind == "other":
-        y = draw(entries(height, _divisors(n)))
-        v, dv = _vector(y, n), y.den
-    else:
-        scale = draw(st.integers(1, 5)) if kind == "rescaled" else 1
-        v, dv = [c * scale for c in u], du * scale
-        if kind == "near":
-            t = draw(st.integers(0, n - 1))
-            v[t] += draw(st.sampled_from([-1, 1]))
-    # add q * Phi_n: Phi_n is 1 at every multiple of n / p
+    du = draw(st.sampled_from([1, 2, 7, 12]))
+    scale = draw(st.integers(1, 5))
     phi = cyclotomic_poly(n)
-    q = draw(st.lists(st.integers(-height, height), min_size=n - len(phi) + 1,
-                      max_size=n - len(phi) + 1))
-    for s, c in enumerate(q):
-        for e, f in enumerate(phi):
-            v[s + e] += c * f
-    return n, u, du, v, dv
+    us, vs = [], []
+    for _ in range(rows * cols):
+        kind = draw(st.sampled_from(["zero", "vanishing", "same", "other",
+                                     "near"]))
+        u = [0] * n
+        if kind not in ("zero", "vanishing"):
+            u = _vector(draw(entries(height, _divisors(n))), n)
+        v = [c * scale for c in u]
+        if kind == "other":
+            v = _vector(draw(entries(height, _divisors(n))), n)
+        elif kind == "near":
+            v[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+        if kind != "zero":
+            # add q * Phi_n: Phi_n is 1 at every multiple of n / p
+            q = draw(st.lists(st.integers(-height, height),
+                              min_size=n - len(phi) + 1,
+                              max_size=n - len(phi) + 1))
+            for s, c in enumerate(q):
+                for e, f in enumerate(phi):
+                    v[s + e] += c * f
+        us.append(u)
+        vs.append(v)
+    return (n, [us[r * cols:(r + 1) * cols] for r in range(rows)], du,
+            [vs[r * cols:(r + 1) * cols] for r in range(rows)], du * scale)
 
 
 @settings(max_examples=300, deadline=None)
 @given(packed_values())
 def test_packed_equality_matches_cyclotomic_equality(values):
-    """The kernel test agrees with CycNum equality of the values the
+    """The row kernel test agrees with ``mat_eq`` of the values the
     vectors reduce to, also when the vectors differ by a multiple of
-    Phi_n and when the two are packed at different widths."""
+    Phi_n, when a vanishing entry sits beside one with negative digits and
+    when the two are packed at different widths."""
     from heisenrep.cyclo import from_powers
 
-    n, u, du, v, dv = values
-    a, b = packed_rows([[u]], n, du), packed_rows([[v]], n, dv)
-    want = from_powers(n, enumerate(u), du) == from_powers(n, enumerate(v), dv)
+    n, us, du, vs, dv = values
+    a, b = packed_rows(us, n, du), packed_rows(vs, n, dv)
+    want = mat_eq(*([[from_powers(n, enumerate(u), d) for u in row]
+                     for row in mat] for mat, d in ((us, du), (vs, dv))))
     assert (a == b) is want
     assert (b == a) is want
     assert (-a == -b) is want
+
+
+def test_packed_row_kernel_test_does_not_borrow_across_slots():
+    """Two vanishing entries in one row, -Phi_9 and Phi_9: the highest digit
+    of slot 0 outside its lowest block is -1, so with the bias on the block
+    digits alone slot 1's lowest block would read 0, not 1, and the row
+    would read as nonzero."""
+    phi = cyclotomic_poly(9)
+    zero = packed_rows([[[0] * 9, [0] * 9]], 9)
+    row = packed_rows([[[-c for c in phi], phi]], 9)
+    assert row == zero and zero == row and -row == zero
+    assert not packed_rows([[[-c for c in phi], [1] + [0] * 8]], 9) == zero
+    assert not packed_rows([[[-1] + [0] * 8, phi]], 9) == zero
 
 
 def test_packed_kernel_test_needs_a_prime_power():
@@ -671,18 +698,33 @@ def test_packed_kernel_test_needs_a_prime_power():
     assert one == two and not one == -two
 
 
+def test_packed_matrices_of_different_shapes_are_unequal():
+    one = [1, 0, 0]
+    assert not packed_rows([[one]], 3) == packed_rows([[one], [one]], 3)
+    assert not packed_rows([[one]], 3) == packed_rows([[one, [0] * 3]], 3)
+    assert packed_rows([[one, [0] * 3]], 3) == packed_rows([[one, [0] * 3]], 3)
+
+
 @st.composite
 def packed_products(draw):
     """(n, a, b): dense matrices whose entries have conductors dividing
-    n = p^a, with conforming shapes."""
-    n = draw(st.sampled_from([3, 9, 25, 27]))
-    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    n = p^a or 1, with conforming shapes, the inner and column counts
+    possibly 0 and the rows possibly sparse."""
+    n = draw(st.sampled_from([1, 3, 9, 25, 27]))
+    rows, inner, cols = (draw(st.integers(1, 4)), draw(st.integers(0, 4)),
+                         draw(st.integers(0, 4)))
     height = draw(st.sampled_from([1, 5, 2 ** 31]))
     conds = _divisors(n)
-    a = [[draw(entries(height, conds)) for _ in range(inner)]
-         for _ in range(rows)]
-    b = [[draw(entries(height, conds)) for _ in range(cols)]
-         for _ in range(inner)]
+    # one entry in ``sparse`` is drawn, the others are zeros
+    sparse = draw(st.sampled_from([1, 4]))
+
+    def entry():
+        if draw(st.integers(0, sparse - 1)):
+            return CycNum.zero(draw(st.sampled_from(conds)))
+        return draw(entries(height, conds))
+
+    a = [[entry() for _ in range(inner)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(inner)]
     return n, a, b
 
 
@@ -700,3 +742,27 @@ def test_packed_product_matches_mat_mul(nab):
         bad = [list(row) for row in want]
         bad[i][j] = -bad[i][j]
         assert not got == packed_of(bad, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_products(), st.integers(-30, 30), st.integers(-30, 30),
+       st.sampled_from([1, 3]))
+def test_packed_entries_negation_and_moves_match_scalar_mul(nab, e, f, m):
+    """``to_dense``, ``-`` and ``moved`` along two GenPerms that keep every
+    position (one exponent on each side) are ``scalar_mul`` of the dense
+    matrix by 1, -1 and zeta_n^e zeta_(mn)^f, masks kept; ``entry`` reads
+    back what ``from_entries`` packed."""
+    n, a, _b = nab
+    packed = packed_of(a, n)
+    rows, cols = len(a), len(a[0])
+    assert mat_eq(packed.to_dense(), scalar_mul(CycNum.one(1), a))
+    assert mat_eq((-packed).to_dense(), scalar_mul(-CycNum.one(1), a))
+    left = GenPerm(range(rows), [e] * rows, n)
+    right = GenPerm(range(cols), [f] * cols, m * n)
+    moved = packed.moved(left, right)
+    root = root_of_unity(n, e) * root_of_unity(m * n, f)
+    assert mat_eq(moved.to_dense(), scalar_mul(root, a))
+    assert moved.masks == (-packed).masks == packed.masks
+    again = Packed.from_entries(packed_entries(packed), packed.masks, n,
+                                packed.den, packed.width, packed.height, n)
+    assert again.rows == packed.rows

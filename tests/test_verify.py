@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from helpers import check_inverse_symmetry
+from helpers import check_inverse_symmetry, packed_entries
 
 from dense_oracle import anchored_entries_in_field
 
@@ -219,17 +219,17 @@ def checked_system(request):
 def _entry_times_root(P, i, j):
     """P with entry (i, j) multiplied by zeta_N: its digits rotated by one."""
     n, w = P.n, P.width
-    digits = _digits(P.rows[i][j], w, n)
-    rows = [list(row) for row in P.rows]
+    digits = _digits(P.entry(i, j), w, n)
+    rows = packed_entries(P)
     rows[i][j] = sum(c << (w * t) for t, c in
                      enumerate(digits[-1:] + digits[:-1]))
-    return Packed(rows, P.masks, n, P.den, w, P.height, P.zero)
+    return Packed.from_entries(rows, P.masks, n, P.den, w, P.height, P.zero)
 
 
 def _tamper(P, how):
     """P changed one way, in its format: every change keeps the masks over
     the nonzero entries and the digits within the height."""
-    rows, masks, den = [list(row) for row in P.rows], list(P.masks), P.den
+    rows, masks, den = packed_entries(P), list(P.masks), P.den
     i, j = next((i, j) for i, row in enumerate(rows)
                 for j, x in enumerate(row) if x)
     if how == "negate an entry":
@@ -248,7 +248,8 @@ def _tamper(P, how):
         rows[i] = rows[i][-1:] + rows[i][:-1]
         cols = len(rows[i])
         masks[i] = (masks[i] << 1 | masks[i] >> (cols - 1)) & ((1 << cols) - 1)
-    return Packed(rows, masks, P.n, den, P.width, P.height, P.zero)
+    return Packed.from_entries(rows, masks, P.n, den, P.width, P.height,
+                               P.zero)
 
 
 TAMPERS = ["negate an entry", "times zeta_N", "double the denominator",
@@ -266,7 +267,7 @@ def test_a_tampered_cached_pair_fails_with_its_witness(checked_system, how):
     assert check_system_axioms(sys, level="light", seed=1, **kwargs).ok()
     key = (1, 0)
     if how == "zero made nonzero" and all(
-            all(row) for row in sys.pair((1, 1), (0, 1)).rows):
+            all(row) for row in packed_entries(sys.pair((1, 1), (0, 1)))):
         key = (1, 1)
     sys._pair_cache[key] = _tamper(sys.pair((key[0], 1), (key[1], 1)), how)
     try:
@@ -281,6 +282,29 @@ def test_a_tampered_cached_pair_fails_with_its_witness(checked_system, how):
         triple = _witness(report, "transitivity over enhanced triples")
         assert key in {(triple[0][0], triple[1][0]), (triple[1][0], triple[2][0]),
                        (triple[0][0], triple[2][0])}, triple
+
+
+@pytest.mark.parametrize("blocks", [[(3, 2)], [(9, 1), (3, 1)]])
+def test_checked_pairs_sit_at_the_pair_width(blocks, monkeypatch):
+    """After the light check on (Z/3)^4 and on the lifted (Z/9)^2+(Z/3)^2
+    every cached pair is at ``pair_width`` and at the system conductor, and
+    no operand of a product or comparison was repacked."""
+    M = standard_module(blocks)
+    pi = canonrep.build_pi(M, system_verify="none")
+    sys = pi.system
+    kwargs = {} if sys is pi.system_c else {"equivariance_pairs": [
+        (g, g_to_gc(pi.red, g)) for g in sp_sample(M, 3, 4)]}
+    recasts = []
+    recast = Packed.recast
+    monkeypatch.setattr(Packed, "recast", lambda P, n, width: (
+        recasts.append((n, width)) or recast(P, n, width)))
+    sys._pair_cache.clear()
+    assert check_system_axioms(sys, level="light", **kwargs).ok()
+    pairs = [P for key, P in sys._pair_cache.items() if key is not None]
+    assert len(pairs) > sys.count
+    assert {(P.width, P.n) for P in pairs} == {(sys.pair_width(),
+                                                sys.conductor)}
+    assert recasts == []
 
 
 def test_a_wrong_sign_fails_genuineness_with_its_pair(checked_system,
