@@ -148,16 +148,16 @@ class CanonicalSystem:
     +-G_p^(-k) for k = dim L_i / (L_i cap L_B).
 
     For a reduced module the same structure holds with the enhanced points
-    living on the elementary quotient while the operators act upstairs; the
-    ``lag_of`` table maps enhanced-point indices to operator-level
-    lagrangians.
+    living on the elementary quotient while the operators act upstairs:
+    ``lags[i]``, a lagrangian of the operator module, and ``enh_lags[i]``,
+    one of M_c, share the index i.
 
     ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
-    matrices, all at the digit width of ``pair_width``, and under None
-    that width with the rotations of the scales (``_scales``).  It is the
-    only store of pairs: ``pair`` gives the signed packed pair and
-    ``operator`` its dense view.  ``anchored`` reads the phase matrices
-    directly.
+    matrices, all of one form: one conductor N and the digit width of
+    ``pair_width``.  Under None it holds that width, N and the rotations
+    of the scales (``_scales``).  It is the only store of pairs: ``pair``
+    gives the signed packed pair and ``operator`` its dense view.
+    ``anchored`` reads the phase matrices directly.
     """
 
     def __init__(self, module, enh_module, lags, enh_lags, base_index,
@@ -194,9 +194,9 @@ class CanonicalSystem:
         j, f = l0
         base = self._pair_cache.get((i, j))
         if base is None:
-            w, top_of, bottom_of, scales = self._scales()
-            base = Packed.identity(self.modules[i].dim, self.conductor, w) \
-                if i == j else scales[top_of[i], bottom_of[j]].product(
+            w, N, top_of, bottom_of, scales = self._scales()
+            base = Packed.identity(self.modules[i].dim, N, w) if i == j \
+                else scales[top_of[i], bottom_of[j]].product(
                     self.T_LB[i], self.T_LB[j], w)
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else -base
@@ -214,31 +214,36 @@ class CanonicalSystem:
         height dim * h (h the largest coefficient of a rotation of s) over
         s.den, and s = 1 at i = j = B.  So the largest height H and
         denominator D come from the distinct c_i and c_j delta_j alone, and
-        with N the lcm of the conductors, a product of two pairs compared
-        with a third has digits at most dim N H^2 D + H D^2."""
+        with N the one conductor of the pairs, a product of two pairs
+        compared with a third has digits at most dim N H^2 D + H D^2.  A
+        check of pairs of this one form and width needs no other."""
         return self._scales()[0]
 
     def _scales(self):
-        """(``pair_width``, the index of c_i among the distinct c for each
-        i, the index of c_j delta_j among the distinct c delta for each j,
-        the ``kmat.Rotations`` of each quotient of the two keyed by the two
-        indices).  Kept in ``_pair_cache`` under None, so that emptying the
-        cache drops them with the pairs."""
+        """(``pair_width``, the one conductor N of the pairs, the index of
+        c_i among the distinct c for each i, the index of c_j delta_j among
+        the distinct c delta for each j, the ``kmat.Rotations`` of each
+        quotient of the two keyed by the two indices).  N is the lcm of the
+        moduli of the T_LB and of the conductors of the quotients, fixed
+        before any rotation is made, and every rotation is made at N, so
+        each product, as each identity, is at N.  Kept in ``_pair_cache``
+        under None, so that emptying the cache drops them with the
+        pairs."""
         got = self._pair_cache.get(None)
         if got is None:
-            n = lcm(*(T.n for T in self.T_LB))
             dim = self.modules[0].dim
             tops, top_of = _distinct(self.c[i] for i in range(self.count))
             bottoms, bottom_of = _distinct(self.c[j] * d
                                            for j, d in enumerate(self.delta))
-            scales = {(t, b): Rotations(x / y, n)
-                      for t, x in enumerate(tops)
-                      for b, y in enumerate(bottoms)}
-            N = lcm(n, *(r.scale.n for r in scales.values()))
-            D = max(r.scale.den for r in scales.values())
+            quotients = {(t, b): x / y for t, x in enumerate(tops)
+                         for b, y in enumerate(bottoms)}
+            N = lcm(*(T.n for T in self.T_LB),
+                    *(s.n for s in quotients.values()))
+            scales = {key: Rotations(s, N) for key, s in quotients.items()}
+            D = max(s.den for s in quotients.values())
             H = dim * max(r.top for r in scales.values())
             w = (dim * N * H * H * D + H * D * D).bit_length() + 1
-            got = self._pair_cache[None] = (w, top_of, bottom_of, scales)
+            got = self._pair_cache[None] = (w, N, top_of, bottom_of, scales)
         return got
 
     def enhanced_index(self, point):
@@ -356,7 +361,7 @@ def standard_pairs(mods, B):
 
     delta[i] is the subgroup index [L_i : L_i cap L_B], so no composite is
     formed; the transitivity check of ``check_system_axioms`` multiplies
-    the operators densely and catches a wrong delta.
+    the packed pairs and catches a wrong delta.
 
     On an elementary module F_p^2r the T_LB[i] are read off echelon bases,
     elsewhere each is ``standard_T``.  With E_j the echelon rows of L_B at

@@ -53,8 +53,8 @@ codec holds across the row: adding 2^(w-1) to the low N digits of every
 slot makes every digit of the row nonnegative, and an entry is read with
 a shift and a mask (``entry``).  ``to_dense`` gives a zero entry inside
 the mask the zero of N and one outside the zero of conductor ``zero``;
-it, ``moved`` and ``recast`` read the entries at the mask bits only.
-Negation negates each row; ``moved`` applies a GenPerm on each side,
+it and ``moved`` read the entries at the mask bits only.  Negation negates
+each row; ``moved`` applies a GenPerm on each side, whose moduli divide N,
 rotating each entry's digits once (x^N = 1) into its new slot.
 
 Folding.  A product of an entry (N digits) and a row puts a vector of
@@ -86,11 +86,11 @@ Widths.  ``a @ b`` adds, for each k in the mask of row i of a, entry
 (i, k) times row k of b, and folds the row.  A digit, folded or not, sums
 a_ik[u] b_kj[v] over k and at most N pairs (u, v): the product has height
 inner * N * h_a * h_b over d_a d_b.  a == b tests x * d_b - y * d_a for
-each pair of rows, with digits at most h_a d_b + h_b d_a.  Both first
-bring their operands to the lcm of the conductors and to a width
-covering the bound, repacking any narrower one, so a narrow width costs
-time, never a wrong answer; ``CanonicalSystem.pair_width`` covers the
-widest pairs of a system, so its checks never repack.
+each pair of rows, with digits at most h_a d_b + h_b d_a.  Both take
+operands of one form, one conductor and one width covering the bound,
+and raise ValueError naming both forms otherwise, so a narrow width is
+refused, never a wrong answer; every pair of a ``CanonicalSystem`` sits
+at its one conductor and at ``pair_width``, which covers its checks.
 
 ``kron`` gives entry (a_ij, b_kl) the conductor lcm(a_ij.n, b_kl.n) of its
 own two factors, zero or not.  An entry with a zero factor is the shared
@@ -535,12 +535,14 @@ def _blocks(n, w):
     return block, sum(1 << (w * j * block) for j in range(p))
 
 
-def _aligned(mats, need):
-    """``mats`` at the lcm of their conductors and at one width, the
-    largest of theirs and ``need``."""
-    n = lcm(*(m.n for m in mats))
-    w = max(need, *(m.width for m in mats))
-    return [m if (m.n, m.width) == (n, w) else m.recast(n, w) for m in mats]
+def _one_form(a, b, need, verb):
+    """Raise ValueError, naming both forms, unless a and b share one
+    conductor and one width of at least ``need`` bits."""
+    if (a.n, a.width) != (b.n, b.width) or a.width < need:
+        raise ValueError(
+            "cannot %s a packed matrix at conductor %d, width %d and one at "
+            "conductor %d, width %d: they need one conductor and one width "
+            "of at least %d bits" % (verb, a.n, a.width, b.n, b.width, need))
 
 
 class Packed:
@@ -586,17 +588,6 @@ class Packed:
         return Packed([1 << slot * i for i in range(dim)], dim,
                       [1 << i for i in range(dim)], n, 1, width, 1, n)
 
-    def recast(self, n, width):
-        """self at conductor n, a multiple of self.n, and digit width
-        ``width``: digit t moves to digit t * n / self.n."""
-        places = range(0, width * n, width * (n // self.n))
-        slot = 2 * n * width
-        rows = [sum(sum(map(lshift, _digits(x, self.width, self.n), places))
-                    << slot * j for j, x in self._entries(row, mask))
-                for row, mask in zip(self.rows, self.masks)]
-        return Packed(rows, self.cols, self.masks, n, self.den, width,
-                      self.height, self.zero)
-
     def to_dense(self):
         """The dense matrix, each entry reduced once by ``from_powers``; a
         zero inside the mask is the one zero of conductor n."""
@@ -620,19 +611,24 @@ class Packed:
     def moved(self, left, right):
         """left @ self @ right for GenPerms left and right: entry (r, c)
         goes to row left.perm[r] and to the column j with
-        right.perm[j] = c, rotated once by the sum of the two exponents."""
-        n = lcm(self.n, left.n, right.n)
-        a = self if n == self.n else self.recast(n, self.width)
-        w, s, t = a.width, n // left.n, n // right.n
+        right.perm[j] = c, rotated once by the sum of the two exponents.
+        The moduli of left and right divide the conductor."""
+        n, w = self.n, self.width
+        if n % left.n or n % right.n:
+            raise ValueError(
+                "cannot move a packed matrix at conductor %d, width %d along "
+                "GenPerms of moduli %d and %d: each must divide the conductor"
+                % (n, w, left.n, right.n))
+        s, t = n // left.n, n // right.n
         slot = 2 * n * w
         off, full = _offset(w, n), (1 << w * n) - 1
         to = [None] * right.dim
         for j, (c, f) in enumerate(zip(right.perm, right.expo)):
             to[c] = (j, t * f)
-        rows, masks = [0] * len(a.rows), [0] * len(a.rows)
-        for i, e, row, mask in zip(left.perm, left.expo, a.rows, a.masks):
+        rows, masks = [0] * len(self.rows), [0] * len(self.rows)
+        for i, e, row, mask in zip(left.perm, left.expo, self.rows, self.masks):
             acc = new = 0
-            for c, x in a._entries(row, mask):
+            for c, x in self._entries(row, mask):
                 j, f = to[c]
                 if x:
                     d, x = (s * e + f) % n, x + off
@@ -640,16 +636,16 @@ class Packed:
                     acc += x << slot * j
                 new |= 1 << j
             rows[i], masks[i] = acc, new
-        return Packed(rows, right.dim, masks, n, a.den, w, a.height, a.zero)
+        return Packed(rows, right.dim, masks, n, self.den, w, self.height,
+                      self.zero)
 
     def __matmul__(self, other):
         """self @ other, folded mod x^N - 1, over self.den * other.den: row
         i adds entry (i, k) times row k of other for each k in row i's
         mask."""
-        inner = len(other.rows)
-        n = lcm(self.n, other.n)
-        height = inner * n * self.height * other.height
-        a, b = _aligned([self, other], height.bit_length() + 1)
+        a, b, n = self, other, self.n
+        height = len(b.rows) * n * a.height * b.height
+        _one_form(a, b, height.bit_length() + 1, "multiply")
         w, b_rows, b_masks = a.width, b.rows, b.masks
         rows, masks = [], []
         for row, mask in zip(a.rows, a.masks):
@@ -668,8 +664,9 @@ class Packed:
             return NotImplemented
         if (len(self.rows), self.cols) != (len(other.rows), other.cols):
             return False
-        need = self.height * other.den + other.height * self.den
-        a, b = _aligned([self, other], need.bit_length() + 1)
+        a, b = self, other
+        need = a.height * b.den + b.height * a.den
+        _one_form(a, b, need.bit_length() + 1, "compare")
         w, da, db = a.width, a.den, b.den
         block, repeat = _blocks(a.n, w)
         # the lowest block of every slot and 2^(w-1) in its digits

@@ -13,12 +13,7 @@ from __future__ import annotations
 from .abgroup import p_valuation, prime_factors, subgroup_from_gens, zero_subgroup
 from .heisenberg import HeisGrp, induce
 from .intertwine import CanonicalSystem, standard_pairs
-from .symplectic import (
-    Lagrangian,
-    SympAut,
-    induced_form,
-    orth_complement,
-)
+from .symplectic import Lagrangian, SympAut, induced_form
 
 
 class ReductionError(ValueError):
@@ -63,8 +58,8 @@ class ReductionData:
         self.M = M
         self.p = primes[0] if primes else 1
         self.S, self.chain = canonical_isotropic(M)
-        self.S_perp = orth_complement(M, self.S)
         self.Mc, self.qm = induced_form(M, self.S)
+        self.S_perp = self.qm.over
         if not self.Mc.is_elementary():
             raise ReductionError("reduced module is not elementary abelian")
         self.Hc = HeisGrp(self.Mc)

@@ -62,8 +62,9 @@ def _sweep(report, name, counts, items, holds, witness=lambda item: item):
     """Report check ``name``: whether ``holds`` accepts every item, with
     ``counts`` formatted by the number of items checked.  The first item
     refused ends the sweep and is named through ``witness``.  A pair whose
-    conductor is not a prime power, which the packed kernel test refuses
-    with ValueError, fails with the error's text."""
+    conductor is not a prime power, which the packed kernel test refuses,
+    and operands of two forms (conductor and width), which ``kmat.Packed``
+    refuses, raise ValueError and fail with the error's text."""
     for index, item in enumerate(items):
         try:
             reason = None if holds(item) else ""
@@ -99,7 +100,7 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
 
     def identity_holds(n0):
         op = pair(n0, n0)
-        one = Packed.identity(len(op.rows), sys.conductor, op.width)
+        one = Packed.identity(len(op.rows), op.n, op.width)
         return op == one and pair(n0, (n0[0], -n0[1])) == -one
 
     _sweep(report, "identity on every enhanced point", "%d points", points,

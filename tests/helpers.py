@@ -52,13 +52,13 @@ def zero_sharing(mat):
              for j, x in enumerate(row)] for i, row in enumerate(mat)]
 
 
-def packed_rows(vectors, n, den=1):
+def packed_rows(vectors, n, den=1, width=None):
     """A ``Packed`` matrix at conductor n from rows of digit vectors (each
-    a list of n ints), its masks on the nonzero vectors, at the least width
-    its height allows."""
+    a list of n ints), its masks on the nonzero vectors, at digit width
+    ``width``, by default the least width its height allows."""
     height = max((abs(c) for row in vectors for v in row for c in v),
                  default=0)
-    w = height.bit_length() + 1
+    w = width or height.bit_length() + 1
     rows = [[sum(c << (w * t) for t, c in enumerate(v)) for v in row]
             for row in vectors]
     masks = [sum(1 << j for j, v in enumerate(row) if any(v))
@@ -71,10 +71,11 @@ def packed_entries(P):
     return [[P.entry(i, j) for j in range(P.cols)] for i in range(len(P.rows))]
 
 
-def packed_of(dense, n):
+def packed_of(dense, n, width=None):
     """``dense`` as a ``Packed`` matrix at conductor n, a multiple of the
     conductor of every entry: the coefficient of zeta_m^t at digit
-    t * n / m, over the lcm of the denominators."""
+    t * n / m, over the lcm of the denominators, at digit width ``width``
+    as ``packed_rows`` takes it."""
     den = lcm(1, *(x.den for row in dense for x in row))
     vectors = []
     for row in dense:
@@ -85,7 +86,7 @@ def packed_of(dense, n):
                 v[t * n // x.n] = c * (den // x.den)
             new.append(v)
         vectors.append(new)
-    return packed_rows(vectors, n, den)
+    return packed_rows(vectors, n, den, width)
 
 
 def conj_transpose(b, inner):

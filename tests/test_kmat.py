@@ -305,7 +305,8 @@ def test_phase_moved_matches_genperm_products(data):
     moved = _moved(a, left, right).to_dense()
     dense = a.to_dense()
     assert exact(left.apply_left(right.apply_right(dense))) == exact(moved)
-    assert mat_eq(packed_of(dense, a.n).moved(left, right).to_dense(), moved)
+    n = lcm(a.n, left.n, right.n)
+    assert mat_eq(packed_of(dense, n).moved(left, right).to_dense(), moved)
 
 
 @settings(max_examples=150, deadline=None)
@@ -579,7 +580,8 @@ def test_packed_moved_rotates_once(data):
     left, right = data.draw(genperms(rows)), data.draw(genperms(cols))
     dense = [[data.draw(entries(height)) for _ in range(cols)]
              for _ in range(rows)]
-    packed = packed_of(dense, lcm(1, *(x.n for row in dense for x in row)))
+    packed = packed_of(dense, lcm(left.n, right.n,
+                                  *(x.n for row in dense for x in row)))
     moved = packed.moved(left, right)
     want = left.apply_left(right.apply_right(dense))
     assert mat_eq(moved.to_dense(), want)
@@ -603,6 +605,12 @@ def test_genperm_equality_across_conductors():
 
 
 PACKED_CONDUCTORS = [1, 3, 5, 7, 9, 25, 27]
+
+
+def _width(*needs):
+    """The least digit width that covers each bound of ``needs``, as ``@``
+    and ``==`` take it: its bits and a sign bit."""
+    return max(need.bit_length() for need in needs) + 1
 
 
 def _divisors(n):
@@ -660,12 +668,15 @@ def packed_values(draw):
 def test_packed_equality_matches_cyclotomic_equality(values):
     """The row kernel test agrees with ``mat_eq`` of the values the
     vectors reduce to, also when the vectors differ by a multiple of
-    Phi_n, when a vanishing entry sits beside one with negative digits and
-    when the two are packed at different widths."""
+    Phi_n and when a vanishing entry sits beside one with negative digits,
+    both packed at the one width the comparison needs, above the least
+    width of either."""
     from heisenrep.cyclo import from_powers
 
     n, us, du, vs, dv = values
     a, b = packed_rows(us, n, du), packed_rows(vs, n, dv)
+    w = _width(a.height * dv + b.height * du)
+    a, b = packed_rows(us, n, du, w), packed_rows(vs, n, dv, w)
     want = mat_eq(*([[from_powers(n, enumerate(u), d) for u in row]
                      for row in mat] for mat, d in ((us, du), (vs, dv))))
     assert (a == b) is want
@@ -677,9 +688,10 @@ def test_packed_row_kernel_test_does_not_borrow_across_slots():
     """Two vanishing entries in one row, -Phi_9 and Phi_9: the highest digit
     of slot 0 outside its lowest block is -1, so with the bias on the block
     digits alone slot 1's lowest block would read 0, not 1, and the row
-    would read as nonzero."""
+    would read as nonzero.  Every comparison is of height 1 with height 0,
+    at width 2."""
     phi = cyclotomic_poly(9)
-    zero = packed_rows([[[0] * 9, [0] * 9]], 9)
+    zero = packed_rows([[[0] * 9, [0] * 9]], 9, width=_width(1))
     row = packed_rows([[[-c for c in phi], phi]], 9)
     assert row == zero and zero == row and -row == zero
     assert not packed_rows([[[-c for c in phi], [1] + [0] * 8]], 9) == zero
@@ -687,14 +699,16 @@ def test_packed_row_kernel_test_does_not_borrow_across_slots():
 
 
 def test_packed_kernel_test_needs_a_prime_power():
-    a = packed_rows([[[1] + [0] * 14]], 15)
-    b = packed_rows([[[0] * 5 + [1] + [0] * 9]], 15)
+    w = _width(1 + 1)
+    a = packed_rows([[[1] + [0] * 14]], 15, width=w)
+    b = packed_rows([[[0] * 5 + [1] + [0] * 9]], 15, width=w)
     with pytest.raises(ValueError, match=r"\b15\b"):
         a == b
     with pytest.raises(ValueError, match=r"\b15\b"):
         a == a
     # conductor 1 is Q: a vector of one digit vanishes only when it is 0
-    one, two = packed_rows([[[1]]], 1), packed_rows([[[2]]], 1, 2)
+    w = _width(1 * 2 + 2 * 1)
+    one, two = packed_rows([[[1]]], 1, width=w), packed_rows([[[2]]], 1, 2, w)
     assert one == two and not one == -two
 
 
@@ -702,7 +716,44 @@ def test_packed_matrices_of_different_shapes_are_unequal():
     one = [1, 0, 0]
     assert not packed_rows([[one]], 3) == packed_rows([[one], [one]], 3)
     assert not packed_rows([[one]], 3) == packed_rows([[one, [0] * 3]], 3)
-    assert packed_rows([[one, [0] * 3]], 3) == packed_rows([[one, [0] * 3]], 3)
+    w = _width(1 + 1)
+    assert packed_rows([[one, [0] * 3]], 3, width=w) == \
+        packed_rows([[one, [0] * 3]], 3, width=w)
+
+
+def test_packed_operands_of_two_forms_are_refused():
+    """``@`` and ``==`` take operands of one conductor and one width that
+    covers the bound they compute, and ``moved`` GenPerms whose moduli
+    divide the conductor: operands at two conductors, at two widths, at a
+    width one bit short, or a GenPerm of another modulus raise ValueError
+    naming both forms."""
+    one = [[[1, 0, 0]]]
+    # 1x1 of height 1 at conductor 3: the product's digits reach 1 * 3 * 1
+    # and the comparison's 1 + 1, so both take 3 bits
+    w = _width(1 * 3 * 1 * 1, 1 + 1)
+    a = packed_rows(one, 3, width=w)
+    assert (a @ a).entry(0, 0) == 1 and a == a
+    nine = packed_rows([[[1] + [0] * 8]], 9, width=w)
+    wide = packed_rows(one, 3, width=w + 1)
+    short = packed_rows(one, 3, width=w - 1)
+    forms = [(a, nine, "conductor 3, width 3 and one at conductor 9, width 3"),
+             (a, wide, "conductor 3, width 3 and one at conductor 3, width 4"),
+             (short, short,
+              "conductor 3, width 2 and one at conductor 3, width 2: .* "
+              "at least 3 bits")]
+    for x, y, form in forms:
+        with pytest.raises(ValueError, match="multiply .*" + form):
+            x @ y
+        with pytest.raises(ValueError, match="compare .*" + form):
+            x == y
+    ident = GenPerm([0], [0], 1)
+    assert a.moved(GenPerm([0], [1], 3), ident) == packed_rows(
+        [[[0, 1, 0]]], 3, width=w)
+    for left, right, moduli in [(GenPerm([0], [1], 9), ident, "9 and 1"),
+                                (ident, GenPerm([0], [1], 5), "1 and 5")]:
+        with pytest.raises(ValueError, match="conductor 3, width 3 along "
+                           "GenPerms of moduli " + moduli):
+            a.moved(left, right)
 
 
 @st.composite
@@ -731,17 +782,23 @@ def packed_products(draw):
 @settings(max_examples=150, deadline=None)
 @given(packed_products())
 def test_packed_product_matches_mat_mul(nab):
+    """``@`` gives the values of ``mat_mul``, and ``==`` tells them from
+    the same values with one entry negated, all four packed at one width
+    that covers the product and its comparisons."""
     n, a, b = nab
-    got = packed_of(a, n) @ packed_of(b, n)
     want = mat_mul(a, b)
+    pa, pb, pw = packed_of(a, n), packed_of(b, n), packed_of(want, n)
+    height = len(b) * n * pa.height * pb.height
+    w = _width(height, height * pw.den + pw.height * pa.den * pb.den)
+    got = packed_of(a, n, w) @ packed_of(b, n, w)
     assert mat_eq(got.to_dense(), want)
-    assert got == packed_of(want, n)
+    assert got == packed_of(want, n, w)
     i, j = next(((i, j) for i, row in enumerate(want)
                  for j, x in enumerate(row) if any(x.num)), (None, None))
     if i is not None:
         bad = [list(row) for row in want]
         bad[i][j] = -bad[i][j]
-        assert not got == packed_of(bad, n)
+        assert not got == packed_of(bad, n, w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -750,10 +807,10 @@ def test_packed_product_matches_mat_mul(nab):
 def test_packed_entries_negation_and_moves_match_scalar_mul(nab, e, f, m):
     """``to_dense``, ``-`` and ``moved`` along two GenPerms that keep every
     position (one exponent on each side) are ``scalar_mul`` of the dense
-    matrix by 1, -1 and zeta_n^e zeta_(mn)^f, masks kept; ``entry`` reads
-    back what ``from_entries`` packed."""
+    matrix by 1, -1 and zeta_n^e zeta_(mn)^f, masks kept, packed at
+    conductor mn; ``entry`` reads back what ``from_entries`` packed."""
     n, a, _b = nab
-    packed = packed_of(a, n)
+    packed = packed_of(a, m * n)
     rows, cols = len(a), len(a[0])
     assert mat_eq(packed.to_dense(), scalar_mul(CycNum.one(1), a))
     assert mat_eq((-packed).to_dense(), scalar_mul(-CycNum.one(1), a))
@@ -763,6 +820,7 @@ def test_packed_entries_negation_and_moves_match_scalar_mul(nab, e, f, m):
     root = root_of_unity(n, e) * root_of_unity(m * n, f)
     assert mat_eq(moved.to_dense(), scalar_mul(root, a))
     assert moved.masks == (-packed).masks == packed.masks
-    again = Packed.from_entries(packed_entries(packed), packed.masks, n,
-                                packed.den, packed.width, packed.height, n)
+    again = Packed.from_entries(packed_entries(packed), packed.masks,
+                                packed.n, packed.den, packed.width,
+                                packed.height, packed.n)
     assert again.rows == packed.rows

@@ -285,26 +285,49 @@ def test_a_tampered_cached_pair_fails_with_its_witness(checked_system, how):
 
 
 @pytest.mark.parametrize("blocks", [[(3, 2)], [(9, 1), (3, 1)]])
-def test_checked_pairs_sit_at_the_pair_width(blocks, monkeypatch):
+def test_checked_pairs_sit_at_the_pair_width(blocks):
     """After the light check on (Z/3)^4 and on the lifted (Z/9)^2+(Z/3)^2
-    every cached pair is at ``pair_width`` and at the system conductor, and
-    no operand of a product or comparison was repacked."""
+    every cached pair is at ``pair_width`` and at the system conductor, so
+    no product or comparison met operands of two forms, which ``Packed``
+    refuses."""
     M = standard_module(blocks)
     pi = canonrep.build_pi(M, system_verify="none")
     sys = pi.system
     kwargs = {} if sys is pi.system_c else {"equivariance_pairs": [
         (g, g_to_gc(pi.red, g)) for g in sp_sample(M, 3, 4)]}
-    recasts = []
-    recast = Packed.recast
-    monkeypatch.setattr(Packed, "recast", lambda P, n, width: (
-        recasts.append((n, width)) or recast(P, n, width)))
     sys._pair_cache.clear()
     assert check_system_axioms(sys, level="light", **kwargs).ok()
     pairs = [P for key, P in sys._pair_cache.items() if key is not None]
     assert len(pairs) > sys.count
     assert {(P.width, P.n) for P in pairs} == {(sys.pair_width(),
                                                 sys.conductor)}
-    assert recasts == []
+
+
+def test_a_pair_at_another_width_fails_with_its_forms(solved_z3):
+    """One cached pair of (Z/3)^2 replaced by the same values one digit bit
+    wider: the check does not raise, and the transitivity sweep fails with
+    a triple through that pair and the two forms in its witness."""
+    sys, _i = solved_z3
+    sys = _tampered(sys)
+    key = (1, 0)
+    P = sys.pair((key[0], 1), (key[1], 1))
+    w = P.width + 1
+    rows = [[sum(c << (w * t) for t, c in enumerate(_digits(x, P.width, P.n)))
+             for x in row] for row in packed_entries(P)]
+    sys._pair_cache[key] = Packed.from_entries(rows, P.masks, P.n, P.den, w,
+                                               P.height, P.zero)
+    assert sys.operator((key[0], 1), (key[1], 1)) == P.to_dense()
+    report = check_system_axioms(sys, level="light", seed=1,
+                                 transitivity_samples=10 ** 6)
+    assert "transitivity over enhanced triples" in _failed(report)
+    detail = dict((n, d) for (n, _p, d) in report.checks)[
+        "transitivity over enhanced triples"]
+    witness, reason = detail.split("; first failure ")[1].split(": ", 1)
+    triple = ast.literal_eval(witness)
+    assert key in {(triple[0][0], triple[1][0]), (triple[1][0], triple[2][0]),
+                   (triple[0][0], triple[2][0])}, triple
+    assert all("conductor 3, width %d" % v in reason for v in (P.width, w)), \
+        detail
 
 
 def test_a_wrong_sign_fails_genuineness_with_its_pair(checked_system,
