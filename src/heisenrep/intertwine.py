@@ -38,7 +38,7 @@ from .cyclo import (
     sqrt_prime,
 )
 from .heisenberg import HeisGrp, induce
-from .kmat import Packed, PhaseMat, Rotations, mat_to_json
+from .kmat import Packed, PhaseMat, Rotations, mat_to_json, phase_columns
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
     EnhLag,
@@ -55,6 +55,15 @@ from .symplectic import (
 # (Z/25)^2+(Z/5)^2 (6 lagrangians, dim 125) the table has 2.25 M entries
 # and its export reached 3.9 GiB.
 PAIR_TABLE_ENTRIES = 16 ** 2 * 27 ** 2
+
+# ``pair`` keeps the column ints of the right factors T_LB[j]
+# (``kmat.phase_columns``), the first it meets, while they stand for at
+# most this many entries (dim^2 per j), the size of 16 lagrangians of
+# dimension 27.  The ints of one j take about the memory of one pair, and
+# a light check builds about three pairs per lagrangian of (Z/7)^4 (400
+# of them, dim 49), where keeping every j took its peak from 153 to
+# 191 MiB; (Z/3)^4, (Z/7)^2 and the lifted (Z/9)^2+(Z/3)^2 keep all.
+KEPT_COLUMN_ENTRIES = 16 * 27 ** 2
 
 
 class SolveError(RuntimeError):
@@ -154,9 +163,12 @@ class CanonicalSystem:
 
     ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
     matrices, all of one form: one conductor N and the digit width of
-    ``pair_width``.  Under None it holds that width, N and the rotations
-    of the scales (``_scales``).  It is the only store of pairs: ``pair``
-    gives the signed packed pair and ``operator`` its dense view.
+    ``pair_width``.  Under None it holds that width, N, the rotations of
+    the scales and, for the first j that the pairs use as their right
+    factor, up to ``KEPT_COLUMN_ENTRIES``, the column ints and masks of
+    T_LB[j] at N and that width (``_scales``), so emptying the cache drops
+    them with the pairs.  It is the only store of pairs: ``pair`` gives
+    the signed packed pair and ``operator`` its dense view.
     ``anchored`` reads the phase matrices directly.
     """
 
@@ -194,10 +206,19 @@ class CanonicalSystem:
         j, f = l0
         base = self._pair_cache.get((i, j))
         if base is None:
-            w, N, top_of, bottom_of, scales = self._scales()
-            base = Packed.identity(self.modules[i].dim, N, w) if i == j \
-                else scales[top_of[i], bottom_of[j]].product(
-                    self.T_LB[i], self.T_LB[j], w)
+            w, N, top_of, bottom_of, scales, columns = self._scales()
+            if i == j:
+                base = Packed.identity(self.modules[i].dim, N, w)
+            else:
+                b = self.T_LB[j]
+                cols = columns.get(j)
+                if cols is None:
+                    cols = phase_columns(b, N, w)
+                    if (len(columns) + 1) * len(b.rows) * b.cols \
+                            <= KEPT_COLUMN_ENTRIES:
+                        columns[j] = cols
+                base = scales[top_of[i], bottom_of[j]].product(
+                    self.T_LB[i], b, w, cols)
             self._pair_cache[(i, j)] = base
         return base if e * f == 1 else -base
 
@@ -223,12 +244,14 @@ class CanonicalSystem:
         """(``pair_width``, the one conductor N of the pairs, the index of
         c_i among the distinct c for each i, the index of c_j delta_j among
         the distinct c delta for each j, the ``kmat.Rotations`` of each
-        quotient of the two keyed by the two indices).  N is the lcm of the
-        moduli of the T_LB and of the conductors of the quotients, fixed
-        before any rotation is made, and every rotation is made at N, so
-        each product, as each identity, is at N.  Kept in ``_pair_cache``
-        under None, so that emptying the cache drops them with the
-        pairs."""
+        quotient of the two keyed by the two indices, and a dict that
+        ``pair`` fills with ``kmat.phase_columns(T_LB[j], N, width)`` for
+        right factors j, up to ``KEPT_COLUMN_ENTRIES``).  N is the lcm of
+        the moduli of the T_LB and of the conductors of the quotients,
+        fixed before any rotation is made, and every rotation is made at
+        N, so each product, as each identity, is at N, and the column ints
+        of T_LB[j] serve every pair (i, j).  Kept in ``_pair_cache`` under
+        None, so that emptying the cache drops them with the pairs."""
         got = self._pair_cache.get(None)
         if got is None:
             dim = self.modules[0].dim
@@ -243,7 +266,8 @@ class CanonicalSystem:
             D = max(s.den for s in quotients.values())
             H = dim * max(r.top for r in scales.values())
             w = (dim * N * H * H * D + H * D * D).bit_length() + 1
-            got = self._pair_cache[None] = (w, N, top_of, bottom_of, scales)
+            got = self._pair_cache[None] = (w, N, top_of, bottom_of, scales,
+                                            {})
         return got
 
     def enhanced_index(self, point):

@@ -33,9 +33,10 @@ is 0 or one root zeta_n^e, kept per row as (column, exponent) pairs at
 modulus n; ``scaled`` multiplies one by a scalar, one ``mul_root`` per
 exponent.  ``phase_product(a, b, c)`` is c * (a @ b^H) as a ``Packed``
 matrix at N = lcm(c.n, n), n the lcm of the moduli.  ``Rotations`` packs
-c * zeta_n^x for each x < n once.  Column k of b is one int, with the
-monomial zeta_n^-y at digit (-y mod n) N / n of slot s for each row s of
-b with b_sk = zeta_n^y; row r of the product is the sum, over the
+c * zeta_n^x for each x < n once.  Column k of b is one int
+(``phase_columns``, which a caller that multiplies by b again keeps),
+with the monomial zeta_n^-y at digit (-y mod n) N / n of slot s for each
+row s of b with b_sk = zeta_n^y; row r of the product is the sum, over the
 columns k where a_rk = zeta_n^x, of the rotation by x times the column
 int of k, folded once.  Each digit then adds one coefficient of a
 rotation per column, so its height is inner times the largest
@@ -444,32 +445,30 @@ class Rotations:
         self.top = max(abs(c) for num in self.nums for c in num)
         self._width = self._ints = None
 
-    def product(self, a, b, width=0):
+    def product(self, a, b, width=0, columns=None):
         """scale * (a @ b^H) for phase matrices a and b whose moduli divide
         n, of digit width at least ``width``: row r sums, over the nonzero
         columns k of row r of a, the packed rotation by a_rk times the
-        column int of b at k, then folds once."""
+        column int of b at k, then folds once.  ``columns`` are
+        ``phase_columns(b, N, width)``, N = lcm(scale.n, n), when the
+        caller keeps them; they are made here when not given or when the
+        product needs a wider width."""
         if a.cols != b.cols:
             raise ValueError("cannot multiply a %dx%d matrix by the adjoint of "
                              "a %dx%d matrix" % (len(a.rows), a.cols,
                                                  len(b.rows), b.cols))
         n, scale = self.n, self.scale
         N = lcm(scale.n, n)
-        s, t, step = n // a.n, n // b.n, N // n
+        s = n // a.n
         height = a.cols * self.top
         w = max(width, height.bit_length() + 1)
         if w != self._width:
             places = range(0, w * len(self.nums[0]), w)
             self._ints = [sum(map(lshift, num, places)) for num in self.nums]
             self._width = w
-        rots, slot = self._ints, 2 * N * w
-        # column k of b: zeta_n^-y at digit (-y mod n) * N / n of slot c for
-        # each row c of b with b_ck = zeta_n^y
-        col_ints, col_masks = [0] * a.cols, [0] * a.cols
-        for c, row in enumerate(b.rows):
-            for k, y in row:
-                col_ints[k] += 1 << slot * c + w * step * (-t * y % n)
-                col_masks[k] |= 1 << c
+        rots = self._ints
+        col_ints, col_masks = columns if columns and w == width \
+            else phase_columns(b, N, w)
         cols = len(b.rows)
         rows, masks = [], []
         for row in a.rows:
@@ -480,6 +479,20 @@ class Rotations:
             rows.append(_fold(acc, N, w, cols) if acc else 0)
             masks.append(mask)
         return Packed(rows, cols, masks, N, scale.den, w, height, scale.n)
+
+
+def phase_columns(b, N, w):
+    """Column k of the phase matrix b as one int of 2N-digit slots of
+    width w, with zeta_m^-y at digit (-y mod m) * N / m of slot c for each
+    row c of b with b_ck = zeta_m^y, m = b.n dividing N, and the mask of
+    those rows c: the column ints and masks of ``Rotations.product``."""
+    step, slot = N // b.n, 2 * N * w
+    ints, masks = [0] * b.cols, [0] * b.cols
+    for c, row in enumerate(b.rows):
+        for k, y in row:
+            ints[k] += 1 << slot * c + w * step * (-y % b.n)
+            masks[k] |= 1 << c
+    return ints, masks
 
 
 @lru_cache(maxsize=None)

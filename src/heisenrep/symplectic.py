@@ -519,10 +519,14 @@ def transvection(M, v, lam):
 
 
 def transvections(M):
-    """All distinct transvection automorphisms, canonically ordered."""
+    """All distinct transvection automorphisms, canonically ordered: the
+    identity, then the rest sorted by key.  For every lam, v and -v give
+    one transvection (lam <m, -v> (-v) = lam <m, v> v), so each v is
+    visited once up to sign: v is skipped when -v came before it."""
+    orders = M.group.orders
     seen = {}
     for v in M.group.elements():
-        if not any(v):
+        if not any(v) or tuple(-x % d for x, d in zip(v, orders)) < v:
             continue
         for lam in range(1, M.n):
             t = transvection(M, v, lam)

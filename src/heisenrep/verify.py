@@ -139,20 +139,35 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
     if equivariance_samples is not None:
         eq_pairs = _sampled_tuples(points, 2, equivariance_samples, rng)
 
+    # within this call: (automorphism position, source lagrangian, target
+    # lagrangian) -> the transport and its inverse, and (automorphism
+    # position, enhanced point) -> its image, each made on first use
+    transports, images = {}, {}
+
+    def transport(a, g, i, k):
+        if (a, i, k) not in transports:
+            GP = g_transport(g, sys.modules[i], sys.modules[k])
+            transports[a, i, k] = GP, GP.inverse()
+        return transports[a, i, k]
+
+    def image(a, gc, point):
+        if (a, point) not in images:
+            images[a, point] = sys.act_point(gc, point)
+        return images[a, point]
+
     def equivariant(check):
-        (g, gc), (n0, l0) = check
-        n1 = sys.act_point(gc, n0)
-        l1 = sys.act_point(gc, l0)
-        GP_n = g_transport(g, sys.modules[n0[0]], sys.modules[n1[0]])
-        GP_l_inv = g_transport(g, sys.modules[l0[0]],
-                               sys.modules[l1[0]]).inverse()
+        (a, (g, gc)), (n0, l0) = check
+        n1, l1 = image(a, gc, n0), image(a, gc, l0)
+        GP_n = transport(a, g, n0[0], n1[0])[0]
+        GP_l_inv = transport(a, g, l0[0], l1[0])[1]
         return pair(n0, l0).moved(GP_n, GP_l_inv) == pair(n1, l1)
 
     _sweep(report, "equivariance under the symplectic action",
            "%%d conjugation checks over %d automorphisms"
            % len(equivariance_pairs),
-           [(gg, pq) for gg in equivariance_pairs for pq in eq_pairs],
-           equivariant, lambda check: (check[0][0].mat,) + check[1])
+           [(ag, pq) for ag in enumerate(equivariance_pairs)
+            for pq in eq_pairs],
+           equivariant, lambda check: (check[0][1][0].mat,) + check[1])
 
     report.add("entries lie in Q(mu_p, sqrt p)", sys.entries_in_field(),
                "Galois invariance test")

@@ -42,6 +42,8 @@ The library reads the lift sign of an enhanced lagrangian off the entries
 of the transported echelon rows at the pivots of the image; the oracle
 solves for their coordinates by elimination over the echelon basis of
 the image, which it takes through ``SympAut.on_subgroup``.
+The library lists the transvections from each nonzero vector once up to
+sign; the oracle makes them from every nonzero vector and every scale.
 """
 
 import itertools
@@ -69,7 +71,9 @@ from heisenrep.symplectic import (
     SympAut,
     SymplecticError,
     act_enhanced,
+    identity_aut,
     orth_complement,
+    transvection,
     transvections,
 )
 
@@ -671,3 +675,16 @@ def dense_phase_product(a, b, scale):
                 new.append(cancelled)
         out.append(new)
     return out
+
+
+def transvections_from_every_vector(M):
+    """``transvections(M)`` from every nonzero v and every lam: the
+    identity, then the distinct transvections sorted by key."""
+    seen = {}
+    for v in M.group.elements():
+        if not any(v):
+            continue
+        for lam in range(1, M.n):
+            t = transvection(M, v, lam)
+            seen.setdefault(t.key(), t)
+    return [identity_aut(M)] + [seen[k] for k in sorted(seen.keys())]

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of the library is used,
-every module-level definition is referenced, and an import inside a
-function is there only to break an import cycle."""
+every module-level definition is referenced, an import inside a
+function is there only to break an import cycle, and the verification
+module keeps no cache between calls."""
 
 import ast
 import re
@@ -164,3 +165,57 @@ def test_function_level_imports_only_break_cycles():
     imports the importer, directly or not, at module level."""
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert inner_imports(sources) == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+
+
+def module_level_caches(source):
+    """The (line, name) of each dict, list or set that ``source`` binds at
+    module level (a display, a comprehension or a call of dict, list or
+    set) and of each function or class, at any depth, decorated with
+    ``lru_cache`` or ``cache`` (by name or as ``functools.`` attribute,
+    called or not)."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            found.extend((node.lineno, ast.unparse(t)) for t in targets)
+    for node in ast.walk(tree):
+        for deco in getattr(node, "decorator_list", ()):
+            deco = deco.func if isinstance(deco, ast.Call) else deco
+            name = deco.attr if isinstance(deco, ast.Attribute) else \
+                getattr(deco, "id", None)
+            if name in ("lru_cache", "cache"):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_module_level_caches_are_found():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "KEPT = (1, 2)\nseen = {}\nlog: list = []\nmade = set()\n"
+              "squares = [k * k for k in KEPT]\n"
+              "@lru_cache(maxsize=None)\ndef a():\n    local = {}\n"
+              "@cache\ndef b():\n    pass\n"
+              "def c():\n    @functools.lru_cache\n    def d():\n"
+              "        pass\n")
+    assert module_level_caches(source) == [
+        (4, "seen"), (5, "log"), (6, "made"), (7, "squares"), (9, "a"),
+        (12, "b"), (16, "d")]
+
+
+def test_verify_keeps_no_module_level_cache():
+    """Every check of ``verify`` starts cold: whatever it memoizes lives
+    for one call, so the module binds no dict, list or set and decorates
+    nothing with a cache."""
+    assert module_level_caches((SRC / "verify.py").read_text()) == []

@@ -29,6 +29,7 @@ from heisenrep.abgroup import subgroup_intersect
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
 from heisenrep.heisenberg import HeisGrp, g_transport, induce
 from heisenrep.intertwine import (
+    KEPT_COLUMN_ENTRIES,
     SolveError,
     canonical_scalar,
     hom_dim,
@@ -37,6 +38,7 @@ from heisenrep.intertwine import (
     standard_pairs,
 )
 from heisenrep.kmat import (
+    Packed,
     identity,
     mat_eq,
     mat_mul,
@@ -288,6 +290,55 @@ def test_phase_products_match_the_dense_products(blocks, basepoints):
                     assert zero_sharing(got) == zero_sharing(old)
             for T, D in list(zip(T_LB, dense))[B:B + 2]:
                 assert exact(T.scaled(scale)) == exact(scalar_mul(scale, D))
+
+
+@pytest.mark.parametrize("blocks", [[(3, 1)], [(5, 1)], [(9, 1), (3, 1)]],
+                         ids=["3^2", "5^2", "9^2+3^2"])
+def test_pairs_with_kept_columns_match_fresh_phase_products(blocks):
+    """Every pair (i, j), built with the column ints of T_LB[j] that the
+    system keeps under None, has the row ints, masks, width and conductor
+    of a fresh ``phase_product`` of the same operands at ``pair_width`` (the
+    identity at i == j); emptying the pair cache drops the columns."""
+    from heisenrep.canonrep import build_pi
+
+    sys = build_pi(standard_module(blocks), system_verify="none").system
+    sys._pair_cache.clear()
+    w, N = sys.pair_width(), sys.conductor
+    for i in range(sys.count):
+        for j in range(sys.count):
+            got = sys.pair((i, 1), (j, 1))
+            want = Packed.identity(sys.modules[i].dim, N, w) if i == j else \
+                phase_product(sys.T_LB[i], sys.T_LB[j],
+                              sys.c[i] / (sys.c[j] * sys.delta[j]), w)
+            assert (got.rows, got.masks, got.width, got.n, got.den) == (
+                want.rows, want.masks, want.width, want.n, want.den), (i, j)
+    columns = sys._scales()[-1]
+    assert set(columns) == set(range(sys.count)) and sys.count > 1
+    sys._pair_cache.clear()
+    assert sys._pair_cache == {}
+    assert all(value is not columns for value in vars(sys).values())
+    fresh = sys._scales()[-1]
+    assert fresh == {} and fresh is not columns
+
+
+def test_kept_columns_stay_within_their_entry_bound():
+    """On (Z/5)^4 (156 lagrangians of dimension 25) the system keeps the
+    column ints of the first KEPT_COLUMN_ENTRIES / 25^2 right factors it
+    meets, and a pair through a right factor it did not keep is the fresh
+    ``phase_product`` all the same."""
+    from heisenrep.canonrep import build_pi
+
+    sys = build_pi(standard_module([(5, 2)]), system_verify="none").system
+    dim, last = sys.modules[0].dim, sys.count - 1
+    for j in range(1, sys.count):
+        sys.pair((0, 1), (j, 1))
+    kept = KEPT_COLUMN_ENTRIES // dim ** 2
+    assert sorted(sys._scales()[-1]) == list(range(1, kept + 1)) and kept < last
+    got = sys.pair((0, 1), (last, 1))
+    want = phase_product(sys.T_LB[0], sys.T_LB[last],
+                         sys.c[0] / (sys.c[last] * sys.delta[last]),
+                         sys.pair_width())
+    assert (got.rows, got.masks, got.n) == (want.rows, want.masks, want.n)
 
 
 @pytest.mark.parametrize("blocks, basepoints", SYSTEM_BASEPOINTS)

@@ -10,6 +10,7 @@ from dense_oracle import (
     act_enhanced_by_elimination,
     hnf_inverse,
     isotropic_walk_fp,
+    transvections_from_every_vector,
 )
 from helpers import lattice_only
 
@@ -357,6 +358,17 @@ def test_transvections_are_symplectic():
                 a = els[rng.randrange(len(els))]
                 b = els[rng.randrange(len(els))]
                 assert M.pair(t.apply(a), t.apply(b)) == M.pair(a, b)
+
+
+@pytest.mark.parametrize("M", [
+    standard_module(b) for b in ([(3, 1)], [(3, 2)], [(5, 1)], [(7, 1)],
+                                 [(27, 1)], [(9, 1), (3, 1)])] + [
+    SympMod(AbGroup([3, 3, 1]), [[0, 1, 0], [2, 0, 0], [0, 0, 0]])], ids=repr)
+def test_transvections_match_the_walk_over_every_vector(M):
+    """Visiting each vector once up to sign lists the same transvections,
+    in the same order, as visiting every nonzero vector."""
+    assert [t.mat for t in transvections(M)] == [
+        t.mat for t in transvections_from_every_vector(M)]
 
 
 def test_sp_sample_deterministic_and_valid():

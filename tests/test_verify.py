@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import random
@@ -363,3 +364,62 @@ def test_pair_conductor_that_is_not_a_prime_power_fails(solved_z3):
     detail = dict((n, d) for (n, _p, d) in report.checks)[
         "transitivity over enhanced triples"]
     assert "not 21" in detail
+
+
+# The light check at the sample sizes of ``heisenrep verify --level quick``
+# (200 triples, 40 genuineness pairs, 10 transvections and 10 point pairs;
+# six ``sp_sample`` elements through ``g_to_gc`` on the lifted system), as
+# the benchmark's verify workload runs it: the SHA-256 of ``report.text()``
+# at seed 1 (``sp_sample`` seed 5), and the numbers of distinct
+# (automorphism, source, target) transports and (automorphism, point)
+# images the equivariance sweep needs.
+LIGHT_REPORTS = [
+    ([(3, 2)],
+     "c92bd5378c012327685f565de5196bdd00a9c0b0fc473b8ba18a751d0f37962d",
+     150, 160),
+    ([(7, 1)],
+     "f587f6567a115061ae51df3c81a4a2d3816bb71b01c6a4f85a90313357eb603e",
+     70, 110),
+    ([(9, 1), (3, 1)],
+     "ceab0710711b38c45dd36a6bc9c169fdaf7193131473f49e33430605cb693344",
+     24, 48),
+]
+
+
+@pytest.mark.parametrize("blocks,digest,transports,images", LIGHT_REPORTS,
+                         ids=["3^4", "7^2", "lifted 9^2+3^2"])
+def test_light_reports_pinned_with_one_transport_per_key(
+        blocks, digest, transports, images, monkeypatch):
+    """The light reports are pinned; within one call ``g_transport`` runs
+    once per distinct (automorphism, source, target) and ``act_point`` once
+    per distinct (automorphism, point), and a second call, from a cold
+    pair cache, does that work again."""
+    M = standard_module(blocks)
+    pi = canonrep.build_pi(M, system_verify="none")
+    sys, kwargs = pi.system, {}
+    if sys is not pi.system_c:
+        kwargs = {"equivariance_pairs": [(g, g_to_gc(pi.red, g))
+                                         for g in sp_sample(M, 5, 6)],
+                  "report_title": "lifted canonical system on %r" % (M,)}
+    moves, points = [], []
+    g_transport, act_point = verify.g_transport, CanonicalSystem.act_point
+
+    def transport(g, source, target):
+        moves.append((id(g), id(source), id(target)))
+        return g_transport(g, source, target)
+
+    def image(self, g, n0):
+        points.append((id(g), n0))
+        return act_point(self, g, n0)
+
+    monkeypatch.setattr(verify, "g_transport", transport)
+    monkeypatch.setattr(CanonicalSystem, "act_point", image)
+    for _call in range(2):
+        moves.clear()
+        points.clear()
+        sys._pair_cache.clear()
+        report = check_system_axioms(sys, level="light", seed=1, **kwargs)
+        assert hashlib.sha256(report.text().encode()).hexdigest() == digest, \
+            report.text()
+        assert len(moves) == len(set(moves)) == transports
+        assert len(points) == len(set(points)) == images
