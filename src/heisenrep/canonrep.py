@@ -355,7 +355,9 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     Every lagrangian model is irreducible, they are pairwise isomorphic with
     one-dimensional intertwiner spaces (checked both by the linear solver
     and by exact character inner products), and the canonical representation
-    matches them with orthogonality sum exactly one.
+    matches them with orthogonality sum exactly one.  The solver,
+    ``hom_dim``, reads the models' action matrices rho; the independent
+    oracle reads only their characters.
     """
     report = Report("stone-von-neumann on %r" % (H.base,))
     M = H.base

@@ -163,10 +163,13 @@ class InducedModule:
     d_i e_i for every i, so it has a pivot in every column, and the
     representatives are exactly the box of vectors with i-th coordinate in
     [0, rows[i][i]), in lexicographic order.
+
+    ``_source_words`` holds what ``intertwine.hom_dim`` checked of the
+    module as a source, made on its first call.
     """
 
     __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache",
-                 "_generator_parts")
+                 "_generator_parts", "_generator_tables", "_source_words")
 
     def __init__(self, H, lag):
         self.H = H
@@ -181,6 +184,8 @@ class InducedModule:
                                   % (self.dim, expected))
         self._rep_of_cache = {}
         self._generator_parts = None
+        self._generator_tables = None
+        self._source_words = None
 
     def rep_of(self, m):
         """The canonical coset representative of m + L."""
@@ -239,6 +244,13 @@ class InducedModule:
                                      for h in self.group_generators()]
         return self._generator_parts
 
+    def generator_tables(self):
+        """``point_table`` of each of ``generator_parts``, made once."""
+        if self._generator_tables is None:
+            self._generator_tables = [point_table(perm, expo, self.H.n)
+                                      for perm, expo in self.generator_parts()]
+        return self._generator_tables
+
     def char_exponent_counts(self, h):
         """Trace of rho(h) as a vector of zeta_n exponent multiplicities.
 
@@ -271,6 +283,16 @@ class InducedModule:
                 for (m, a) in self.group_generators()
             ],
         }
+
+
+def point_table(perm, expo, n):
+    """The monomial map (perm, expo) as a permutation of the dim * n points
+    k * n + e, point k * n + e standing for zeta_n^e times basis vector k:
+    column k maps to row perm[k] with zeta_n^(expo[k]), so point k * n + e
+    goes to perm[k] * n + (expo[k] + e) mod n.  A product of such maps is
+    the composition of their tables, with no arithmetic."""
+    return tuple(j * n + (x + e) % n for j, x in zip(perm, expo)
+                 for e in range(n))
 
 
 def induce(H, lag):

@@ -37,7 +37,7 @@ from .cyclo import (
     root_of_unity,
     sqrt_prime,
 )
-from .heisenberg import HeisGrp, induce
+from .heisenberg import HeisGrp, InducedModule, induce, point_table
 from .kmat import Packed, PhaseMat, Rotations, mat_to_json, phase_columns
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
@@ -103,36 +103,63 @@ def standard_T(target, source):
 
 
 def hom_dim(V, W):
-    """Dimension of the space of H-intertwiners V -> W.
+    """Dimension of the space of H-intertwiners V -> W, for a lagrangian
+    model V (an ``InducedModule``) and any W with ``generator_parts`` in
+    the order of ``V.group_generators()``.
 
-    X rho_V(h) = rho_W(h) X for a generator h pairs the unknowns two at a
-    time: with h sending column b of V to row pV[b] with zeta_n^eV[b], and
-    column k of W to pW[k] with zeta_n^eW[k], it reads
-    X[pW[k]][pV[b]] = zeta_n^(eW[k] - eV[b]) * X[k][b].  Each generator so
-    permutes the unknowns, and walking these maps forward from an unknown
-    visits its whole orbit, giving each unknown a phase relative to the
-    first.  An orbit is one free scalar unless two paths give one unknown
-    different phases; then it is zero.
+    By Frobenius reciprocity (Serre, Linear Representations of Finite
+    Groups, 7.2), Hom_H(Ind_S lambda, W) = Hom_S(lambda, W): X -> X f_0 is
+    an isomorphism onto the x in W with rho_W(s) x = lambda(s) x for s in
+    S.  Here S = L x mu_n is generated by the center (0, 1) and the words
+    w_l = (e_r, 0)^(l_r) ... (e_1, 0)^(l_1) for l in ``V.lag.sub.gens()``
+    (each w_l is (l, a) for some a), and lambda(w) is read off V's own
+    matrices: rho_V(w) sends column 0 to zeta_n^(lambda(w)) times column
+    0.  Each rho(w) of V and of W is the same composition of generator
+    tables (``point_table``), e_1 applied first, so both are the matrix of
+    one element of H, whatever the central cocycle of the word, and no
+    Heisenberg product is formed.
+
+    Three checks on V, made once per module by ``_source_words`` and kept
+    on it, make V = Ind_S lambda: the generators reach every column from
+    column 0, so f_0 generates V; dim V * |L| = |M| = [H : S]; and column 0
+    is an eigenvector of every word and of the center, so lambda is a
+    character of S.  A failure raises SolveError naming the word or
+    generator and the column it moved to.
+
+    Each equation x[perm[k]] = zeta_n^(expo[k] - lambda(w)) * x[k] of a
+    word pairs the dim W unknowns x[k] two at a time, and walking these
+    maps forward from an unknown visits its whole orbit, giving each
+    unknown a phase relative to the first.  An orbit is one free scalar
+    unless two paths give one unknown different phases; then it is zero.
     """
-    if V.H != W.H:
+    if V.H is not W.H and V.H != W.H:
         raise SolveError("modules over different Heisenberg groups")
-    dv = V.dim
+    if not isinstance(V, InducedModule):
+        raise SolveError("source %s has no lagrangian; hom_dim needs a "
+                         "lagrangian model as its source" % type(V).__name__)
     n = V.H.n
-    gens = list(zip(V.generator_parts(), W.generator_parts()))
-    phase = [None] * (dv * W.dim)
+    tables = (W.generator_tables() if isinstance(W, InducedModule) else
+              [point_table(perm, expo, n) for perm, expo in W.generator_parts()])
+    words = []
+    for letters, lam in _source_words(V):
+        img = tables[letters[0]]
+        for i in letters[1:]:
+            img = tuple(map(tables[i].__getitem__, img))
+        words.append((img, lam))
+    phase = [None] * W.dim
     dim = 0
-    for start in range(len(phase)):
+    for start in range(W.dim):
         if phase[start] is not None:
             continue
         phase[start] = 0
         stack = [start]
         consistent = True
         while stack:
-            u = stack.pop()
-            k, b = divmod(u, dv)
-            for (pV, eV), (pW, eW) in gens:
-                v = pW[k] * dv + pV[b]
-                e = (phase[u] + eW[k] - eV[b]) % n
+            k = stack.pop()
+            at = k * n + phase[k]
+            for img, lam in words:
+                t = img[at]
+                v, e = t // n, (t - lam) % n
                 if phase[v] is None:
                     phase[v] = e
                     stack.append(v)
@@ -140,6 +167,48 @@ def hom_dim(V, W):
                     consistent = False
         dim += consistent
     return dim
+
+
+def _source_words(V):
+    """The equations of ``hom_dim`` for the source V: (letters, lambda(w))
+    per word w, letters being indices into ``V.group_generators()``, whose
+    last is the center.  Checks that V is Ind_S lambda on the first call
+    and keeps the result on V."""
+    if V._source_words is not None:
+        return V._source_words
+    n, tables = V.H.n, V.generator_tables()
+    seen, todo = {0}, [0]
+    while todo:
+        j = todo.pop()
+        for t in tables:
+            k = t[j * n] // n
+            if k not in seen:
+                seen.add(k)
+                todo.append(k)
+    if len(seen) < V.dim:
+        raise SolveError("the generators of the source do not reach column "
+                         "%d from column 0" % min(set(range(V.dim)) - seen))
+    if V.dim * V.lag.order() != V.H.base.group.order():
+        raise SolveError("source dim %d * |L| %d != |M| %d" % (
+            V.dim, V.lag.order(), V.H.base.group.order()))
+    center = len(tables) - 1
+    words = []
+    for l in V.lag.sub.gens():
+        letters = [i for i, c in enumerate(l) for _ in range(c)]
+        x = 0
+        for i in letters:
+            x = tables[i][x]
+        if x >= n:
+            raise SolveError("the word of %r moves column 0 of the source to "
+                             "column %d" % (l, x // n))
+        words.append((letters, x))
+    x = tables[center][0]
+    if x >= n:
+        raise SolveError("the central generator moves column 0 of the source "
+                         "to column %d" % (x // n))
+    words.append(([center], x))
+    V._source_words = words
+    return words
 
 
 # -- the canonical system --------------------------------------------------
@@ -164,7 +233,8 @@ class CanonicalSystem:
     ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
     matrices, all of one form: one conductor N and the digit width of
     ``pair_width``.  Under None it holds that width, N, the rotations of
-    the scales and, for the first j that the pairs use as their right
+    the scales, the one identity that every (i, i) holds and, for the
+    first j that the pairs use as their right
     factor, up to ``KEPT_COLUMN_ENTRIES``, the column ints and masks of
     T_LB[j] at N and that width (``_scales``), so emptying the cache drops
     them with the pairs.  It is the only store of pairs: ``pair`` gives
@@ -206,9 +276,10 @@ class CanonicalSystem:
         j, f = l0
         base = self._pair_cache.get((i, j))
         if base is None:
-            w, N, top_of, bottom_of, scales, columns = self._scales()
+            w, N, top_of, bottom_of, scales, identity, columns = \
+                self._scales()
             if i == j:
-                base = Packed.identity(self.modules[i].dim, N, w)
+                base = identity
             else:
                 b = self.T_LB[j]
                 cols = columns.get(j)
@@ -244,12 +315,13 @@ class CanonicalSystem:
         """(``pair_width``, the one conductor N of the pairs, the index of
         c_i among the distinct c for each i, the index of c_j delta_j among
         the distinct c delta for each j, the ``kmat.Rotations`` of each
-        quotient of the two keyed by the two indices, and a dict that
+        quotient of the two keyed by the two indices, the identity at N
+        and that width, which every pair (i, i) shares, and a dict that
         ``pair`` fills with ``kmat.phase_columns(T_LB[j], N, width)`` for
         right factors j, up to ``KEPT_COLUMN_ENTRIES``).  N is the lcm of
         the moduli of the T_LB and of the conductors of the quotients,
         fixed before any rotation is made, and every rotation is made at
-        N, so each product, as each identity, is at N, and the column ints
+        N, so each product, as the identity, is at N, and the column ints
         of T_LB[j] serve every pair (i, j).  Kept in ``_pair_cache`` under
         None, so that emptying the cache drops them with the pairs."""
         got = self._pair_cache.get(None)
@@ -267,7 +339,7 @@ class CanonicalSystem:
             H = dim * max(r.top for r in scales.values())
             w = (dim * N * H * H * D + H * D * D).bit_length() + 1
             got = self._pair_cache[None] = (w, N, top_of, bottom_of, scales,
-                                            {})
+                                            Packed.identity(dim, N, w), {})
         return got
 
     def enhanced_index(self, point):

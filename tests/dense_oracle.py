@@ -16,10 +16,13 @@ g^(-1).  The library reads the action of h row by row; the oracle reads it
 column by column.  The kernel oracle is the convolution picture of an
 intertwiner (Gurevich-Hadani): a bicovariant function on H from which
 the operator is rebuilt by convolution.
-The library counts intertwiner dimensions by walking the orbits of the
-generator maps; the oracle joins the unknowns in a union-find with
-root-of-unity ratios.  The library multiplies only the nonzero entries of
-b in a proportionality; the oracle multiplies every entry.
+The library counts intertwiner dimensions by Frobenius reciprocity, over
+the vectors of the target that the words of the source's lagrangian scale
+as they scale column 0 of the source; the walk oracle walks the orbits of
+the generator maps on all dv * dw unknowns of an intertwiner, and the
+union-find oracle joins those unknowns with root-of-unity ratios.
+The library multiplies only the nonzero entries of b in a
+proportionality; the oracle multiplies every entry.
 The library holds each standard intertwiner as a phase matrix, one
 root of unity per entry from one coset; the oracle counts the exponents of
 every entry in a dim x dim x n cube and reduces each entry through
@@ -463,6 +466,45 @@ class _RatioUnionFind:
             if self.dead[r]:
                 dead_roots.add(r)
         return len(roots) - len(dead_roots)
+
+
+def hom_dim_walk(V, W):
+    """Dimension of the space of H-intertwiners V -> W for any two modules
+    with ``generator_parts``, from the dv * dw unknowns X[k][b].
+
+    X rho_V(h) = rho_W(h) X for a generator h pairs the unknowns two at a
+    time: with h sending column b of V to row pV[b] with zeta_n^eV[b], and
+    column k of W to pW[k] with zeta_n^eW[k], it reads
+    X[pW[k]][pV[b]] = zeta_n^(eW[k] - eV[b]) * X[k][b].  Each generator so
+    permutes the unknowns, and walking these maps forward from an unknown
+    visits its whole orbit, giving each unknown a phase relative to the
+    first.  An orbit is one free scalar unless two paths give one unknown
+    different phases; then it is zero.
+    """
+    dv = V.dim
+    n = V.H.n
+    gens = list(zip(V.generator_parts(), W.generator_parts()))
+    phase = [None] * (dv * W.dim)
+    dim = 0
+    for start in range(len(phase)):
+        if phase[start] is not None:
+            continue
+        phase[start] = 0
+        stack = [start]
+        consistent = True
+        while stack:
+            u = stack.pop()
+            k, b = divmod(u, dv)
+            for (pV, eV), (pW, eW) in gens:
+                v = pW[k] * dv + pV[b]
+                e = (phase[u] + eW[k] - eV[b]) % n
+                if phase[v] is None:
+                    phase[v] = e
+                    stack.append(v)
+                elif phase[v] != e:
+                    consistent = False
+        dim += consistent
+    return dim
 
 
 def hom_dim_union_find(V, W):

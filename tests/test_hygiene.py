@@ -219,3 +219,14 @@ def test_verify_keeps_no_module_level_cache():
     for one call, so the module binds no dict, list or set and decorates
     nothing with a cache."""
     assert module_level_caches((SRC / "verify.py").read_text()) == []
+
+
+def test_models_and_intertwiners_keep_no_other_module_level_cache():
+    """``verify_svn`` builds its models afresh on every call, so a cache
+    keyed by a model's id could hand a new model the tables of a dead one.
+    A model keeps what it memoizes on itself, and ``intertwine`` memoizes
+    only tables keyed by primes and sizes."""
+    found = {name: [n for _line, n in module_level_caches(
+        (SRC / name).read_text())] for name in ("heisenberg.py", "intertwine.py")}
+    assert found == {"heisenberg.py": [],
+                     "intertwine.py": ["_box_tables", "_inverse_gauss_power"]}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import dense_oracle
 import pytest
@@ -10,6 +11,7 @@ from dense_oracle import (
     dense_phase_product,
     dense_standard_T,
     hom_dim_union_find,
+    hom_dim_walk,
     kernel_of,
     operator_from_kernel,
     propagated_scalars,
@@ -27,7 +29,7 @@ from test_symplectic import FP_MODULES
 
 from heisenrep.abgroup import subgroup_intersect
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
-from heisenrep.heisenberg import HeisGrp, g_transport, induce
+from heisenrep.heisenberg import HeisGrp, InducedModule, g_transport, induce
 from heisenrep.intertwine import (
     KEPT_COLUMN_ENTRIES,
     SolveError,
@@ -131,7 +133,7 @@ def test_hom_dim_examples(setup3):
             assert hom_dim(mods[i], mods[j]) == 1
     doubled = DirectSum([mods[0], mods[0]])
     assert hom_dim(mods[0], doubled) == 2
-    assert hom_dim(doubled, doubled) == 4
+    assert hom_dim_walk(doubled, doubled) == 4
 
 
 def _lagrangian_models(M):
@@ -171,6 +173,7 @@ class _ShiftedCenter:
 HOM_DIM_MODELS = {
     "Z3^2": lambda: _lagrangian_models(standard_module([(3, 1)])),
     "Z5^2": lambda: _lagrangian_models(standard_module([(5, 1)])),
+    "Z3^4": lambda: _lagrangian_models(standard_module([(3, 2)])),
     "orders-3-3-1": lambda: _lagrangian_models(SympMod.from_json(
         {"orders": [3, 3, 1], "gram": [[0, 1, 0], [2, 0, 0], [0, 0, 0]]})),
     "lifted-Z27^2": lambda: _system_models([(27, 1)]),
@@ -181,10 +184,24 @@ HOM_DIM_MODELS = {
 
 @pytest.mark.parametrize("name", list(HOM_DIM_MODELS))
 def test_hom_dim_matches_union_find(name):
+    """On every ordered pair the walk agrees with the union-find, and so
+    does ``hom_dim`` where the source is a lagrangian model."""
     mods = HOM_DIM_MODELS[name]()
     for V in mods:
         for W in mods:
-            assert hom_dim(V, W) == hom_dim_union_find(V, W)
+            expected = hom_dim_union_find(V, W)
+            assert hom_dim_walk(V, W) == expected
+            if isinstance(V, InducedModule):
+                assert hom_dim(V, W) == expected
+
+
+def test_hom_dim_matches_the_oracles_on_sampled_pairs():
+    mods = _lagrangian_models(standard_module([(9, 1), (3, 1)]))
+    assert len(mods) == 148
+    rng = random.Random(26)
+    for _ in range(300):
+        V, W = rng.choice(mods), rng.choice(mods)
+        assert hom_dim(V, W) == hom_dim_walk(V, W) == hom_dim_union_find(V, W)
 
 
 def test_hom_dim_zero_for_another_central_character(setup3):
@@ -192,8 +209,58 @@ def test_hom_dim_zero_for_another_central_character(setup3):
     V = mods[0]
     shifted = _ShiftedCenter(V)
     assert hom_dim(V, shifted) == hom_dim_union_find(V, shifted) == 0
-    assert hom_dim(shifted, V) == 0
-    assert hom_dim(shifted, shifted) == 1
+    assert hom_dim_walk(shifted, V) == 0
+    assert hom_dim_walk(shifted, shifted) == 1
+
+
+def test_hom_dim_refuses_a_source_without_a_lagrangian(setup3):
+    _M, _H, _lags, mods = setup3
+    doubled = DirectSum([mods[0], mods[0]])
+    with pytest.raises(SolveError, match="source DirectSum has no lagrangian"):
+        hom_dim(doubled, mods[0])
+    with pytest.raises(SolveError, match="source _ShiftedCenter has no"):
+        hom_dim(_ShiftedCenter(mods[0]), mods[0])
+
+
+def _tampered_source(H, lag, parts):
+    """A fresh model over ``lag`` whose generator matrices are
+    ``parts(V.generator_parts())``."""
+    V = induce(H, lag)
+    V._generator_parts = parts(V.generator_parts())
+    return V
+
+
+def test_hom_dim_refuses_a_word_that_moves_column_0(setup3):
+    _M, H, lags, mods = setup3
+    # the words of lags[0] read on the matrices of the model over lags[1]
+    V = _tampered_source(H, lags[0], lambda _: mods[1].generator_parts())
+    (l,) = lags[0].sub.gens()
+    with pytest.raises(SolveError, match=r"word of %s moves column 0 of the "
+                       r"source to column [12]$" % re.escape(repr(l))):
+        hom_dim(V, mods[0])
+
+
+def test_hom_dim_refuses_generators_that_do_not_reach_every_column(setup3):
+    _M, H, lags, mods = setup3
+
+    def fixed(parts):
+        *gens, center = parts
+        return [(list(range(len(p))), e) for p, e in gens] + [center]
+
+    with pytest.raises(SolveError, match="do not reach column 1 from column 0"):
+        hom_dim(_tampered_source(H, lags[0], fixed), mods[0])
+
+
+def test_hom_dim_refuses_a_center_that_moves_column_0(setup3):
+    _M, H, lags, mods = setup3
+
+    def swapped(parts):
+        *gens, (perm, expo) = parts
+        return gens + [([perm[1], perm[0]] + perm[2:], expo)]
+
+    with pytest.raises(SolveError, match="central generator moves column 0 "
+                       "of the source to column 1$"):
+        hom_dim(_tampered_source(H, lags[0], swapped), mods[0])
 
 
 def test_composition_scalar(setup3):

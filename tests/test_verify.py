@@ -290,7 +290,7 @@ def test_checked_pairs_sit_at_the_pair_width(blocks):
     """After the light check on (Z/3)^4 and on the lifted (Z/9)^2+(Z/3)^2
     every cached pair is at ``pair_width`` and at the system conductor, so
     no product or comparison met operands of two forms, which ``Packed``
-    refuses."""
+    refuses.  Every pair (i, i) is one object, the identity at that form."""
     M = standard_module(blocks)
     pi = canonrep.build_pi(M, system_verify="none")
     sys = pi.system
@@ -302,6 +302,13 @@ def test_checked_pairs_sit_at_the_pair_width(blocks):
     assert len(pairs) > sys.count
     assert {(P.width, P.n) for P in pairs} == {(sys.pair_width(),
                                                 sys.conductor)}
+    ones = [sys._pair_cache[i, i] for i in range(sys.count)]
+    one = ones[0]
+    assert all(P is one for P in ones)
+    identity = Packed.identity(sys.modules[0].dim, sys.conductor,
+                               sys.pair_width())
+    assert (one.rows, one.masks, one.den) == (identity.rows, identity.masks,
+                                              identity.den)
 
 
 def test_a_pair_at_another_width_fails_with_its_forms(solved_z3):
