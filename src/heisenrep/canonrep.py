@@ -158,8 +158,7 @@ def flip_anchor(sys_c):
     c = {i: -v for i, v in sys_c.c.items()}
     return CanonicalSystem(sys_c.module, sys_c.enh_module, sys_c.lags,
                            sys_c.enh_lags, sys_c.base_index, sys_c.modules,
-                           sys_c.T_LB, sys_c.delta, c,
-                           sys_c.conductor)
+                           sys_c.T_LB, sys_c.delta, c)
 
 
 class TensorRep:

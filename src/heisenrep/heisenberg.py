@@ -100,21 +100,6 @@ def heis_primary(H, p):
     return HeisGrp(Mp), embed
 
 
-def primary_embed(H, Hp, embed, hp):
-    """Map an element of a primary Heisenberg factor into H.
-
-    The center maps by zeta_{p^r} = zeta_n^(n/p^r); the cocycles agree
-    because both half-forms are the inverse of 2 in their rings.
-    """
-    mp, ap = hp
-    M = H.base
-    m = M.group.zero()
-    for coord, gen in zip(mp, embed):
-        m = M.group.add(m, M.group.scale(coord, gen))
-    scale = H.n // Hp.n if Hp.n else H.n
-    return (m, (ap * scale) % H.n)
-
-
 def primary_split(H):
     """Primary Heisenberg factors with projection data.
 
@@ -169,7 +154,7 @@ class InducedModule:
     """
 
     __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache",
-                 "_generator_parts", "_generator_tables", "_source_words")
+                 "_generator_tables", "_source_words")
 
     def __init__(self, H, lag):
         self.H = H
@@ -183,7 +168,6 @@ class InducedModule:
             raise SymplecticError("induced module dimension %d != sqrt(|M|) = %d"
                                   % (self.dim, expected))
         self._rep_of_cache = {}
-        self._generator_parts = None
         self._generator_tables = None
         self._source_words = None
 
@@ -230,25 +214,20 @@ class InducedModule:
 
     def rho(self, h):
         """Dense action matrix of h."""
-        return self.rho_genperm(h).to_dense(self.H.n)
+        return self.rho_genperm(h).to_dense()
 
     def group_generators(self):
         """A generating set of H: module generators of M plus the center."""
         group = self.H.base.group
         return [(e, 0) for e in group.basis()] + [(group.zero(), 1)]
 
-    def generator_parts(self):
-        """``rho_parts`` of each of ``group_generators``, computed once."""
-        if self._generator_parts is None:
-            self._generator_parts = [self.rho_parts(h)
-                                     for h in self.group_generators()]
-        return self._generator_parts
-
     def generator_tables(self):
-        """``point_table`` of each of ``generator_parts``, made once."""
+        """``point_table`` of ``rho_parts`` of each of
+        ``group_generators``, made once."""
         if self._generator_tables is None:
-            self._generator_tables = [point_table(perm, expo, self.H.n)
-                                      for perm, expo in self.generator_parts()]
+            self._generator_tables = [
+                point_table(*self.rho_parts(h), self.H.n)
+                for h in self.group_generators()]
         return self._generator_tables
 
     def char_exponent_counts(self, h):

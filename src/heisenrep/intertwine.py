@@ -37,7 +37,7 @@ from .cyclo import (
     root_of_unity,
     sqrt_prime,
 )
-from .heisenberg import HeisGrp, InducedModule, induce, point_table
+from .heisenberg import HeisGrp, InducedModule, induce
 from .kmat import Packed, PhaseMat, Rotations, mat_to_json, phase_columns
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
@@ -104,7 +104,7 @@ def standard_T(target, source):
 
 def hom_dim(V, W):
     """Dimension of the space of H-intertwiners V -> W, for a lagrangian
-    model V (an ``InducedModule``) and any W with ``generator_parts`` in
+    model V (an ``InducedModule``) and any W with ``generator_tables`` in
     the order of ``V.group_generators()``.
 
     By Frobenius reciprocity (Serre, Linear Representations of Finite
@@ -137,9 +137,7 @@ def hom_dim(V, W):
     if not isinstance(V, InducedModule):
         raise SolveError("source %s has no lagrangian; hom_dim needs a "
                          "lagrangian model as its source" % type(V).__name__)
-    n = V.H.n
-    tables = (W.generator_tables() if isinstance(W, InducedModule) else
-              [point_table(perm, expo, n) for perm, expo in W.generator_parts()])
+    n, tables = V.H.n, W.generator_tables()
     words = []
     for letters, lam in _source_words(V):
         img = tables[letters[0]]
@@ -231,19 +229,20 @@ class CanonicalSystem:
     one of M_c, share the index i.
 
     ``_pair_cache`` holds the pairs F_{(i,1),(j,1)} as ``kmat.Packed``
-    matrices, all of one form: one conductor N and the digit width of
-    ``pair_width``.  Under None it holds that width, N, the rotations of
-    the scales, the one identity that every (i, i) holds and, for the
-    first j that the pairs use as their right
-    factor, up to ``KEPT_COLUMN_ENTRIES``, the column ints and masks of
-    T_LB[j] at N and that width (``_scales``), so emptying the cache drops
-    them with the pairs.  It is the only store of pairs: ``pair`` gives
+    matrices, all of one form: one conductor N, the exponent n of the
+    operator module that ``conductor`` holds (each c_i lies at p or n,
+    T_LB and delta at n), and the digit width of ``pair_width``.  Under
+    None it holds that width, N, the rotations of the scales, the one
+    identity that every (i, i) holds and, for the first j that the pairs
+    use as their right factor, up to ``KEPT_COLUMN_ENTRIES``, the column
+    ints and masks of T_LB[j] at N and that width (``_scales``), so
+    emptying the cache drops them with the pairs.  It is the only store of pairs: ``pair`` gives
     the signed packed pair and ``operator`` its dense view.
     ``anchored`` reads the phase matrices directly.
     """
 
     def __init__(self, module, enh_module, lags, enh_lags, base_index,
-                 modules, T_LB, delta, c, conductor):
+                 modules, T_LB, delta, c):
         self.module = module
         self.enh_module = enh_module
         self.lags = lags
@@ -254,7 +253,7 @@ class CanonicalSystem:
         self.T_LB = T_LB
         self.delta = delta
         self.c = c
-        self.conductor = conductor
+        self.conductor = module.n
         self._pair_cache = {}
 
     @property
@@ -368,8 +367,7 @@ class CanonicalSystem:
         modulus of T_LB[i].  So the test is one Galois test per c_i, and
         one per exponent e that occurs only when m does not divide n.
         """
-        n = self.module.n if self.module.group.rank else 1
-        p = self.enh_module.n if self.enh_module.group.rank else 1
+        n, p = self.conductor, self.enh_module.n
         gens = [root_of_unity(n)]
         if p > 1:
             gens.append(sqrt_prime(p))
@@ -390,9 +388,7 @@ class CanonicalSystem:
             for j, f in self.enhanced():
                 key = "L%d:%s|L%d:%s" % (i, "+" if e > 0 else "-",
                                          j, "+" if f > 0 else "-")
-                mat = [[x.lift(self.conductor) if x.n != self.conductor else x
-                        for x in row] for row in self.operator((i, e), (j, f))]
-                table[key] = mat_to_json(mat)
+                table[key] = mat_to_json(self.operator((i, e), (j, f)))
         return {
             "lagrangians": [[list(r) for r in L.sub.rows] for L in self.enh_lags],
             "pairs": table,
@@ -400,10 +396,6 @@ class CanonicalSystem:
 
     def export(self):
         mod_json = json.dumps(self.module.to_json(), sort_keys=True)
-        # anchored(i, e) at the conductor: with c_i lifted to it, every
-        # entry of the scaled T_LB[i], the shared zero included, is made
-        # there, so no entry is lifted
-        c = [self.c[i].lift(self.conductor) for i in range(self.count)]
         out = {
             "module": self.module.to_json(),
             "module_sha256": hashlib.sha256(mod_json.encode()).hexdigest(),
@@ -413,7 +405,7 @@ class CanonicalSystem:
             "operator_lagrangians": [[list(r) for r in L.sub.rows] for L in self.lags],
             "anchored": {
                 "L%d:%s" % (i, "+" if e > 0 else "-"): mat_to_json(
-                    self.T_LB[i].scaled(c[i] if e > 0 else -c[i]))
+                    self.anchored(i, e))
                 for i in range(self.count)
                 for e in (1, -1)
             },
@@ -592,11 +584,15 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
     """Normalize the averaging intertwiners into the canonical system.
 
     Anchors the basepoint scalar at 1 and takes every other scalar from
-    ``canonical_scalar``.  Raises SymplecticError, an input error, for a
+    ``canonical_scalar``.  Raises ValueError for a ``verify`` level other
+    than none, light or full; SymplecticError, an input error, for a
     non-elementary module or a basepoint index outside the lagrangians;
     BudgetError when |Mc| exceeds ``budget``, the lagrangian enumeration
     budget; SolveError when the system fails the ``verify`` check.
     """
+    if verify not in ("none", "light", "full"):
+        raise ValueError("unknown level %r: expected none, light or full"
+                         % (verify,))
     if not Mc.is_elementary():
         raise SymplecticError("canonical system needs an elementary module")
     lags = enumerate_lagrangians(Mc, budget=budget)
@@ -605,14 +601,12 @@ def solve_canonical_system(Mc, base_index=0, verify="light", seed=0,
                               "lagrangians" % (base_index, len(lags)))
     H = HeisGrp(Mc)
     mods = [induce(H, L) for L in lags]
-    conductor = Mc.n if Mc.group.rank else 1
     B = base_index
     T_LB, delta, inters = standard_pairs(mods, B)
-    c = {i: CycNum.one(conductor) if i == B else
+    c = {i: CycNum.one(H.n) if i == B else
          canonical_scalar(Mc, L, lags[B], inters[i])
          for i, L in enumerate(lags)}
-    sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, delta,
-                          c, conductor)
+    sys = CanonicalSystem(Mc, Mc, lags, lags, B, mods, T_LB, delta, c)
     if verify != "none":
         from .verify import check_system_axioms
 

@@ -40,9 +40,8 @@ row s of b with b_sk = zeta_n^y; row r of the product is the sum, over the
 columns k where a_rk = zeta_n^x, of the rotation by x times the column
 int of k, folded once.  Each digit then adds one coefficient of a
 rotation per column, so its height is inner times the largest
-coefficient of a rotation.  Its dense view is
-``scalar_mul(c, mat_mul(a, b^H))``, zero at c.n where no column is shared
-and at N where the sum cancels.
+coefficient of a rotation.  Its dense view has the values of
+``scalar_mul(c, mat_mul(a, b^H))``, every entry at N.
 
 A ``Packed`` matrix holds one int per row at one conductor N, width w and
 denominator, its column count, its height h (no digit exceeds it,
@@ -52,11 +51,11 @@ vector fills the low N digits and the high N are 0.  The row is the
 integer sum of its entries shifted to their slots, so the signed-digit
 codec holds across the row: adding 2^(w-1) to the low N digits of every
 slot makes every digit of the row nonnegative, and an entry is read with
-a shift and a mask (``entry``).  ``to_dense`` gives a zero entry inside
-the mask the zero of N and one outside the zero of conductor ``zero``;
-it and ``moved`` read the entries at the mask bits only.  Negation negates
-each row; ``moved`` applies a GenPerm on each side, whose moduli divide N,
-rotating each entry's digits once (x^N = 1) into its new slot.
+a shift and a mask (``entry``).  ``to_dense`` gives every zero entry the
+one zero of N; it and ``moved`` read the entries at the mask bits only.
+Negation negates each row; ``moved`` applies a GenPerm on each side, whose
+moduli divide N, rotating each entry's digits once (x^N = 1) into its new
+slot.
 
 Folding.  A product of an entry (N digits) and a row puts a vector of
 2N - 1 digits into each slot, which 2N digits hold, and a sum of such
@@ -340,9 +339,9 @@ class GenPerm:
     def dim(self):
         return len(self.perm)
 
-    def to_dense(self, n=1):
+    def to_dense(self):
         """The dense matrix, with zeros of conductor n."""
-        m = zeros(self.dim, self.dim, n)
+        m = zeros(self.dim, self.dim, self.n)
         for j, (i, e) in enumerate(zip(self.perm, self.expo)):
             m[i][j] = root_of_unity(self.n, e)
         return m
@@ -478,7 +477,7 @@ class Rotations:
                 mask |= col_masks[k]
             rows.append(_fold(acc, N, w, cols) if acc else 0)
             masks.append(mask)
-        return Packed(rows, cols, masks, N, scale.den, w, height, scale.n)
+        return Packed(rows, cols, masks, N, scale.den, w, height)
 
 
 def phase_columns(b, N, w):
@@ -563,23 +562,22 @@ class Packed:
     with its column count, digit width, height and row masks; see the
     module notes."""
 
-    __slots__ = ("rows", "cols", "masks", "n", "den", "width", "height",
-                 "zero")
+    __slots__ = ("rows", "cols", "masks", "n", "den", "width", "height")
 
-    def __init__(self, rows, cols, masks, n, den, width, height, zero):
+    def __init__(self, rows, cols, masks, n, den, width, height):
         self.rows, self.cols, self.masks = rows, cols, masks
         self.n, self.den = n, den
-        self.width, self.height, self.zero = width, height, zero
+        self.width, self.height = width, height
 
     @classmethod
-    def from_entries(cls, entries, masks, n, den, width, height, zero):
+    def from_entries(cls, entries, masks, n, den, width, height):
         """The matrix whose entry (i, j) is the int ``entries[i][j]`` of n
         signed digits of width ``width``, as ``entry`` reads it."""
         slot = 2 * n * width
         rows = [sum(x << slot * j for j, x in enumerate(row))
                 for row in entries]
         return cls(rows, len(entries[0]) if entries else 0, masks, n, den,
-                   width, height, zero)
+                   width, height)
 
     def entry(self, i, j):
         """Entry (i, j) as one int: its n signed digits of width ``width``,
@@ -596,30 +594,29 @@ class Packed:
 
     @staticmethod
     def identity(dim, n, width):
-        """The identity at conductor n, its zeros of conductor n too."""
+        """The identity at conductor n."""
         slot = 2 * n * width
         return Packed([1 << slot * i for i in range(dim)], dim,
-                      [1 << i for i in range(dim)], n, 1, width, 1, n)
+                      [1 << i for i in range(dim)], n, 1, width, 1)
 
     def to_dense(self):
-        """The dense matrix, each entry reduced once by ``from_powers``; a
-        zero inside the mask is the one zero of conductor n."""
+        """The dense matrix, each entry reduced once by ``from_powers``;
+        every zero is the one zero of conductor n."""
         n, w, den = self.n, self.width, self.den
-        missed = CycNum.zero(self.zero)
-        cancelled = missed if n == self.zero else CycNum.zero(n)
+        zero = CycNum.zero(n)
         out = []
         for row, mask in zip(self.rows, self.masks):
-            new = [missed] * self.cols
+            new = [zero] * self.cols
             for j, x in self._entries(row, mask):
                 x = from_powers(n, enumerate(_digits(x, w, n)), den) if x \
-                    else cancelled
-                new[j] = x if any(x.num) else cancelled
+                    else zero
+                new[j] = x if any(x.num) else zero
             out.append(new)
         return out
 
     def __neg__(self):
         return Packed([-x for x in self.rows], self.cols, self.masks, self.n,
-                      self.den, self.width, self.height, self.zero)
+                      self.den, self.width, self.height)
 
     def moved(self, left, right):
         """left @ self @ right for GenPerms left and right: entry (r, c)
@@ -649,8 +646,7 @@ class Packed:
                     acc += x << slot * j
                 new |= 1 << j
             rows[i], masks[i] = acc, new
-        return Packed(rows, right.dim, masks, n, self.den, w, self.height,
-                      self.zero)
+        return Packed(rows, right.dim, masks, n, self.den, w, self.height)
 
     def __matmul__(self, other):
         """self @ other, folded mod x^N - 1, over self.den * other.den: row
@@ -668,7 +664,7 @@ class Packed:
                 reach |= b_masks[k]
             rows.append(_fold(acc, n, w, b.cols) if acc else 0)
             masks.append(reach)
-        return Packed(rows, b.cols, masks, n, a.den * b.den, w, height, 1)
+        return Packed(rows, b.cols, masks, n, a.den * b.den, w, height)
 
     def __eq__(self, other):
         """Exact equality of values, a row at a time through the kernel

@@ -90,12 +90,6 @@ class ReductionData:
         n = self.M.n
         return (self.proj(m), (a // (n // self.p)) % self.p if self.p > 1 else 0)
 
-    def central_lift(self, hc):
-        """The subgroup embedding H_c -> H^S/S, choosing the canonical
-        section on the module part."""
-        mc, b = hc
-        return (self.section(mc), (b * (self.M.n // self.p)) % self.M.n)
-
     def lag_lift(self, lag_c):
         """Preimage in S^perp of a lagrangian of M_c; lagrangian in M."""
         gens = [self.section(g) for g in lag_c.sub.gens()] + list(self.S.gens())
@@ -153,5 +147,4 @@ def lift_canonical_system(red, sys_c):
     B = sys_c.base_index
     T_LB, delta, _inters = standard_pairs(mods, B)
     return CanonicalSystem(red.M, sys_c.enh_module, lifted_lags,
-                           sys_c.enh_lags, B, mods, T_LB, delta,
-                           sys_c.c, conductor=red.M.n)
+                           sys_c.enh_lags, B, mods, T_LB, delta, sys_c.c)

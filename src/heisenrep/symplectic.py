@@ -479,11 +479,6 @@ class SympAut:
             raise SymplecticError("matrix is not invertible")
         return inv
 
-    def is_identity(self):
-        # mat holds reduced rows, so an order-1 summand's unit is 0 there
-        group = self.module.group
-        return self.mat == tuple(group.reduce(e) for e in group.basis())
-
     def on_subgroup(self, sub):
         return subgroup_from_gens(self.module.group, [self.apply(g) for g in sub.gens()])
 
@@ -590,9 +585,6 @@ class EnhLag:
             raise SymplecticError("enhanced data lives on elementary modules only")
         self.lag = lag
         self.eps = eps
-
-    def flip(self):
-        return EnhLag(self.lag, -self.eps)
 
     def key(self):
         return (self.lag.key(), self.eps)

@@ -86,8 +86,11 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
     level); by default the enhanced-level transvections act on both sides,
     which is the situation for an elementary module.  A lifted system, whose
     operators act on a module other than the enhanced one, has no such
-    default, and is refused with ValueError before any check runs.
+    default, and is refused with ValueError before any check runs, as is
+    a ``level`` other than light or full.
     """
+    if level not in ("light", "full"):
+        raise ValueError("unknown level %r: expected light or full" % (level,))
     if equivariance_pairs is None and sys.module != sys.enh_module:
         raise ValueError(
             "the system's operators act on %r and its enhanced points on %r: "
@@ -385,7 +388,10 @@ def _heisenberg_suite(M, seed, level):
 
 
 def run_verify(M, level="quick", seed=0, budget=3 ** 8):
-    """The whole property matrix for one module, as a list of reports."""
+    """The whole property matrix for one module, as a list of reports.
+    A ``level`` other than quick or full raises ValueError."""
+    if level not in ("quick", "full"):
+        raise ValueError("unknown level %r: expected quick or full" % (level,))
     # built first, so that a module over the budget is refused before the
     # layer suites run
     pi = build_pi(M, system_verify="none", budget=budget)

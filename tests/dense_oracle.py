@@ -47,6 +47,11 @@ solves for their coordinates by elimination over the echelon basis of
 the image, which it takes through ``SympAut.on_subgroup``.
 The library lists the transvections from each nonzero vector once up to
 sign; the oracle makes them from every nonzero vector and every scale.
+
+Four small maps that only the tests use live here too: ``is_identity``
+and ``flip`` on automorphisms and enhanced points, the embedding of a
+primary Heisenberg factor (``primary_embed``) and the central embedding
+of the reduced group (``central_lift``).
 """
 
 import itertools
@@ -468,9 +473,19 @@ class _RatioUnionFind:
         return len(roots) - len(dead_roots)
 
 
+def table_parts(W):
+    """(perm, exponents) of each of ``W.generator_tables()``, as
+    ``rho_parts`` gives them: point k * n of a table is
+    perm[k] * n + exponents[k]."""
+    n = W.H.n
+    return [([t[k * n] // n for k in range(W.dim)],
+             [t[k * n] % n for k in range(W.dim)])
+            for t in W.generator_tables()]
+
+
 def hom_dim_walk(V, W):
     """Dimension of the space of H-intertwiners V -> W for any two modules
-    with ``generator_parts``, from the dv * dw unknowns X[k][b].
+    with ``generator_tables``, from the dv * dw unknowns X[k][b].
 
     X rho_V(h) = rho_W(h) X for a generator h pairs the unknowns two at a
     time: with h sending column b of V to row pV[b] with zeta_n^eV[b], and
@@ -483,7 +498,7 @@ def hom_dim_walk(V, W):
     """
     dv = V.dim
     n = V.H.n
-    gens = list(zip(V.generator_parts(), W.generator_parts()))
+    gens = list(zip(table_parts(V), table_parts(W)))
     phase = [None] * (dv * W.dim)
     dim = 0
     for start in range(len(phase)):
@@ -514,8 +529,8 @@ def hom_dim_union_find(V, W):
     dv, dw = V.dim, W.dim
     n = V.H.n
     uf = _RatioUnionFind(dv * dw, n)
-    for (permV, expV), (permW, expW) in zip(V.generator_parts(),
-                                            W.generator_parts()):
+    for (permV, expV), (permW, expW) in zip(table_parts(V),
+                                            table_parts(W)):
         for b in range(dv):
             for k in range(dw):
                 u1 = permW[k] * dv + permV[b]
@@ -687,9 +702,8 @@ def _propagate(mods, B, count, image, transport):
 def dense_phase_product(a, b, scale):
     """scale * (a @ b^H) for phase matrices a and b as a dense matrix: each
     entry's sum of packed rotations unpacked into one CycNum at
-    N = lcm(scale.n, n); the zero of conductor scale.n where the two rows
-    share no column and the zero of N where the sum cancels, one object
-    each."""
+    N = lcm(scale.n, n), and one zero of N wherever the two rows share no
+    column or the sum cancels."""
     n = lcm(a.n, b.n)
     s, t = n // a.n, n // b.n
     rots = [mul_root(scale, n, d).num for d in range(n)]
@@ -699,24 +713,55 @@ def dense_phase_product(a, b, scale):
     offset = sum(half << q for q in places)
     packed = [sum(map(lshift, rot, places)) for rot in rots]
     N = lcm(scale.n, n)
-    missed = CycNum.zero(scale.n)
-    cancelled = missed if N == scale.n else CycNum.zero(N)
+    zero = CycNum.zero(N)
     out = []
     for row in a.rows:
         xs = {k: s * x for k, x in row}
         new = []
         for row_b in b.rows:
             terms = [packed[xs[k] - t * y] for k, y in row_b if k in xs]
-            if not terms:
-                new.append(missed)
-            elif acc := sum(terms):
+            if acc := sum(terms):
                 acc += offset
                 new.append(CycNum(N, [((acc >> q) & low) - half
                                       for q in places], scale.den))
             else:
-                new.append(cancelled)
+                new.append(zero)
         out.append(new)
     return out
+
+
+def is_identity(g):
+    """Whether the automorphism g is the identity.  g.mat holds reduced
+    rows, so an order-1 summand's unit is 0 there."""
+    group = g.module.group
+    return g.mat == tuple(group.reduce(e) for e in group.basis())
+
+
+def flip(point):
+    """The enhanced point with the other lift datum."""
+    return EnhLag(point.lag, -point.eps)
+
+
+def primary_embed(H, Hp, embed, hp):
+    """Map an element of a primary Heisenberg factor into H.
+
+    The center maps by zeta_{p^r} = zeta_n^(n/p^r); the cocycles agree
+    because both half-forms are the inverse of 2 in their rings.
+    """
+    mp, ap = hp
+    M = H.base
+    m = M.group.zero()
+    for coord, gen in zip(mp, embed):
+        m = M.group.add(m, M.group.scale(coord, gen))
+    scale = H.n // Hp.n if Hp.n else H.n
+    return (m, (ap * scale) % H.n)
+
+
+def central_lift(red, hc):
+    """The subgroup embedding H_c -> H^S/S of the reduction ``red``,
+    choosing the canonical section on the module part."""
+    mc, b = hc
+    return (red.section(mc), (b * (red.M.n // red.p)) % red.M.n)
 
 
 def transvections_from_every_vector(M):

@@ -7,6 +7,7 @@ from unittest import mock
 
 from heisenrep import intlin
 from heisenrep.abgroup import subgroup_from_gens
+from heisenrep.heisenberg import point_table
 from heisenrep.kmat import Packed, identity, mat_eq, mat_mul
 from heisenrep.symplectic import SympAut
 
@@ -22,8 +23,9 @@ class DirectSum:
     def group_generators(self):
         return self.parts[0].group_generators()
 
-    def generator_parts(self):
-        return [self.rho_parts(h) for h in self.group_generators()]
+    def generator_tables(self):
+        return [point_table(*self.rho_parts(h), self.H.n)
+                for h in self.group_generators()]
 
     def rho_parts(self, h):
         perm = []
@@ -42,6 +44,14 @@ def shared_zeros(mat):
     seen = {}
     return all(seen.setdefault(x.n, x) is x
                for row in mat for x in row if not any(x.num))
+
+
+def one_zero(mat, n):
+    """Whether every entry of ``mat`` is at conductor n and its zero
+    entries are one object."""
+    zeros = [x for row in mat for x in row if not any(x.num)]
+    return all(x.n == n for row in mat for x in row) and all(
+        x is zeros[0] for x in zeros)
 
 
 def zero_sharing(mat):
@@ -63,7 +73,7 @@ def packed_rows(vectors, n, den=1, width=None):
             for row in vectors]
     masks = [sum(1 << j for j, v in enumerate(row) if any(v))
              for row in vectors]
-    return Packed.from_entries(rows, masks, n, den, w, height, n)
+    return Packed.from_entries(rows, masks, n, den, w, height)
 
 
 def packed_entries(P):

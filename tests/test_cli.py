@@ -186,6 +186,10 @@ CLI_DIGESTS = [
     # 15eb68c (written by ``json.dumps``)
     ("system", "3^1:2",
      "67012dc85aa53cddb03e22be1a6f8977894fe3c3ff3afe5d140eae5a6b2d527e"),
+    # 7.1 MB: the lifted (Z/27)^2, its anchored maps and pair table at
+    # conductor 27 over a solved system at 3, recorded at dd7a5ec
+    ("system", "27^1:1",
+     "ae9e26626ea2457aa47fb0f2c02022bf8351d349a74a4b1c856c9a792c858238"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Source hygiene: every module-level import of the library is used,
-every module-level definition is referenced, an import inside a
-function is there only to break an import cycle, and the verification
-module keeps no cache between calls."""
+every module-level definition is referenced, every function and public
+method is used by the library, its README or its benchmarks unless an
+allowlist gives the reason it stays, an import inside a function is there
+only to break an import cycle, and the verification module keeps no cache
+between calls."""
 
 import ast
 import re
@@ -50,25 +52,25 @@ def definitions(tree):
 
 
 def references(source, own=True):
-    """Names that ``source`` reads, imports or reads as attributes, outside
-    the module-level definition of the same name (so a recursive call is
+    """Names that ``source`` reads, imports or reads as attributes, each
+    outside every def or class of the same name (so a recursive call is
     not a use).  With ``own`` false, names that ``source`` defines itself
     are left out: there they mean its own definitions."""
     tree = ast.parse(source)
     out = set()
-    for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name != owner:
-                out.add(name)
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name is not None and name not in owners:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
     return out if own else out - {node.name for node in definitions(tree)}
 
 
@@ -106,6 +108,65 @@ def test_every_definition_is_referenced():
             words, *(refs for other, refs in foreign.items() if other != path))
         found[path.name] = unreferenced(source, used)
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# The functions and public methods of src/ that neither src/ nor a word of
+# README.md or of a file in benchmarks/ names, each with the reason it
+# stays in the library rather than in tests/dense_oracle.py.
+SURFACE_ALLOWLIST = {
+    "kmat.mat_inverse": "the acceptance suite imports it",
+    "kmat.mat_from_json": "the acceptance suite imports it",
+    "reduction.ReductionData.alpha": "the paper's reduction homomorphism",
+    "canonrep.CanonicalRep.act": "library API: the action of an element "
+                                 "of H, of Sp(M) or of their product",
+    "canonrep.TensorRep.act": "library API, as CanonicalRep.act",
+}
+
+
+def surface(module, source):
+    """The qualified name of each module-level function of ``source`` and
+    of each public method of its module-level classes."""
+    out = []
+    for node in definitions(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            out.append("%s.%s" % (module, node.name))
+        else:
+            out.extend("%s.%s.%s" % (module, node.name, item.name)
+                       for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("_"))
+    return out
+
+
+def test_unused_surface_is_found():
+    module = ("def used():\n    return 1\n"
+              "def recursive(k):\n    return recursive(k - 1) if k else used()\n"
+              "class Model:\n"
+              "    def act(self):\n        return self.act()\n"
+              "    def read(self):\n        return self.act()\n"
+              "    def _private(self):\n        pass\n")
+    names = [name for name in surface("m", module)
+             if name.rsplit(".", 1)[1] not in references(module)]
+    assert names == ["m.recursive", "m.Model.read"]
+
+
+def test_library_surface_is_used_or_allowed():
+    """Every function and public method of src/ is named by src/, by a
+    word of README.md or by a word of a file in benchmarks/ (the tracer
+    wraps methods by their name strings); the rest is exactly the
+    allowlist.  Test-only helpers belong in tests/.  A name the package
+    exports from ``__init__`` counts as used."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    used = references((SRC / "__init__.py").read_text()).union(
+        *map(references, sources.values()))
+    texts = [ROOT / "README.md"] + [p for p in (ROOT / "benchmarks").glob("*")
+                                    if p.is_file()]
+    for path in texts:
+        used.update(re.findall(r"\w+", path.read_text()))
+    unused = [name for module, source in sources.items()
+              for name in surface(module, source)
+              if name.rsplit(".", 1)[1] not in used]
+    assert sorted(unused) == sorted(SURFACE_ALLOWLIST)
 
 
 def library_modules(node):

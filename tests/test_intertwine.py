@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from math import lcm
 
 import dense_oracle
 import pytest
@@ -17,11 +18,13 @@ from dense_oracle import (
     propagated_scalars,
     proportionality_full,
     scalar_of,
+    table_parts,
 )
 from helpers import (
     DirectSum,
     check_inverse_symmetry,
     conj_transpose,
+    one_zero,
     shared_zeros,
     zero_sharing,
 )
@@ -29,7 +32,13 @@ from test_symplectic import FP_MODULES
 
 from heisenrep.abgroup import subgroup_intersect
 from heisenrep.cyclo import CycNum, root_of_unity, sqrt_prime, in_subfield
-from heisenrep.heisenberg import HeisGrp, InducedModule, g_transport, induce
+from heisenrep.heisenberg import (
+    HeisGrp,
+    InducedModule,
+    g_transport,
+    induce,
+    point_table,
+)
 from heisenrep.intertwine import (
     KEPT_COLUMN_ENTRIES,
     SolveError,
@@ -163,11 +172,13 @@ class _ShiftedCenter:
 
     def __init__(self, V):
         self.H, self.dim = V.H, V.dim
-        *parts, (perm, expo) = V.generator_parts()
-        self.parts = parts + [(perm, [(e + 1) % V.H.n for e in expo])]
+        *tables, _center = V.generator_tables()
+        perm, expo = table_parts(V)[-1]
+        self.tables = tables + [point_table(perm, [e + 1 for e in expo],
+                                            V.H.n)]
 
-    def generator_parts(self):
-        return self.parts
+    def generator_tables(self):
+        return self.tables
 
 
 HOM_DIM_MODELS = {
@@ -224,16 +235,17 @@ def test_hom_dim_refuses_a_source_without_a_lagrangian(setup3):
 
 def _tampered_source(H, lag, parts):
     """A fresh model over ``lag`` whose generator matrices are
-    ``parts(V.generator_parts())``."""
+    ``parts(table_parts(V))``."""
     V = induce(H, lag)
-    V._generator_parts = parts(V.generator_parts())
+    V._generator_tables = [point_table(perm, expo, H.n)
+                           for perm, expo in parts(table_parts(V))]
     return V
 
 
 def test_hom_dim_refuses_a_word_that_moves_column_0(setup3):
     _M, H, lags, mods = setup3
     # the words of lags[0] read on the matrices of the model over lags[1]
-    V = _tampered_source(H, lags[0], lambda _: mods[1].generator_parts())
+    V = _tampered_source(H, lags[0], lambda _: table_parts(mods[1]))
     (l,) = lags[0].sub.gens()
     with pytest.raises(SolveError, match=r"word of %s moves column 0 of the "
                        r"source to column [12]$" % re.escape(repr(l))):
@@ -350,13 +362,59 @@ def test_phase_products_match_the_dense_products(blocks, basepoints):
                     got = phase_product(T_LB[i], T_LB[j], scale).to_dense()
                     want = scalar_mul(scale, mat_mul(
                         dense[i], conj_transpose(dense[j], len(dense[j][0]))))
-                    assert exact(got) == exact(want), (B, i, j)
-                    assert shared_zeros(got)
+                    assert mat_eq(got, want), (B, i, j)
+                    assert one_zero(got, lcm(scale.n, T_LB[i].n)), (B, i, j)
                     old = dense_phase_product(T_LB[i], T_LB[j], scale)
                     assert exact(got) == exact(old)
                     assert zero_sharing(got) == zero_sharing(old)
             for T, D in list(zip(T_LB, dense))[B:B + 2]:
                 assert exact(T.scaled(scale)) == exact(scalar_mul(scale, D))
+
+
+# the construct ladder of the benchmark (the lifted (Z/27)^2 and
+# (Z/9)^2+(Z/3)^2 among it) and (Z/5)^4
+CONDUCTOR_BLOCKS = [[(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)], [(3, 2)],
+                    [(27, 1)], [(9, 1), (3, 1)], [(3, 1), (5, 1)], [(5, 2)]]
+
+
+def _json_conductors(obj):
+    """The conductors of the matrix entry forms in an export."""
+    if isinstance(obj, dict):
+        if "coeffs" in obj:
+            return {obj["conductor"]}
+        return set().union(*map(_json_conductors, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_json_conductors, obj))
+    return set()
+
+
+@pytest.mark.parametrize("blocks", CONDUCTOR_BLOCKS, ids=repr)
+def test_pairs_and_anchored_maps_sit_at_the_system_conductor(blocks):
+    """On every solved and lifted system: the pairs are at the system's
+    conductor (``_scales()[1]``); each dense pair and anchored map has
+    every entry at that conductor and its zeros as one object; and every
+    entry of the export (anchored maps and pair table) is at it."""
+    from heisenrep.canonrep import build_pi
+
+    pi = build_pi(standard_module(blocks), system_verify="none")
+    reps = getattr(pi, "parts", None)
+    reps = [pi] if reps is None else [rep for (*_, rep) in reps]
+    for sys in {id(s): s for rep in reps
+                for s in (rep.system_c, rep.system)}.values():
+        N, count = sys.conductor, sys.count
+        assert N == sys.module.n
+        assert sys._scales()[1] == N
+        some = sorted({0, 1 % count, sys.base_index, count // 2, count - 1})
+        for i in some:
+            for j in some:
+                for e, f in ((1, 1), (1, -1), (-1, 1)):
+                    op = sys.operator((i, e), (j, f))
+                    assert one_zero(op, N), (i, e, j, f)
+                    assert sys.pair((i, e), (j, f)).n == N
+        for i in range(count):
+            for e in (1, -1):
+                assert one_zero(sys.anchored(i, e), N), (i, e)
+        assert _json_conductors(sys.export()) == {N}
 
 
 @pytest.mark.parametrize("blocks", [[(3, 1)], [(5, 1)], [(9, 1), (3, 1)]],
@@ -622,6 +680,20 @@ def test_solver_bad_basepoint():
         with pytest.raises(SymplecticError, match="index %d .* 4 lagrangians"
                            % base):
             solve_canonical_system(M, base_index=base)
+
+
+def test_solver_refuses_an_unknown_verify_level(monkeypatch):
+    """A verify level other than none, light or full raises ValueError
+    naming them before the lagrangians are enumerated."""
+    import heisenrep.intertwine as intertwine
+
+    calls = []
+    monkeypatch.setattr(intertwine, "enumerate_lagrangians",
+                        lambda *args, **kw: calls.append(1))
+    with pytest.raises(ValueError, match=r"'quick': expected none, light "
+                       r"or full$"):
+        solve_canonical_system(standard_module([(3, 1)]), verify="quick")
+    assert calls == []
 
 
 def scalar_digest(c):

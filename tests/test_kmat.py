@@ -12,6 +12,7 @@ from helpers import (
     packed_entries,
     packed_of,
     packed_rows,
+    one_zero,
     shared_zeros,
     zero_sharing,
 )
@@ -187,18 +188,20 @@ def test_phase_to_dense_holds_roots_and_one_zero():
 @settings(max_examples=150, deadline=None)
 @given(phase_pairs())
 def test_scaled_product_is_scalar_mul_of_product(abc):
+    """The dense view has the values of ``scalar_mul(c, mat_mul(a, b^H))``,
+    every entry at N = lcm(c.n, n) and one zero of N."""
     a, b, c = abc
     got = phase_product(a, b, c).to_dense()
     old = dense_phase_product(a, b, c)
     assert exact(got) == exact(old)
     assert zero_sharing(got) == zero_sharing(old)
+    assert one_zero(got, lcm(c.n, a.n, b.n))
     if not a.cols:
-        assert exact(got) == exact([[CycNum.zero(c.n)] * len(b.rows)
-                                    for _ in a.rows])
+        assert exact(got) == exact([[CycNum.zero(lcm(c.n, a.n, b.n))]
+                                    * len(b.rows) for _ in a.rows])
         return
     dense = mat_mul(a.to_dense(), conj_transpose(b.to_dense(), a.cols))
-    assert exact(got) == exact(scalar_mul(c, dense))
-    assert shared_zeros(got)
+    assert mat_eq(got, scalar_mul(c, dense))
     assert exact(a.scaled(c)) == exact(scalar_mul(c, a.to_dense()))
     assert shared_zeros(a.scaled(c))
 
@@ -211,19 +214,24 @@ def test_scaled_product_shares_cancelled_zeros():
     c = root_of_unity(9, 4) / 7
     out = phase_product(a, b, c).to_dense()
     assert zero_sharing(out) == zero_sharing(dense_phase_product(a, b, c))
-    assert exact(out) == exact(scalar_mul(c, mat_mul(
+    assert mat_eq(out, scalar_mul(c, mat_mul(
         a.to_dense(), conj_transpose(b.to_dense(), 3))))
     assert [[x.n for x in row] for row in out] == [[9, 9], [9, 9]]
     assert out[0][0].is_zero() and not out[0][1].is_zero()
     assert out[0][0] is out[1][0] is out[1][1]
-    # with c rational, the cancelled zero has conductor 3 and a missed
-    # entry conductor 1, one object each
+    # with c rational, the cancelled zero and a missed entry are both the
+    # one zero of conductor 3, where scalar_mul puts a missed entry at 1
     c = CycNum.rational(Fraction(2, 7))
     a = PhaseMat(a.rows * 2, 3, 3)
     out = phase_product(a, b, c).to_dense()
     assert zero_sharing(out) == zero_sharing(dense_phase_product(a, b, c))
-    assert [[x.n for x in row] for row in out] == [[3, 3], [1, 1]] * 2
-    assert out[0][0] is out[2][0] and out[1][0] is out[1][1] is out[3][0]
+    want = scalar_mul(c, mat_mul(a.to_dense(),
+                                 conj_transpose(b.to_dense(), 3)))
+    assert mat_eq(out, want)
+    assert [[x.n for x in row] for row in want] == [[3, 3], [1, 1]] * 2
+    assert [[x.n for x in row] for row in out] == [[3, 3]] * 4
+    assert out[0][0] is out[2][0] is out[1][0] is out[1][1] is out[3][0]
+    assert one_zero(out, 3)
     assert out[0][1] == c * root_of_unity(3, 1)
 
 
@@ -258,12 +266,15 @@ def test_adjoint_product_matches_product_with_conjugate_transpose(abc):
     old = dense_phase_product(a, b, CycNum.one(1))
     assert exact(got) == exact(old)
     assert zero_sharing(got) == zero_sharing(old)
+    n = lcm(a.n, b.n)
+    assert one_zero(got, n)
     if not a.cols:
-        assert exact(got) == [[(1, (0,), 1)] * len(b.rows)] * len(a.rows)
+        assert exact(got) == [[(n, (0,) * euler_phi(n), 1)] * len(b.rows)] \
+            * len(a.rows)
         return
     bh = conj_transpose(b.to_dense(), a.cols)
-    assert exact(got) == exact(mat_mul(a.to_dense(), bh))
-    assert exact(got) == exact(_mat_mul_reference(a.to_dense(), bh))
+    assert mat_eq(got, mat_mul(a.to_dense(), bh))
+    assert mat_eq(got, _mat_mul_reference(a.to_dense(), bh))
 
 
 def test_adjoint_product_shape_mismatch():
@@ -822,5 +833,5 @@ def test_packed_entries_negation_and_moves_match_scalar_mul(nab, e, f, m):
     assert moved.masks == (-packed).masks == packed.masks
     again = Packed.from_entries(packed_entries(packed), packed.masks,
                                 packed.n, packed.den, packed.width,
-                                packed.height, packed.n)
+                                packed.height)
     assert again.rows == packed.rows

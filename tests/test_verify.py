@@ -61,6 +61,27 @@ def test_lifted_system_without_equivariance_pairs_is_refused(blocks,
     assert sweeps
 
 
+def test_check_system_axioms_refuses_an_unknown_level(monkeypatch):
+    """A misspelt level raises ValueError naming the accepted levels
+    before any sweep runs, where it used to run the light sweep."""
+    sys = solve_canonical_system(standard_module([(3, 1)]), verify="none")
+    sweeps = []
+    monkeypatch.setattr(verify, "_sweep", lambda *args: sweeps.append(args))
+    with pytest.raises(ValueError, match=r"'ful': expected light or full$"):
+        check_system_axioms(sys, level="ful")
+    assert sweeps == []
+
+
+def test_run_verify_refuses_an_unknown_level(monkeypatch):
+    """A level other than quick or full raises ValueError before the
+    representation is built."""
+    calls = []
+    monkeypatch.setattr(verify, "build_pi", lambda *args, **kw: calls.append(1))
+    with pytest.raises(ValueError, match=r"'light': expected quick or full$"):
+        run_verify(standard_module([(3, 1)]), level="light")
+    assert calls == []
+
+
 def test_run_verify_builds_composite_once(monkeypatch):
     calls = []
     build_pi = canonrep.build_pi
@@ -136,7 +157,7 @@ def _tampered(sys, c=None, delta=None, T_LB=None):
         sys.module, sys.enh_module, sys.lags, sys.enh_lags, sys.base_index,
         sys.modules, sys.T_LB if T_LB is None else T_LB,
         sys.delta if delta is None else delta,
-        sys.c if c is None else c, sys.conductor)
+        sys.c if c is None else c)
 
 
 def _failed(report):
@@ -224,7 +245,7 @@ def _entry_times_root(P, i, j):
     rows = packed_entries(P)
     rows[i][j] = sum(c << (w * t) for t, c in
                      enumerate(digits[-1:] + digits[:-1]))
-    return Packed.from_entries(rows, P.masks, n, P.den, w, P.height, P.zero)
+    return Packed.from_entries(rows, P.masks, n, P.den, w, P.height)
 
 
 def _tamper(P, how):
@@ -249,8 +270,7 @@ def _tamper(P, how):
         rows[i] = rows[i][-1:] + rows[i][:-1]
         cols = len(rows[i])
         masks[i] = (masks[i] << 1 | masks[i] >> (cols - 1)) & ((1 << cols) - 1)
-    return Packed.from_entries(rows, masks, P.n, den, P.width, P.height,
-                               P.zero)
+    return Packed.from_entries(rows, masks, P.n, den, P.width, P.height)
 
 
 TAMPERS = ["negate an entry", "times zeta_N", "double the denominator",
@@ -323,7 +343,7 @@ def test_a_pair_at_another_width_fails_with_its_forms(solved_z3):
     rows = [[sum(c << (w * t) for t, c in enumerate(_digits(x, P.width, P.n)))
              for x in row] for row in packed_entries(P)]
     sys._pair_cache[key] = Packed.from_entries(rows, P.masks, P.n, P.den, w,
-                                               P.height, P.zero)
+                                               P.height)
     assert sys.operator((key[0], 1), (key[1], 1)) == P.to_dense()
     report = check_system_axioms(sys, level="light", seed=1,
                                  transitivity_samples=10 ** 6)
