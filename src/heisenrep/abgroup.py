@@ -273,9 +273,7 @@ class QuotientMap:
             c = intlin.solve_lattice(list(over.rows), list(row))
             assert c is not None
             coeff.append(c)
-        diag, _u, v = intlin.snf(coeff)
-        self._v = v
-        self._vinv = intlin.int_inverse_unimodular(v)
+        diag, _u, self._v, self._vinv = intlin.snf(coeff)
         self._diag = diag
         self._keep = [i for i, d in enumerate(diag) if d > 1]
         self.group = AbGroup([diag[i] for i in self._keep])

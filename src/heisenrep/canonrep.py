@@ -10,7 +10,6 @@ genuinely multiplicative rather than projective.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -42,7 +41,7 @@ class CanonicalRep:
     def __init__(self, M, base_index=0, system_verify="light", seed=0,
                  budget=DEFAULT_LAGRANGIAN_BUDGET):
         self.M = M
-        self.n = M.n if M.group.rank else 1
+        self.n = M.n
         self.red = ReductionData(M)
         self.system_c = solve_canonical_system(
             self.red.Mc, base_index=base_index, verify=system_verify, seed=seed,
@@ -120,7 +119,7 @@ class CanonicalRep:
 def _support_values(V):
     """chi((l, 0)) for every l in the lagrangian of the model V."""
     return {l: from_powers(V.H.n, terms)
-            for l, terms in support_counts(V).items()}
+            for l, terms in V.support_counts().items()}
 
 
 def _table_json(chars):
@@ -272,9 +271,9 @@ def build_pi(M, base_index=0, system_verify="light", seed=0,
     exponent tensors the primary representations.  ``budget`` bounds the
     lagrangian enumeration of each solved system (BudgetError above it).
     """
-    if M.group.rank and M.n % 2 == 0:
+    if M.n % 2 == 0:
         raise SymplecticError("even exponent is unsupported")
-    primes = prime_factors(M.n) if M.group.rank else []
+    primes = prime_factors(M.n)
     if len(primes) <= 1:
         return CanonicalRep(M, base_index=base_index,
                             system_verify=system_verify, seed=seed,
@@ -293,21 +292,8 @@ def class_representatives(H):
             for a in range(gcd(n, *(sum(map(mul, row, m)) for row in M.gram)))]
 
 
-def support_counts(V):
-    """The nonzero (exponent, count) pairs of ``char_exponent_counts((l, 0))``
-    per l in L: chi((l, a)) = zeta_n^a chi((l, 0)) on the support.  The
-    exponent of r_j at l is <r_j, l> = (r_j G) . l, linear in l, so each
-    row r_j G (G the gram) is made once."""
-    n = V.H.n
-    cols = list(zip(*V.H.base.gram))
-    rows = [[sum(map(mul, r, col)) for col in cols] for r in V.reps]
-    return {l: sorted(Counter(sum(map(mul, row, l)) % n
-                              for row in rows).items())
-            for l in V.lag.sub.elements()}
-
-
 def counts_inner(H, a, b):
-    """(1 / |H|) sum over h of chi_a(h) conj(chi_b(h)) for two
+    """(1 / |H|) sum over h of chi_a(h) conj(chi_b(h)) for two models'
     ``support_counts``, where each shared l stands for its n elements."""
     n = H.n
     corr = [0] * n
@@ -348,7 +334,7 @@ class Report:
         }
 
 
-def verify_svn(H, budget=3 ** 8, pi=None):
+def verify_svn(H, budget=DEFAULT_LAGRANGIAN_BUDGET, pi=None):
     """The Stone-von-Neumann property matrix, checked exactly.
 
     Every lagrangian model is irreducible, they are pairwise isomorphic with
@@ -371,7 +357,7 @@ def verify_svn(H, budget=3 ** 8, pi=None):
                all(d == 1 for d in commutants), "dims %r" % sorted(set(commutants)))
     pairs = list(combinations(range(len(mods)), 2))
     pair_ok = all(hom_dim(mods[i], mods[j]) == 1 for i, j in pairs)
-    chars = [support_counts(V) for V in mods]
+    chars = [V.support_counts() for V in mods]
     one = CycNum.one(1)
     char_ok = all(counts_inner(H, chars[i], chars[j]) == one for i, j in pairs)
     report.add("pairwise intertwiner spaces are one-dimensional", pair_ok,
@@ -384,7 +370,7 @@ def verify_svn(H, budget=3 ** 8, pi=None):
     # the character of the realization vanishes off L x mu_n, so its sum
     # over all of H is the one over the support
     if isinstance(pi, CanonicalRep):
-        counts = support_counts(pi.realization)
+        counts = pi.realization.support_counts()
         orth = counts_inner(H, counts, counts)
     else:
         ssum = CycNum.zero(1)

@@ -76,10 +76,10 @@ def cyclotomic_poly(n):
 
 
 class _Ctx:
-    """Per-conductor tables: reduction of powers of zeta mod Phi_N, densely
-    and as the (index, coefficient) pairs of its nonzero entries."""
+    """Per-conductor tables: the reduction of each power of zeta mod Phi_N
+    as the (index, coefficient) pairs of its nonzero coefficients."""
 
-    __slots__ = ("n", "phi", "poly", "pow_table", "pow_terms")
+    __slots__ = ("n", "phi", "poly", "pow_terms")
 
     def __init__(self, n):
         self.n = n
@@ -89,10 +89,9 @@ class _Ctx:
         phi = self.phi
         # x^e reduced mod Phi_N for e up to max(N, 2*phi - 1)
         top = max(n, 2 * phi - 1) + 1
-        table = []
         cur = [0] * phi
         cur[0] = 1
-        table.append(tuple(cur))
+        terms = self.pow_terms = [((0, 1),)]
         for _ in range(1, top):
             nxt = [0] + cur[:-1] if phi > 1 else [0]
             lead = cur[phi - 1]
@@ -101,10 +100,7 @@ class _Ctx:
                 for j in range(phi):
                     nxt[j] -= lead * poly[j]
             cur = nxt
-            table.append(tuple(cur))
-        self.pow_table = table
-        self.pow_terms = [tuple((j, r) for j, r in enumerate(row) if r)
-                          for row in table]
+            terms.append(tuple((j, r) for j, r in enumerate(cur) if r))
 
 
 _CTX_CACHE = {}
@@ -197,12 +193,10 @@ class CycNum:
         return Fraction(self.num[0], self.den)
 
     def lift(self, m):
-        """Rewrite at conductor m (requires n | m)."""
-        if m == self.n:
-            return self
-        if m % self.n != 0:
+        """Rewrite at conductor m (requires n | m): ``mul_root`` by 1."""
+        if m < 1 or m % self.n != 0:
             raise CycloError("cannot lift conductor %d to %d" % (self.n, m))
-        return from_powers(m, zip(range(0, m, m // self.n), self.num), self.den)
+        return mul_root(self, m, 0)
 
     def _common(self, other):
         if not isinstance(other, CycNum):
@@ -246,15 +240,13 @@ class CycNum:
                 for j, y in enumerate(bn):
                     if y:
                         conv[i + j] += x * y
-        out = list(conv[:phi])
-        table = ctx.pow_table
+        out = conv[:phi]
+        table = ctx.pow_terms
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = table[k]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
+                for j, r in table[k]:
+                    out[j] += c * r
         return CycNum(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
@@ -379,7 +371,7 @@ class CycNum:
         ctx_n = _ctx(n)
         phi_m = _ctx(m).phi
         step = n // m
-        cols = [ctx_n.pow_table[step * j] for j in range(phi_m)]
+        cols = [_power_sum(ctx_n, ((step * j, 1),)) for j in range(phi_m)]
         target = [Fraction(c, x.den) for c in x.num]
         sol = _solve_rational(cols, target)
         if sol is None:
@@ -506,7 +498,10 @@ def mul_root(x, n, e):
 def root_of_unity(n, k=1):
     """zeta_n^k as a CycNum of conductor n."""
     ctx = _ctx(n)
-    return CycNum(n, list(ctx.pow_table[k % n]))
+    num = [0] * ctx.phi
+    for j, r in ctx.pow_terms[k % n]:
+        num[j] = r
+    return CycNum(n, num)
 
 
 def gauss_sum_quadratic(p):

@@ -12,7 +12,9 @@ action is by right translation.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import isqrt
+from operator import mul
 
 from .abgroup import AbGroup, p_valuation, prime_factors
 from .cyclo import from_powers
@@ -154,7 +156,7 @@ class InducedModule:
     """
 
     __slots__ = ("H", "lag", "reps", "index", "dim", "_rep_of_cache",
-                 "_generator_tables", "_source_words")
+                 "_generator_tables", "_support_counts", "_source_words")
 
     def __init__(self, H, lag):
         self.H = H
@@ -169,6 +171,7 @@ class InducedModule:
                                   % (self.dim, expected))
         self._rep_of_cache = {}
         self._generator_tables = None
+        self._support_counts = None
         self._source_words = None
 
     def rep_of(self, m):
@@ -230,28 +233,34 @@ class InducedModule:
                 for h in self.group_generators()]
         return self._generator_tables
 
-    def char_exponent_counts(self, h):
-        """Trace of rho(h) as a vector of zeta_n exponent multiplicities.
+    def support_counts(self):
+        """chi((l, 0)) for every l in L, as its sorted nonzero (exponent,
+        count) pairs, made once.
 
         h = (m, a) sends the coset r + L to r - m + L, so column j is a fixed
         point exactly when r_j - m lies in r_j + L, that is when m lies in L:
         for m outside L the trace is zero, and for m in L every coset is
         fixed with l = m in ``locate``, contributing
         zeta_n^(a + beta(r_j, m) - beta(m, r_j)) = zeta_n^(a + <r_j, m>), as
-        2 beta = <,> is alternating.
+        2 beta = <,> is alternating.  The exponent <r_j, l> = (r_j G) . l is
+        linear in l, so each row r_j G (G the gram) is made once.
         """
-        n = self.H.n
-        counts = [0] * n
-        m, a = h
-        if not self.lag.sub.contains(m):
-            return counts
-        pair = self.H.base.pair
-        for rj in self.reps:
-            counts[(a + pair(rj, m)) % n] += 1
-        return counts
+        if self._support_counts is None:
+            n = self.H.n
+            cols = list(zip(*self.H.base.gram))
+            rows = [[sum(map(mul, r, col)) for col in cols] for r in self.reps]
+            self._support_counts = {
+                l: sorted(Counter(sum(map(mul, row, l)) % n
+                                  for row in rows).items())
+                for l in self.lag.sub.elements()}
+        return self._support_counts
 
     def character(self, h):
-        return from_powers(self.H.n, enumerate(self.char_exponent_counts(h)))
+        """chi((m, a)): the ``support_counts`` of m shifted by a, and none,
+        so the zero of conductor n, for m outside L."""
+        m, a = h
+        terms = self.support_counts().get(self.H.base.group.reduce(m), ())
+        return from_powers(self.H.n, ((e + a, c) for e, c in terms))
 
     def to_json(self):
         return {

@@ -254,6 +254,10 @@ class CanonicalSystem:
         self.delta = delta
         self.c = c
         self.conductor = module.n
+        for i, T in enumerate(T_LB):
+            if T.n != self.conductor:
+                raise SolveError("T_LB[%d] has modulus %d, not the system's "
+                                 "conductor %d" % (i, T.n, self.conductor))
         self._pair_cache = {}
 
     @property
@@ -363,23 +367,15 @@ class CanonicalSystem:
         system reuses the scalars of M_c), and ``standard_T`` gives T_LB[i]
         a nonzero entry t0, a root of unity of order dividing n, so t0 lies
         in K.  Then every c_i * t lies in K if and only if c_i
-        (= c_i t0 / t0) and every t (= c_i t / c_i) lie in K.  Each t is 0 or zeta_m^e, m the
-        modulus of T_LB[i].  So the test is one Galois test per c_i, and
-        one per exponent e that occurs only when m does not divide n.
+        (= c_i t0 / t0) and every t (= c_i t / c_i) lie in K.  Each t is 0
+        or a power of zeta_n, as every T_LB[i] has modulus n (``__init__``).
+        So the test is one Galois test per c_i.
         """
         n, p = self.conductor, self.enh_module.n
         gens = [root_of_unity(n)]
         if p > 1:
             gens.append(sqrt_prime(p))
-        for i in range(self.count):
-            if not in_subfield(self.c[i], gens):
-                return False
-            m = self.T_LB[i].n
-            if n % m and not all(
-                    in_subfield(root_of_unity(m, e), gens)
-                    for e in {e for row in self.T_LB[i].rows for _, e in row}):
-                return False
-        return True
+        return all(in_subfield(self.c[i], gens) for i in range(self.count))
 
     def pair_table_json(self):
         """Basepoint-independent serialization of the full pair table."""

@@ -124,15 +124,17 @@ def kernel(rows):
 
 
 def snf(mat):
-    """Smith normal form with transforms: returns (diag, U, V) where
+    """Smith normal form with transforms: returns (diag, U, V, W) where
     U @ mat @ V has ``diag`` on the diagonal, U and V unimodular,
-    and diag entries are nonnegative with d1 | d2 | ... .
+    W = V^-1, and diag entries are nonnegative with d1 | d2 | ... .
+    Each column operation on V is undone on the rows of W.
     """
     a = _copy(mat)
     rows = len(a)
     cols = len(a[0]) if a else 0
     U = identity(rows)
     V = identity(cols)
+    W = identity(cols)
 
     def row_op(i1, i2, q):
         # row i2 -= q * row i1
@@ -147,6 +149,7 @@ def snf(mat):
             a[i][j2] -= q * a[i][j1]
         for i in range(cols):
             V[i][j2] -= q * V[i][j1]
+            W[j1][i] += q * W[j2][i]
 
     def row_swap(i1, i2):
         a[i1], a[i2] = a[i2], a[i1]
@@ -157,6 +160,7 @@ def snf(mat):
             a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
         for i in range(cols):
             V[i][j1], V[i][j2] = V[i][j2], V[i][j1]
+        W[j1], W[j2] = W[j2], W[j1]
 
     t = 0
     while t < min(rows, cols):
@@ -211,20 +215,7 @@ def snf(mat):
                 U[t][j] = -U[t][j]
         t += 1
     diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, U, V
-
-
-def int_inverse_unimodular(V):
-    """Exact inverse of a unimodular integer matrix."""
-    m = len(V)
-    aug = [list(V[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    red = hnf(aug)
-    # V unimodular => HNF of [V | I] is [I | V^-1] up to sign fixes done by hnf
-    inv = []
-    for i in range(m):
-        assert red[i][:m] == [1 if j == i else 0 for j in range(m)], "matrix not unimodular"
-        inv.append(red[i][m:])
-    return inv
+    return diag, U, V, W
 
 
 def stacked_kernel_mod(a_rows, modulus):

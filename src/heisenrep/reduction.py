@@ -26,7 +26,7 @@ def canonical_isotropic(M):
     Returns (S, chain) where chain lists the exponent valuation at each
     recursion level.  Base case: elementary modules give S = 0.
     """
-    primes = prime_factors(M.group.order()) if M.group.rank else []
+    primes = prime_factors(M.group.order())
     if len(primes) > 1:
         raise ReductionError("module is not primary; reduce per prime")
     p = primes[0] if primes else None
@@ -52,7 +52,7 @@ class ReductionData:
     """Everything attached to the reduction (M, S) -> (M_c, omega_c)."""
 
     def __init__(self, M):
-        primes = prime_factors(M.group.order()) if M.group.rank else []
+        primes = prime_factors(M.group.order())
         if len(primes) > 1:
             raise ReductionError("module is not primary; reduce per prime")
         self.M = M

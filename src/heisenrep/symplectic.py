@@ -123,13 +123,7 @@ class SympMod:
         return (((self.n + 1) // 2) * self.pair(a, b)) % self.n
 
     def radical(self):
-        m = self.group.rank
-        if m == 0:
-            return zero_subgroup(self.group)
-        cols = [[self.gram[i][j] for j in range(m)] for i in range(m)]
-        ker = intlin.stacked_kernel_mod(cols, self.n)
-        gens = [self.group.reduce(row) for row in ker]
-        return subgroup_from_gens(self.group, gens)
+        return kernel_subgroup(self.group, self.gram, self.n)
 
     def __eq__(self, other):
         return (
@@ -174,15 +168,19 @@ def standard_module(blocks):
     return SympMod(AbGroup(orders), gram)
 
 
+def kernel_subgroup(group, cols, n):
+    """The subgroup of the x in ``group`` with x @ cols == 0 (mod n), cols
+    holding one row per standard generator: the reductions of
+    ``intlin.stacked_kernel_mod`` generate it."""
+    return subgroup_from_gens(group, [group.reduce(r) for r in
+                                      intlin.stacked_kernel_mod(cols, n)])
+
+
 def orth_complement(M, S):
     """S^perp = {m : <m, s> = 0 for all s in S}, computed exactly."""
-    m = M.group.rank
     gens = S.gens()
-    if not gens or m == 0:
-        return subgroup_from_gens(M.group, M.group.basis())
-    cols = [[M.pair(e, g) for g in gens] for e in M.group.basis()]
-    ker = intlin.stacked_kernel_mod(cols, M.n)
-    return subgroup_from_gens(M.group, [M.group.reduce(r) for r in ker])
+    return kernel_subgroup(
+        M.group, [[M.pair(e, g) for g in gens] for e in M.group.basis()], M.n)
 
 
 def is_isotropic(M, S):
@@ -414,7 +412,7 @@ class SympAut:
 
     def __init__(self, module, mat, validate=True):
         self.module = module
-        self.mat = tuple(tuple(int(x) % module.group.orders[j] if module.group.rank else 0
+        self.mat = tuple(tuple(int(x) % module.group.orders[j]
                                for j, x in enumerate(row)) for row in mat)
         if validate:
             self.validate()
@@ -650,9 +648,7 @@ def gauss_sum(group, gram):
             di, dj = group.orders[i], group.orders[j]
             if (di * gram[i][j]) % e or (dj * gram[i][j]) % e:
                 raise SymplecticError("pairing not compatible with orders")
-    cols = [[gram[i][j] for j in range(m)] for i in range(m)]
-    ker = intlin.stacked_kernel_mod(cols, e)
-    if subgroup_from_gens(group, [group.reduce(r) for r in ker]).order() != 1:
+    if kernel_subgroup(group, gram, e).order() != 1:
         raise SymplecticError("pairing is degenerate")
     counts = [0] * e
     for l in group.elements():

@@ -31,6 +31,7 @@ from .kmat import Packed, identity as kmat_identity
 from .kmat import mat_eq, scalar_mul
 from .reduction import g_to_gc
 from .symplectic import (
+    DEFAULT_LAGRANGIAN_BUDGET,
     BudgetError,
     SymplecticError,
     enumerate_lagrangians,
@@ -101,10 +102,15 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
     points = sys.enhanced()
     pair = sys.pair
 
+    # one identity per call, not the system's: a tampered (i, i) still fails
+    ones = []
+
     def identity_holds(n0):
         op = pair(n0, n0)
-        one = Packed.identity(len(op.rows), op.n, op.width)
-        return op == one and pair(n0, (n0[0], -n0[1])) == -one
+        if not ones:
+            one = Packed.identity(len(op.rows), op.n, op.width)
+            ones.extend((one, -one))
+        return op == ones[0] and pair(n0, (n0[0], -n0[1])) == ones[1]
 
     _sweep(report, "identity on every enhanced point", "%d points", points,
            identity_holds)
@@ -387,7 +393,7 @@ def _heisenberg_suite(M, seed, level):
     return report
 
 
-def run_verify(M, level="quick", seed=0, budget=3 ** 8):
+def run_verify(M, level="quick", seed=0, budget=DEFAULT_LAGRANGIAN_BUDGET):
     """The whole property matrix for one module, as a list of reports.
     A ``level`` other than quick or full raises ValueError."""
     if level not in ("quick", "full"):

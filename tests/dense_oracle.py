@@ -47,6 +47,10 @@ solves for their coordinates by elimination over the echelon basis of
 the image, which it takes through ``SympAut.on_subgroup``.
 The library lists the transvections from each nonzero vector once up to
 sign; the oracle makes them from every nonzero vector and every scale.
+The library finds the radical and every orthogonal complement through
+``kernel_subgroup``, with no branch for rank 0 or S = 0; the oracles are
+the former bodies, with those branches.  The library lifts a CycNum
+through ``mul_root``; the oracle is the former walk through ``from_powers``.
 
 Four small maps that only the tests use live here too: ``is_identity``
 and ``flip`` on automorphisms and enhanced points, the embedding of a
@@ -60,7 +64,12 @@ from math import lcm
 from operator import lshift
 
 from heisenrep import intlin
-from heisenrep.abgroup import Subgroup, subgroup_intersect
+from heisenrep.abgroup import (
+    Subgroup,
+    subgroup_from_gens,
+    subgroup_intersect,
+    zero_subgroup,
+)
 from heisenrep.cyclo import (
     CycNum,
     from_powers,
@@ -775,3 +784,35 @@ def transvections_from_every_vector(M):
             t = transvection(M, v, lam)
             seen.setdefault(t.key(), t)
     return [identity_aut(M)] + [seen[k] for k in sorted(seen.keys())]
+
+
+def radical_with_branches(group, gram, n):
+    """The radical of the Z/n pairing ``gram`` on ``group``, as
+    ``SympMod.radical`` made it before ``kernel_subgroup``: the zero
+    subgroup at rank 0."""
+    m = group.rank
+    if m == 0:
+        return zero_subgroup(group)
+    cols = [[gram[i][j] for j in range(m)] for i in range(m)]
+    ker = intlin.stacked_kernel_mod(cols, n)
+    return subgroup_from_gens(group, [group.reduce(row) for row in ker])
+
+
+def orth_complement_with_branches(M, S):
+    """S^perp as ``orth_complement`` made it before ``kernel_subgroup``:
+    the whole group when S = 0 or at rank 0."""
+    gens = S.gens()
+    if not gens or M.group.rank == 0:
+        return subgroup_from_gens(M.group, M.group.basis())
+    cols = [[M.pair(e, g) for g in gens] for e in M.group.basis()]
+    ker = intlin.stacked_kernel_mod(cols, M.n)
+    return subgroup_from_gens(M.group, [M.group.reduce(r) for r in ker])
+
+
+def lift_by_powers(x, m):
+    """x at conductor m (x.n | m), as ``CycNum.lift`` made it before it
+    went through ``mul_root``: the coefficient of zeta_(x.n)^t moved to
+    zeta_m^(t m / x.n) by ``from_powers``, which normalizes again."""
+    if m == x.n:
+        return x
+    return from_powers(m, zip(range(0, m, m // x.n), x.num), x.den)

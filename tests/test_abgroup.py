@@ -284,3 +284,43 @@ def test_elementary_prime():
     assert elementary_prime(AbGroup([5, 5, 5])) == 5
     for orders in ([], [1], [9, 9], [3, 5], [3, 3, 9], [15]):
         assert elementary_prime(AbGroup(orders)) is None
+
+
+def _mul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row))
+             for j in range(len(b[0]))] for row in a]
+
+
+def test_snf_tracks_the_inverse_of_its_column_transform():
+    """On seeded integer matrices, square and not, singular and not:
+    V @ W = W @ V = I for the W that ``snf`` returns beside V, |det U| = 1,
+    and U @ mat @ V is diagonal, nonnegative, zeros last, with each
+    nonzero entry dividing the next."""
+    rng = random.Random(28)
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+    for trial in range(200):
+        r, c = shapes[trial % len(shapes)]
+        mat = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if trial % 3 == 0 and r >= 2:
+            k = rng.randrange(1, r)
+            mat[k] = [rng.randint(-3, 3) * x for x in mat[0]]
+        if trial % 7 == 0:
+            mat[rng.randrange(r)] = [0] * c
+        diag, U, V, W = intlin.snf(mat)
+        assert _mul(V, W) == intlin.identity(c) == _mul(W, V), mat
+        assert abs(_det(U)) == 1, mat
+        D = _mul(_mul(U, mat), V)
+        assert all(D[i][j] == (diag[i] if i == j else 0)
+                   for i in range(r) for j in range(c)), mat
+        assert all(d >= 0 for d in diag)
+        nonzero = [d for d in diag if d]
+        assert diag[:len(nonzero)] == nonzero
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), diag
+
+
+def _det(a):
+    """The determinant of a square integer matrix, by cofactors."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from heisenrep.abgroup import AbGroup
-from dense_oracle import character_inner, dense_min_conductors, module_character
+from dense_oracle import (
+    character_inner,
+    dense_min_conductors,
+    module_character,
+    trace_counts,
+)
 
 from heisenrep.canonrep import (
     CanonicalRep,
@@ -12,7 +17,6 @@ from heisenrep.canonrep import (
     build_pi,
     class_representatives,
     counts_inner,
-    support_counts,
     uniqueness_probe,
     verify_svn,
 )
@@ -142,15 +146,18 @@ def test_character_table_matches_character(blocks):
 
 @pytest.mark.parametrize("blocks", CONSTRUCT_BLOCKS + [[(5, 2)]], ids=repr)
 def test_support_counts_match_the_exponent_counts(blocks):
-    """The rows r_j G read each <r_j, l> as ``char_exponent_counts`` does
-    with ``pair``, for every l of L, on every primary part."""
+    """The rows r_j G read each <r_j, l> as the fixed columns of rho_parts
+    give it, for every l of L, on every primary part; a second call gives
+    the same object."""
     pi = build_pi(standard_module(blocks), system_verify="none")
     reps = [pi] if isinstance(pi, CanonicalRep) else \
         [rep for (*_, rep) in pi.parts]
     for V in (rep.realization for rep in reps):
-        assert support_counts(V) == {
-            l: [(e, c) for e, c in enumerate(V.char_exponent_counts((l, 0)))
-                if c] for l in V.lag.sub.elements()}
+        counts = V.support_counts()
+        assert counts == {
+            l: [(e, c) for e, c in enumerate(trace_counts(V, (l, 0))) if c]
+            for l in V.lag.sub.elements()}
+        assert V.support_counts() is counts
 
 
 def test_character_descends_to_Kprime(pi3):
@@ -202,7 +209,7 @@ def test_counts_inner_matches_the_character_dicts(blocks):
 
     H = HeisGrp(standard_module(blocks))
     mods = [induce(H, L) for L in enumerate_lagrangians(H.base)]
-    counts = [support_counts(V) for V in mods]
+    counts = [V.support_counts() for V in mods]
     chars = [module_character(V) for V in mods]
     for i in range(len(mods)):
         for j in range(len(mods)):

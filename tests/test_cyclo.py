@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_oracle import lift_eq
+from dense_oracle import lift_by_powers, lift_eq
 from hypothesis import given, settings, strategies as st
 
 from heisenrep.cyclo import (
@@ -171,6 +171,29 @@ def test_from_powers_matches_naive_sum(data):
     value = from_powers(n, terms, den)
     assert value.n == n
     assert value == naive / den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_matches_the_walk_through_from_powers(data):
+    """``lift`` through ``mul_root`` gives what the former walk through
+    ``from_powers`` gave, over conductors 1 to 60 and multiples up to 4:
+    value, conductor, coefficients and denominator; and a lift to the
+    own conductor is x itself."""
+    n = data.draw(st.integers(1, 60))
+    phi = euler_phi(n)
+    num = data.draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
+    x = CycNum(n, num, data.draw(st.sampled_from([1, 2, 3, -4, 6])))
+    m = n * data.draw(st.integers(1, 4))
+    got, want = x.lift(m), lift_by_powers(x, m)
+    assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+    assert got.n == m and got == x and (m != n or got is x)
+
+
+def test_lift_refuses_a_conductor_that_n_does_not_divide():
+    for m in (0, -3, 4, 10):
+        with pytest.raises(CycloError):
+            root_of_unity(3).lift(m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from dense_oracle import (
 )
 
 from heisenrep.abgroup import AbGroup
-from heisenrep.cyclo import root_of_unity
+from heisenrep.cyclo import from_powers, root_of_unity
 from heisenrep.heisenberg import (
     HeisGrp,
     g_transport,
@@ -219,16 +219,49 @@ def test_character_support(H3, lags3):
             assert ch.is_zero()
 
 
-@pytest.mark.parametrize("name", ["Z3^2", "orders-3-3-1"])
+def _check_characters(V, hs):
+    """``character`` on each h of ``hs``, and ``support_counts`` on each
+    (m, 0) of them, against the fixed columns of rho_parts; the counts are
+    made once, keyed by the elements of L."""
+    n = V.H.n
+    counts = V.support_counts()
+    assert V.support_counts() is counts
+    assert sorted(counts) == sorted(V.lag.sub.elements())
+    support = 0
+    for m, a in hs:
+        want = trace_counts(V, (m, a))
+        got, value = V.character((m, a)), from_powers(n, enumerate(want))
+        assert (got.n, got.num, got.den) == (value.n, value.num, value.den), \
+            (V.lag, m, a)
+        if a == 0:
+            assert counts.get(m, []) == [(e, c) for e, c in enumerate(want)
+                                         if c], (V.lag, m)
+        support += any(want)
+    return support
+
+
+@pytest.mark.parametrize("name", list(LAGRANGIAN_MODULES))
 def test_char_counts_match_trace_every_lagrangian(name):
-    # the L-membership trace against the fixed columns of rho_parts, for
-    # every h and every lagrangian's module
+    """On every lagrangian's model: every h when |H| times the number of
+    lagrangians is at most 10^4, and otherwise every (l, a) with l in L
+    and a in (0, 1), and (m, a) for ten seeded m off L and a in (0, 1)."""
     M = LAGRANGIAN_MODULES[name]()
     H = HeisGrp(M)
-    for L in enumerate_lagrangians(M):
+    lags = enumerate_lagrangians(M)
+    rng = random.Random(name)
+    everything = H.order() * len(lags) <= 10 ** 4
+    for L in lags:
         V = induce(H, L)
-        for h in H.elements():
-            assert V.char_exponent_counts(h) == trace_counts(V, h), (L, h)
+        if everything:
+            hs = list(H.elements())
+        else:
+            ms = list(L.sub.elements())
+            while len(ms) < V.dim + 10:
+                m = tuple(rng.randrange(d) for d in M.group.orders)
+                if not L.sub.contains(m):
+                    ms.append(m)
+            hs = [(m, a) for m in ms for a in (0, 1)]
+        _check_characters(V, hs)
 
 
 @pytest.mark.parametrize("name", ["Z27^2", "Z9^2+Z3^2"])
@@ -236,13 +269,8 @@ def test_char_counts_match_trace_on_realization(name):
     from heisenrep.canonrep import build_pi
 
     V = build_pi(LAGRANGIAN_MODULES[name](), system_verify="none").realization
-    support = 0
-    for m in V.H.base.group.elements():
-        for a in (0, 1):
-            counts = V.char_exponent_counts((m, a))
-            assert counts == trace_counts(V, (m, a)), (m, a)
-            support += any(counts)
-    assert support == 2 * V.dim
+    hs = [(m, a) for m in V.H.base.group.elements() for a in (0, 1)]
+    assert _check_characters(V, hs) == 2 * V.dim
 
 
 @pytest.fixture(scope="module")

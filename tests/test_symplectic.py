@@ -7,6 +7,8 @@ from math import isqrt
 
 import pytest
 from dense_oracle import (
+    orth_complement_with_branches,
+    radical_with_branches,
     act_enhanced_by_elimination,
     flip,
     hnf_inverse,
@@ -19,6 +21,7 @@ from helpers import lattice_only
 from heisenrep import intlin, symplectic
 from heisenrep.abgroup import (
     AbGroup,
+    full_subgroup,
     subgroup_from_gens,
     subgroup_intersect,
     zero_subgroup,
@@ -36,6 +39,7 @@ from heisenrep.symplectic import (
     gauss_sum,
     identity_aut,
     induced_form,
+    kernel_subgroup,
     orth_complement,
     sp_enumerate,
     sp_sample,
@@ -167,6 +171,42 @@ FP_MODULES = [standard_module(b) for b in
     SympMod(AbGroup([3] * 4), [[0, 1, 2, 0], [2, 0, 0, 1], [1, 0, 0, 1],
                                [0, 2, 2, 0]]),
 ]
+
+
+# the construct ladder, both non-standard grams, orders (3, 3, 1) and rank 0
+KERNEL_MODULES = [standard_module(b) for b in (
+    [(3, 1)], [(5, 1)], [(7, 1)], [(11, 1)], [(3, 2)], [(27, 1)],
+    [(9, 1), (3, 1)], [(3, 1), (5, 1)])] + FP_MODULES[-2:] + [
+    SympMod(AbGroup([3, 3, 1]), [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
+    SympMod(AbGroup(()), []),
+]
+
+
+@pytest.mark.parametrize("M", KERNEL_MODULES, ids=repr)
+def test_kernel_subgroup_matches_the_bodies_with_branches(M):
+    """``radical`` and ``orth_complement`` through ``kernel_subgroup`` give
+    the subgroups of the former bodies, which branched on rank 0 and S = 0:
+    for S = 0, S = M, every lagrangian and seeded subgroups of one or two
+    generators; and ``kernel_subgroup`` finds the one radical of a
+    degenerate gram as the former radical body does."""
+    assert M.radical() == radical_with_branches(M.group, M.gram, M.n)
+    assert M.radical().order() == 1
+    rng = random.Random(repr(M))
+    subs = [zero_subgroup(M.group), full_subgroup(M.group)]
+    subs += [L.sub for L in enumerate_lagrangians(M)]
+    subs += [subgroup_from_gens(M.group, [
+        tuple(rng.randrange(d) for d in M.group.orders)
+        for _ in range(rng.choice([1, 2]))]) for _ in range(12)]
+    for S in subs:
+        assert orth_complement(M, S) == orth_complement_with_branches(M, S), S
+    for group, gram in ((AbGroup([3, 3]), [[0, 0], [0, 0]]),
+                        (AbGroup([9, 3]), [[0, 3], [6, 0]]),
+                        (AbGroup([5, 5, 5]), [[0, 1, 0], [4, 0, 0],
+                                              [0, 0, 0]])):
+        n = group.exponent()
+        got = kernel_subgroup(group, gram, n)
+        assert got == radical_with_branches(group, gram, n)
+        assert got.order() > 1
 
 
 @pytest.mark.parametrize("M", FP_MODULES, ids=repr)

@@ -11,7 +11,11 @@ from dense_oracle import anchored_entries_in_field
 
 from heisenrep import canonrep, verify
 from heisenrep.cyclo import root_of_unity
-from heisenrep.intertwine import CanonicalSystem, solve_canonical_system
+from heisenrep.intertwine import (
+    CanonicalSystem,
+    SolveError,
+    solve_canonical_system,
+)
 from heisenrep.kmat import Packed, PhaseMat, _digits
 from heisenrep.reduction import g_to_gc
 from heisenrep.symplectic import SympMod, sp_sample, standard_module
@@ -200,22 +204,21 @@ def test_scalar_outside_the_field_fails(solved_z3):
 
 
 def test_standard_entry_outside_the_field_fails(solved_z3):
-    # a phase matrix of modulus 5 * 3 in a module of exponent 3 is the one
-    # whose entries are tested on their own, not through their scalar: the
-    # same roots of unity at exponents 5 e, and one entry zeta_15^3 = zeta_5
+    # a phase matrix of modulus 5 * 3 in a module of exponent 3, with one
+    # entry zeta_15^3 = zeta_5 and without it, is refused when the system is
+    # made: every T_LB[i] has the system's conductor, so ``entries_in_field``
+    # tests the c_i alone
     sys, i = solved_z3
+    assert sys.entries_in_field() is anchored_entries_in_field(sys) is True
     T = sys.T_LB[i]
     rows = [[(k, 5 * e) for k, e in row] for row in T.rows]
-    rows[0][0] = (rows[0][0][0], 3)
     T_LB = list(sys.T_LB)
-    T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
-    bad = _tampered(sys, T_LB=T_LB)
-    assert bad.entries_in_field() is anchored_entries_in_field(bad) is False
-    # the same matrix without the tampered entry passes
-    rows[0][0] = (rows[0][0][0], 5 * T.rows[0][0][1])
-    T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
-    good = _tampered(sys, T_LB=T_LB)
-    assert good.entries_in_field() is anchored_entries_in_field(good) is True
+    for entry in (3, 5 * T.rows[0][0][1]):
+        rows[0][0] = (rows[0][0][0], entry)
+        T_LB[i] = PhaseMat(rows, T.cols, 5 * T.n)
+        with pytest.raises(SolveError, match=r"^T_LB\[%d\] has modulus 15, "
+                           r"not the system's conductor 3$" % i):
+            _tampered(sys, T_LB=T_LB)
 
 
 def _witness(report, name):
@@ -329,6 +332,38 @@ def test_checked_pairs_sit_at_the_pair_width(blocks):
                                sys.pair_width())
     assert (one.rows, one.masks, one.den) == (identity.rows, identity.masks,
                                               identity.den)
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_the_identity_sweep_builds_one_identity(cold, monkeypatch):
+    """A light check on (Z/3)^4 compares its 80 pairs (i, i) and their
+    negations with one ``Packed.identity`` per call, at the form of the
+    first pair it reads; from a cold pair cache the system builds its own
+    shared identity besides, which the sweep's is not."""
+    sys = canonrep.build_pi(standard_module([(3, 2)]),
+                            system_verify="none").system
+    made = []
+    identity = Packed.identity
+
+    def counted(dim, n, width):
+        made.append(identity(dim, n, width))
+        return made[-1]
+
+    assert check_system_axioms(sys, level="light", seed=0).ok()
+    monkeypatch.setattr(Packed, "identity", staticmethod(counted))
+    for _call in range(2):
+        made.clear()
+        if cold:
+            sys._pair_cache.clear()
+        report = check_system_axioms(sys, level="light", seed=0)
+        assert report.ok()
+        assert "80 points" in report.text()
+        assert len(made) == (2 if cold else 1)
+        shared = sys._pair_cache[0, 0]
+        assert shared is sys._pair_cache[1, 1] and made[-1] is not shared
+        assert (made[-1].rows, made[-1].width, made[-1].n) == (
+            shared.rows, sys.pair_width(), sys.conductor)
+    sys._pair_cache.clear()
 
 
 def test_a_pair_at_another_width_fails_with_its_forms(solved_z3):
