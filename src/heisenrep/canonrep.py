@@ -29,7 +29,6 @@ from .reduction import ReductionData, g_to_gc, lift_canonical_system
 from .symplectic import (
     DEFAULT_LAGRANGIAN_BUDGET,
     SympAut,
-    SymplecticError,
     enumerate_lagrangians,
     sp_sample,
 )
@@ -271,8 +270,6 @@ def build_pi(M, base_index=0, system_verify="light", seed=0,
     exponent tensors the primary representations.  ``budget`` bounds the
     lagrangian enumeration of each solved system (BudgetError above it).
     """
-    if M.n % 2 == 0:
-        raise SymplecticError("even exponent is unsupported")
     primes = prime_factors(M.n)
     if len(primes) <= 1:
         return CanonicalRep(M, base_index=base_index,

@@ -53,9 +53,10 @@ codec holds across the row: adding 2^(w-1) to the low N digits of every
 slot makes every digit of the row nonnegative, and an entry is read with
 a shift and a mask (``entry``).  ``to_dense`` gives every zero entry the
 one zero of N; it and ``moved`` read the entries at the mask bits only.
-Negation negates each row; ``moved`` applies a GenPerm on each side, whose
-moduli divide N, rotating each entry's digits once (x^N = 1) into its new
-slot.
+Negation negates each row, and ``sign_to`` tells a matrix, its negation
+and any other apart by their rows and form alone.  ``moved`` applies a
+GenPerm on each side, whose moduli divide N, rotating each entry's digits
+once (x^N = 1) into its new slot.
 
 Folding.  A product of an entry (N digits) and a row puts a vector of
 2N - 1 digits into each slot, which 2N digits hold, and a sum of such
@@ -617,6 +618,20 @@ class Packed:
     def __neg__(self):
         return Packed([-x for x in self.rows], self.cols, self.masks, self.n,
                       self.den, self.width, self.height)
+
+    def sign_to(self, other):
+        """1 if self is other bit for bit (rows, masks, conductor,
+        denominator, width and height), -1 if self is -other bit for bit,
+        and 0 otherwise: O(dim) int comparisons, no product."""
+        a, b = self, other
+        if a is b:
+            return 1
+        if (len(a.rows), a.cols, a.masks, a.n, a.den, a.width, a.height) != (
+                len(b.rows), b.cols, b.masks, b.n, b.den, b.width, b.height):
+            return 0
+        if a.rows == b.rows:
+            return 1
+        return -1 if all(x == -y for x, y in zip(a.rows, b.rows)) else 0
 
     def moved(self, left, right):
         """left @ self @ right for GenPerms left and right: entry (r, c)

@@ -118,9 +118,29 @@ def check_system_axioms(sys, level="light", seed=0, equivariance_pairs=None,
     if level != "full" and transitivity_samples is None:
         transitivity_samples = 200
     triples = _sampled_tuples(points, 3, transitivity_samples, rng)
+    # within this call: the lagrangian triples (i, j, k) whose lift-(+1)
+    # equation F_ij F_jk = F_ik has held.  A triple whose three pairs are,
+    # bit for bit, s_a F_ij, s_b F_jk and s_c F_ik with s_a s_b = s_c
+    # states that equation, as (s A)(t B) = s t (A B); any other is
+    # multiplied out.
+    held = set()
+
+    def transitive(t):
+        (i, _e), (j, _f), (k, _g) = t
+        a, b, c = pair(t[0], t[1]), pair(t[1], t[2]), pair(t[0], t[2])
+        sa, sb, sc = (a.sign_to(pair((i, 1), (j, 1))),
+                      b.sign_to(pair((j, 1), (k, 1))),
+                      c.sign_to(pair((i, 1), (k, 1))))
+        lifted = sa * sb == sc != 0
+        if lifted and (i, j, k) in held:
+            return True
+        holds = a @ b == c
+        if holds and lifted:
+            held.add((i, j, k))
+        return holds
+
     _sweep(report, "transitivity over enhanced triples", "%d triples",
-           triples, lambda t: pair(t[0], t[1]) @ pair(t[1], t[2])
-           == pair(t[0], t[2]))
+           triples, transitive)
 
     def genuine(p):
         (i, e), (j, f) = p

@@ -51,8 +51,8 @@ def test_dims():
 
 
 def test_even_exponent_rejected():
-    # even modules cannot even be constructed; the guard in build_pi is the
-    # user-facing message
+    # SympMod.validate refuses an even exponent when the module is made, so
+    # no module that build_pi could be given has one
     with pytest.raises(SymplecticError):
         standard_module([(2, 1)])
 

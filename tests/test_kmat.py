@@ -539,6 +539,41 @@ def test_packed_neg_is_entrywise_and_keeps_masks(a):
         packed_entries(packed)
 
 
+def test_packed_sign_to_tells_itself_its_negation_and_others_apart():
+    """``sign_to`` is 1 for the same rows and form, -1 for the negated rows
+    in the same form, and 0 when any of rows, masks, denominator, width or
+    height differs, also for a matrix of the same values; a zero matrix is
+    its own negation."""
+    vectors = [[[1, -2] + [0] * 7, [0] * 9, [3] + [0] * 7 + [-1]],
+               [[0] * 9, [0, 0, 2] + [0] * 6, [0] * 9]]
+    P = packed_rows(vectors, 9)
+    copy = Packed.from_entries(packed_entries(P), list(P.masks), P.n, P.den,
+                               P.width, P.height)
+    assert P.sign_to(P) == P.sign_to(copy) == copy.sign_to(P) == 1
+    assert (-P).sign_to(P) == P.sign_to(-P) == (-copy).sign_to(P) == -1
+    assert (-P).sign_to(-P) == 1
+    # entry (0, 0) times zeta_9: its digits rotated by one
+    v = vectors[0][0]
+    rotated = [[v[-1:] + v[:-1]] + vectors[0][1:], vectors[1]]
+    others = [
+        packed_rows(vectors, 9, width=P.width + 1),
+        packed_rows(vectors, 9, den=2, width=P.width),
+        Packed(P.rows, P.cols, [P.masks[0], P.masks[1] | 1], P.n, P.den,
+               P.width, P.height),
+        Packed(P.rows, P.cols, P.masks, P.n, P.den, P.width, P.height + 1),
+        packed_rows(rotated, 9, width=P.width),
+    ]
+    assert others[-1].height == P.height
+    for Q in others:
+        assert Q.sign_to(P) == P.sign_to(Q) == 0
+        assert (-Q).sign_to(P) == Q.sign_to(-P) == 0
+    assert mat_eq(others[0].to_dense(), P.to_dense())
+    zero = packed_rows([[[0] * 9] * 3] * 2, 9, width=P.width)
+    assert zero.sign_to(zero) == zero.sign_to(-zero) == (-zero).sign_to(
+        zero) == 1
+    assert zero.sign_to(P) == P.sign_to(zero) == 0
+
+
 def test_kron_empty_factors():
     b = [[CycNum.one(3)] * 2 for _ in range(3)]
     assert kron([], b) == []

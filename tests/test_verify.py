@@ -448,6 +448,19 @@ LIGHT_REPORTS = [
 ]
 
 
+def _light_system(blocks):
+    """The system of ``standard_module(blocks)`` and the keyword arguments
+    of its light check as the verify workload passes them."""
+    M = standard_module(blocks)
+    pi = canonrep.build_pi(M, system_verify="none")
+    sys, kwargs = pi.system, {}
+    if sys is not pi.system_c:
+        kwargs = {"equivariance_pairs": [(g, g_to_gc(pi.red, g))
+                                         for g in sp_sample(M, 5, 6)],
+                  "report_title": "lifted canonical system on %r" % (M,)}
+    return sys, kwargs
+
+
 @pytest.mark.parametrize("blocks,digest,transports,images", LIGHT_REPORTS,
                          ids=["3^4", "7^2", "lifted 9^2+3^2"])
 def test_light_reports_pinned_with_one_transport_per_key(
@@ -456,13 +469,7 @@ def test_light_reports_pinned_with_one_transport_per_key(
     once per distinct (automorphism, source, target) and ``act_point`` once
     per distinct (automorphism, point), and a second call, from a cold
     pair cache, does that work again."""
-    M = standard_module(blocks)
-    pi = canonrep.build_pi(M, system_verify="none")
-    sys, kwargs = pi.system, {}
-    if sys is not pi.system_c:
-        kwargs = {"equivariance_pairs": [(g, g_to_gc(pi.red, g))
-                                         for g in sp_sample(M, 5, 6)],
-                  "report_title": "lifted canonical system on %r" % (M,)}
+    sys, kwargs = _light_system(blocks)
     moves, points = [], []
     g_transport, act_point = verify.g_transport, CanonicalSystem.act_point
 
@@ -485,3 +492,100 @@ def test_light_reports_pinned_with_one_transport_per_key(
             report.text()
         assert len(moves) == len(set(moves)) == transports
         assert len(points) == len(set(points)) == images
+
+
+@pytest.mark.parametrize("blocks,digest,products", [
+    (blocks, digest, products) for (blocks, digest, _t, _i), products
+    in zip(LIGHT_REPORTS, [200, 176, 64])], ids=["3^4", "7^2", "lifted 9^2+3^2"])
+def test_light_transitivity_multiplies_once_per_lagrangian_triple(
+        blocks, digest, products, monkeypatch):
+    """The 200 sampled enhanced triples of a light check at seed 1 lie over
+    200, 176 and 64 lagrangian triples (of 64,000, 512 and 64), and one
+    packed product per lagrangian triple decides them all: each call, from
+    a cold pair cache, makes that many products and gives the pinned
+    report."""
+    sys, kwargs = _light_system(blocks)
+    made = []
+    matmul = Packed.__matmul__
+
+    def counted(a, b):
+        made.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Packed, "__matmul__", counted)
+    for _call in range(2):
+        made.clear()
+        sys._pair_cache.clear()
+        report = check_system_axioms(sys, level="light", seed=1, **kwargs)
+        assert hashlib.sha256(report.text().encode()).hexdigest() == digest, \
+            report.text()
+        assert "200 triples" in report.text()
+        assert len(made) == products
+    sys._pair_cache.clear()
+
+
+def test_a_tampered_signed_pair_is_multiplied_out(solved_z3):
+    """On (Z/3)^2 the signed pair ((1, -1), (0, 1)) is given the form of
+    its lift-(+1) pair with one entry times zeta_3.  Over all 512 triples,
+    in product order, a clean triple over the lagrangians of the first
+    triple through the tampered pair comes before it (lift 1 at 1 sorts
+    before lift -1), so that lagrangian triple has held when the tampered
+    pair is reached; its sign is neither 1 nor -1, so the triple is
+    multiplied out and fails, and the witness is that first triple through
+    the tampered pair."""
+    sys = _tampered(solved_z3[0])
+    points = sys.enhanced()
+    signed = ((1, -1), (0, 1))
+    clean = sys.pair((1, 1), (0, 1))
+    tampered = _entry_times_root(clean, *next(
+        (i, j) for i, row in enumerate(packed_entries(clean))
+        for j, x in enumerate(row) if x))
+    assert tampered.sign_to(clean) == tampered.sign_to(-clean) == 0
+    pair = sys.pair
+    sys.pair = lambda n0, l0: tampered if (n0, l0) == signed else pair(n0, l0)
+    report = check_system_axioms(sys, level="light", seed=1,
+                                 transitivity_samples=10 ** 6)
+    assert "transitivity over enhanced triples" in _failed(report)
+    triple = _witness(report, "transitivity over enhanced triples")
+    assert signed in {(triple[0], triple[1]), (triple[1], triple[2]),
+                      (triple[0], triple[2])}, triple
+    order = list(itertools.product(points, repeat=3))
+    through = [signed in {(t[0], t[1]), (t[1], t[2]), (t[0], t[2])}
+               for t in order]
+    first = through.index(True)
+    key = tuple(point[0] for point in order[first])
+    assert any(tuple(point[0] for point in t) == key and not through[index]
+               for index, t in enumerate(order[:first])), order[first]
+    assert triple == order[first]
+
+
+def test_light_report_pinned_on_z5_4():
+    """The light report of (Z/5)^4 at seed 0 is pinned.  Its 156
+    lagrangians give 200 sampled triples over 200 distinct lagrangian
+    triples, so the sweep multiplies every triple out."""
+    sys = canonrep.build_pi(standard_module([(5, 2)]),
+                            system_verify="none").system
+    report = check_system_axioms(sys, level="light", seed=0)
+    assert report.ok()
+    assert hashlib.sha256(report.text().encode()).hexdigest() == (
+        "21081904555a5831d8110910ae333bbbdfa690ede700e5e4c0be72192654e919")
+
+
+@pytest.mark.parametrize("level", ["light", "full"])
+def test_a_check_keeps_only_pairs_in_the_pair_cache(checked_system, level):
+    """After a check the pair cache holds the pairs (i, j) and the
+    system's scales under None, and nothing that the sweeps made."""
+    sys, kwargs = checked_system
+    sys._pair_cache.clear()
+    if level == "full":
+        kwargs = dict(kwargs, equivariance_pairs=kwargs.get(
+            "equivariance_pairs", [])[:1], transitivity_samples=300)
+    assert check_system_axioms(sys, level=level, seed=1, **kwargs).ok()
+    keys = set(sys._pair_cache)
+    assert None in keys
+    pairs = keys - {None}
+    assert pairs and all(
+        type(key) is tuple and len(key) == 2
+        and all(type(i) is int and 0 <= i < sys.count for i in key)
+        for key in pairs), sorted(map(repr, keys))
+    sys._pair_cache.clear()
