@@ -10,9 +10,9 @@ genuinely multiplicative rather than projective.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .abgroup import prime_factors
 from .cyclo import CycNum, from_powers, mul_root, root_of_unity
@@ -228,26 +228,35 @@ class TensorRep:
 
     def character_table(self):
         """``character`` on the class representatives, with each factor
-        read off the ``support_counts`` of its part.  The product up to
-        part k has conductor lcm(n_1, ..., n_k), so a component outside the
-        support of part k ends it with one shared zero of that conductor."""
+        read off the ``support_counts`` of its part.  The representatives
+        of one m come one after the other, so m is projected once to each
+        part, up to the first part whose support misses it; its central
+        component in a part of conductor n is crt * a mod n
+        (``primary_project``).  The product up to part k has conductor
+        lcm(n_1, ..., n_k), so a component outside the support of part k
+        ends it with one shared zero of that conductor."""
         parts, N = [], 1
-        for (_p, _hp, _e, _c, rep) in self.parts:
+        for (_p, Hp, embed, crt, rep) in self.parts:
             N = lcm(N, rep.H.n)
-            parts.append((_support_values(rep.realization), rep.H.n,
-                          CycNum.zero(N)))
+            parts.append((Hp, embed, crt, _support_values(rep.realization),
+                          rep.H.n, CycNum.zero(N)))
         out = []
-        for (m, a) in class_representatives(self.H):
-            value = CycNum.one(1)
-            for ((l, b), (values, n, zero)) in zip(self._components((m, a)),
-                                                   parts):
-                if l not in values:
-                    value = zero
+        for m, reps in groupby(class_representatives(self.H), itemgetter(0)):
+            ls = []
+            for (Hp, embed, crt, values, _n, _zero) in parts:
+                ls.append(primary_project(self.H, Hp, embed, crt, (m, 0))[0])
+                if ls[-1] not in values:
                     break
-                value = value * mul_root(values[l], n, b)
-                if value.is_zero():
-                    break
-            out.append(((m, a), value))
+            for (_m, a) in reps:
+                value = CycNum.one(1)
+                for (l, (_hp, _e, crt, values, n, zero)) in zip(ls, parts):
+                    if l not in values:
+                        value = zero
+                        break
+                    value = value * mul_root(values[l], n, crt * a % n)
+                    if value.is_zero():
+                        break
+                out.append(((m, a), value))
         return out
 
     def export(self):

@@ -41,8 +41,10 @@ def write_json(obj, put):
     piece, for a tree of dicts with str keys, lists, tuples, str, int,
     bool and None (the program writes no floats; anything else raises
     TypeError).  The text of each entry form (``kmat.Form``) is made once
-    per call, and a list that starts with a form (a matrix row) is one
-    piece; each piece carries the separator or key that comes before it."""
+    per call; a list that starts with a form (a matrix row) and a list of
+    ints alone (by type, so a bool is not one), written as its ``repr``
+    without spaces, are one piece each; each piece carries the separator
+    or key that comes before it."""
     texts = {}
     get = texts.get
 
@@ -70,6 +72,11 @@ def write_json(obj, put):
             if v and type(v[0]) is Form:
                 put(head + "[" + ",".join([get(id(x)) or text(x) for x in v])
                     + "]")
+            elif not v or type(v[0]) is int and all(type(x) is int
+                                                     for x in v):
+                # repr of a list of ints is its JSON text with spaces
+                put(head + repr(v if type(v) is list else list(v))
+                    .replace(" ", ""))
             else:
                 put(head + "[")
                 sep = ""

@@ -499,39 +499,60 @@ def identity_aut(M):
 
 def transvection(M, v, lam):
     """m -> m + lam <m, v> v; symplectic for every v and lam."""
-    m = M.group.rank
-    basis = M.group.basis()
+    return SympAut(M, _transvection_rows(M, v, lam, _pairings(M, v)),
+                   validate=False)
+
+
+def _pairings(M, v):
+    """<e_i, v> for every standard generator e_i: row i of the gram
+    dotted with v (not reduced)."""
+    return [sum(map(mul, row, v)) for row in M.gram]
+
+
+def _transvection_rows(M, v, lam, pairings):
+    """The rows t_{v,lam}(e_i) = e_i + lam <e_i, v> v, reduced, from the
+    ``pairings`` <e_i, v>; a tuple equal to the ``mat`` of the
+    transvection."""
+    n, reduce = M.n, M.group.reduce
     rows = []
-    for i in range(m):
-        c = (lam * M.pair(basis[i], v)) % M.n
-        row = list(basis[i])
-        for j in range(m):
-            row[j] += c * v[j]
-        rows.append(M.group.reduce(row))
-    return SympAut(M, rows, validate=False)
+    for i, p in enumerate(pairings):
+        c = lam * p % n
+        row = [c * x for x in v]
+        row[i] += 1
+        rows.append(reduce(row))
+    return tuple(rows)
 
 
 def transvections(M):
     """All distinct transvection automorphisms, canonically ordered: the
     identity, then the rest sorted by key.  For every lam, v and -v give
     one transvection (lam <m, -v> (-v) = lam <m, v> v), so each v is
-    visited once up to sign: v is skipped when -v came before it."""
+    visited once up to sign: v is skipped when -v came before it.  The
+    pairings <e_i, v> are taken once per v, and an automorphism is made
+    only for rows not met before."""
     orders = M.group.orders
     seen = {}
     for v in M.group.elements():
         if not any(v) or tuple(-x % d for x, d in zip(v, orders)) < v:
             continue
+        pairings = _pairings(M, v)
         for lam in range(1, M.n):
-            t = transvection(M, v, lam)
-            seen.setdefault(t.key(), t)
-    out = [identity_aut(M)] + [seen[k] for k in sorted(seen.keys())]
-    return out
+            rows = _transvection_rows(M, v, lam, pairings)
+            if rows not in seen:
+                seen[rows] = SympAut(M, rows, validate=False)
+    return [identity_aut(M)] + [seen[k] for k in sorted(seen)]
 
 
 def sp_enumerate(M, budget=DEFAULT_SP_ENUM_BUDGET):
-    """The full symplectic group of a module of rank 0 or 2, by brute force
-    over the 2x2 matrices; raises BudgetError in any other rank or over the
-    budget on |M|."""
+    """The full symplectic group of a module of rank 0 or 2, in key order;
+    raises BudgetError in any other rank or over the budget on |M|.
+
+    In rank 2 both orders equal n (|M| is a square and n divides its
+    root), and <e_1, e_2> = g is a unit mod n.  The rows r_1 = (a, b),
+    r_2 = (c, d) pair to <r_1, r_2> = (ad - bc) g, so <r_1, r_2> = g says
+    that ad - bc = 1: every such matrix is invertible and, the pairing
+    being alternating, preserves it.  The candidates are listed in the
+    order of their entries, which is key order."""
     size = M.group.order()
     if size > budget:
         raise BudgetError(
@@ -542,29 +563,40 @@ def sp_enumerate(M, budget=DEFAULT_SP_ENUM_BUDGET):
         return [identity_aut(M)]
     if m != 2:
         raise BudgetError("Sp enumeration is supported in rank 2 only")
-    out = []
-    for entries in itertools.product(range(M.n), repeat=4):
-        try:
-            out.append(SympAut(M, [entries[:2], entries[2:]]))
-        except SymplecticError:
-            continue
-    return sorted(out, key=lambda g: g.key())
+    n, g = M.n, M.gram[0][1]
+    return [SympAut(M, ((a, b), (c, d)), validate=False)
+            for a, b, c, d in itertools.product(range(n), repeat=4)
+            if ((a * d - b * c) * g - g) % n == 0]
 
 
 def sp_sample(M, seed, count):
-    """Deterministic pseudorandom products of transvections."""
+    """Deterministic pseudorandom products t_1 t_2 ... t_8 of transvections
+    t = t_{v,lam}, v a nonzero vector and lam in 1..n-1 drawn in that
+    order.  Each product is kept as its rows g(e_i): row i of g t is
+    g(t e_i) = g e_i + lam <e_i, v> g(v), so a step applies g once, to v,
+    and changes only the rows with a nonzero coefficient."""
     rng = random.Random(seed)
-    elements = list(M.group.elements())
-    nonzero = [v for v in elements if any(v)]
+    group = M.group
+    n, reduce = M.n, group.reduce
+    nonzero = [v for v in group.elements() if any(v)]
+    identity = [reduce(e) for e in group.basis()]
     out = []
     for _ in range(count):
-        g = identity_aut(M)
+        rows = list(identity)
         if nonzero:
             for _ in range(8):
                 v = nonzero[rng.randrange(len(nonzero))]
-                lam = rng.randrange(1, M.n) if M.n > 1 else 0
-                g = g.compose(transvection(M, v, lam))
-        out.append(g)
+                lam = rng.randrange(1, n)
+                gv = [0] * group.rank
+                for x, row in zip(v, rows):
+                    if x:
+                        gv = [s + x * y for s, y in zip(gv, row)]
+                for i, p in enumerate(_pairings(M, v)):
+                    c = lam * p % n
+                    if c:
+                        rows[i] = reduce([x + c * y
+                                          for x, y in zip(rows[i], gv)])
+        out.append(SympAut(M, rows, validate=False))
     return out
 
 

@@ -47,6 +47,12 @@ solves for their coordinates by elimination over the echelon basis of
 the image, which it takes through ``SympAut.on_subgroup``.
 The library lists the transvections from each nonzero vector once up to
 sign; the oracle makes them from every nonzero vector and every scale.
+The library writes the rows of each transvection and makes one
+automorphism per distinct transvection; the per-pair oracle makes one per
+vector and scale.  The library keeps each ``sp_sample`` product as rows
+and updates them by the transvection formula; the oracle composes
+automorphisms.  The library lists Sp(M) in rank 2 as the matrices of
+determinant 1; the oracle validates every 2x2 matrix.
 The library finds the radical and every orthogonal complement through
 ``kernel_subgroup``, with no branch for rank 0 or S = 0; the oracles are
 the former bodies, with those branches.  The library lifts a CycNum
@@ -59,6 +65,7 @@ of the reduced group (``central_lift``).
 """
 
 import itertools
+import random
 from functools import lru_cache
 from math import lcm
 from operator import lshift
@@ -784,6 +791,51 @@ def transvections_from_every_vector(M):
             t = transvection(M, v, lam)
             seen.setdefault(t.key(), t)
     return [identity_aut(M)] + [seen[k] for k in sorted(seen.keys())]
+
+
+def transvections_per_pair(M):
+    """``transvections(M)`` as it was made before its rows were written
+    directly: one ``transvection`` automorphism per vector up to sign and
+    per lam, the distinct ones sorted by key after the identity."""
+    orders = M.group.orders
+    seen = {}
+    for v in M.group.elements():
+        if not any(v) or tuple(-x % d for x, d in zip(v, orders)) < v:
+            continue
+        for lam in range(1, M.n):
+            t = transvection(M, v, lam)
+            seen.setdefault(t.key(), t)
+    return [identity_aut(M)] + [seen[k] for k in sorted(seen.keys())]
+
+
+def sp_enumerate_validated(M):
+    """``sp_enumerate(M)`` in rank 2 by brute force: every 2x2 matrix over
+    Z/n that passes ``SympAut.validate``, sorted by key."""
+    out = []
+    for entries in itertools.product(range(M.n), repeat=4):
+        try:
+            out.append(SympAut(M, [entries[:2], entries[2:]]))
+        except SymplecticError:
+            continue
+    return sorted(out, key=lambda g: g.key())
+
+
+def sp_sample_by_compose(M, seed, count):
+    """``sp_sample(M, seed, count)`` as a product of automorphisms: each
+    step composes with a fresh ``transvection``, the same draws in the
+    same order."""
+    rng = random.Random(seed)
+    nonzero = [v for v in M.group.elements() if any(v)]
+    out = []
+    for _ in range(count):
+        g = identity_aut(M)
+        if nonzero:
+            for _ in range(8):
+                v = nonzero[rng.randrange(len(nonzero))]
+                lam = rng.randrange(1, M.n) if M.n > 1 else 0
+                g = g.compose(transvection(M, v, lam))
+        out.append(g)
+    return out
 
 
 def radical_with_branches(group, gram, n):

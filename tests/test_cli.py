@@ -284,6 +284,21 @@ def test_writer_matches_json_dumps(tree):
     assert dumps(tree) == reference_dumps(tree)
 
 
+@settings(max_examples=100)
+@given(st.one_of(st.lists(st.integers()), st.lists(st.integers()).map(tuple),
+                 st.lists(st.one_of(st.integers(), st.booleans()))))
+def test_writer_matches_json_dumps_on_int_lists(v):
+    """A list of ints is one piece; a bool among them (an int by
+    ``isinstance``, not by type) is written item by item."""
+    from heisenrep.cli import write_json
+
+    pieces = []
+    write_json(v, pieces.append)
+    assert "".join(pieces) == reference_dumps(v)
+    if all(type(x) is int for x in v):
+        assert len(pieces) == 2
+
+
 def test_writer_refuses_what_the_program_never_writes():
     from heisenrep.cli import dumps
 

@@ -14,7 +14,10 @@ from dense_oracle import (
     hnf_inverse,
     is_identity,
     isotropic_walk_fp,
+    sp_enumerate_validated,
+    sp_sample_by_compose,
     transvections_from_every_vector,
+    transvections_per_pair,
 )
 from helpers import lattice_only
 
@@ -400,6 +403,8 @@ def test_transvections_are_symplectic():
                 a = els[rng.randrange(len(els))]
                 b = els[rng.randrange(len(els))]
                 assert M.pair(t.apply(a), t.apply(b)) == M.pair(a, b)
+                assert t.apply(a) == M.group.reduce(
+                    [x + lam * M.pair(a, v) * y for x, y in zip(a, v)])
 
 
 @pytest.mark.parametrize("M", [
@@ -414,12 +419,94 @@ def test_transvections_match_the_walk_over_every_vector(M):
 
 
 def test_sp_sample_deterministic_and_valid():
-    M = standard_module([(3, 2)])
-    gs1 = sp_sample(M, 42, 5)
-    gs2 = sp_sample(M, 42, 5)
-    assert [g.mat for g in gs1] == [g.mat for g in gs2]
-    for g in gs1:
-        g.validate()
+    """Samples repeat for a seed and are symplectic automorphisms, on an
+    elementary, a composite, a lifted and an order-1 module."""
+    for M in (standard_module([(3, 2)]), standard_module([(3, 1), (5, 1)]),
+              standard_module([(9, 1), (3, 1)]), KERNEL_MODULES[-2]):
+        gs1 = sp_sample(M, 42, 5)
+        gs2 = sp_sample(M, 42, 5)
+        assert [g.mat for g in gs1] == [g.mat for g in gs2]
+        for g in gs1:
+            g.validate()
+
+
+# the construct ladder, (Z/3)^6, (Z/9)^2, orders (3, 3, 1) and rank 0
+SAMPLE_MODULES = KERNEL_MODULES[:8] + [
+    standard_module([(3, 3)]), standard_module([(9, 1)])] + KERNEL_MODULES[-2:]
+
+
+@pytest.mark.parametrize("M", SAMPLE_MODULES, ids=repr)
+def test_sp_sample_matches_the_products_of_automorphisms(M):
+    """Rows updated by the transvection formula give the automorphisms
+    that composing with each transvection gives, draw for draw."""
+    for seed in range(5):
+        for count in (0, 1, 4, 180):
+            assert [g.mat for g in sp_sample(M, seed, count)] == [
+                g.mat for g in sp_sample_by_compose(M, seed, count)]
+
+
+@pytest.mark.parametrize("M", SAMPLE_MODULES, ids=repr)
+def test_transvections_match_one_automorphism_per_pair(M):
+    """Writing the rows once per (v, lam) and making an automorphism per
+    distinct transvection lists what one automorphism per pair lists."""
+    assert [t.mat for t in transvections(M)] == [
+        t.mat for t in transvections_per_pair(M)]
+
+
+@pytest.mark.parametrize("M", [standard_module([(q, 1)]) for q in (3, 5, 7, 9)]
+                         + [SympMod(AbGroup([5, 5]), [[0, 2], [3, 0]])],
+                         ids=repr)
+def test_sp_enumerate_matches_the_validated_matrices(M):
+    """The matrices that keep <e_1, e_2> are the ones that pass
+    ``validate``, in the same order: SL_2(Z/p^k), of order
+    p^(3k) (1 - 1/p^2)."""
+    got = [g.mat for g in sp_enumerate(M)]
+    assert got == [g.mat for g in sp_enumerate_validated(M)]
+    p = min(q for q in (3, 5, 7) if M.n % q == 0)
+    assert len(got) == M.n ** 3 * (p * p - 1) // (p * p)
+
+
+# SHA-256 of json.dumps([g.mat for g in sp_sample(M, 1, 180)]) on the four
+# query modules, as the products of automorphisms made them at 4139257
+QUERY_SAMPLE_DIGESTS = [
+    ([(3, 2)],
+     "c8b5973da19763acbcbebc6022206544336d9f5aed9ec4d5f26196953ba10f97"),
+    ([(27, 1)],
+     "ac28fe4187accb2e0b36e7ccbefd9d29588e776b3c99eacb48755a91b53e13a2"),
+    ([(9, 1), (3, 1)],
+     "1ff9aefdf57e98bd392338277de16dbcd3ca6c196e5c728620c2866b42f9027f"),
+    ([(3, 1), (5, 1)],
+     "ef71ae2a6ddda966d16dd2c21dff3f8a2dbe712a810e28a88d31a6b61d89fa5d"),
+]
+
+
+@pytest.mark.parametrize("blocks, digest", QUERY_SAMPLE_DIGESTS)
+def test_query_samples_pinned(blocks, digest):
+    mats = [g.mat for g in sp_sample(standard_module(blocks), 1, 180)]
+    assert hashlib.sha256(json.dumps(mats).encode()).hexdigest() == digest
+
+
+def test_one_automorphism_per_sample_and_per_transvection(monkeypatch):
+    """``sp_sample(M, s, k)`` makes k automorphisms, and ``transvections``
+    one per distinct transvection and one identity: 48 and the identity on
+    (Z/7)^2, from 144 pairs (v, lam) up to the sign of v.  On (Z/27)^2 the
+    identity is a transvection too (v = (9, 0)), and is listed twice."""
+    made = []
+    real = SympAut.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SympAut, "__init__", counted)
+    for M in SAMPLE_MODULES:
+        made.clear()
+        assert len(sp_sample(M, 3, 7)) == 7 and len(made) == 7
+        made.clear()
+        ts = transvections(M)
+        assert len(made) == len(ts) == 1 + len({t.mat for t in ts[1:]})
+    made.clear()
+    assert len(transvections(standard_module([(7, 1)]))) == len(made) == 49
 
 
 def test_is_identity_with_order_one_summand():
